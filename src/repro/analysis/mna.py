@@ -61,7 +61,7 @@ import numpy as np
 from ..circuit.controlled import Vccs, Vcvs
 from ..circuit.elements import (MismatchDecl, NoiseDecl, ParamKey,
                                 PsdShape)
-from ..circuit.mosfet import Mosfet, ekv_ids
+from ..circuit.mosfet import Mosfet, ekv_ids, ekv_ids_fused
 from ..circuit.netlist import GROUND_NAMES, Circuit
 from ..circuit.passives import Capacitor, Inductor, Resistor
 from ..circuit.sources import CurrentSource, VoltageSource
@@ -69,7 +69,7 @@ from ..constants import BOLTZMANN, CMIN_DEFAULT, T_NOMINAL
 from ..errors import NetlistError
 from ..linalg import LinearSolverBackend, resolve_backend
 from ..linalg.sparsity import CsrPlan
-from .stamps import LinearStampPlan, NlVccsPlan, SourcePlan
+from .stamps import LinearStampPlan, NlVccsPlan, SourcePlan, SourceTable
 
 Deltas = dict[ParamKey, "float | np.ndarray"]
 
@@ -568,7 +568,8 @@ class CompiledCircuit:
     def assemble(self, state: ParamState, x_pad: np.ndarray, t: float,
                  g_pad: np.ndarray, f_pad: np.ndarray,
                  source_scale: float = 1.0, gmin: float = 0.0,
-                 jacobian: bool = True) -> None:
+                 jacobian: bool = True,
+                 sources: "np.ndarray | None" = None) -> None:
         """Evaluate ``f = i(x, t)`` and ``G = di/dx`` into padded buffers.
 
         ``x_pad`` has shape ``(*batch, n+1)`` with the last entry 0;
@@ -581,6 +582,11 @@ class CompiledCircuit:
         a cached factorization (:mod:`repro.linalg`) skip the device
         derivative evaluation and Jacobian scatter entirely, which is
         most of the assembly cost.
+
+        *sources* is the padded source vector at *t* when the caller
+        already has it - a :class:`~repro.analysis.stamps.SourceTable`
+        row of a fixed-grid loop; by default it comes from the source
+        plan.
         """
         batch = f_pad.shape[:-1]
         # dense-path consumers densify the sparse template once per
@@ -596,7 +602,7 @@ class CompiledCircuit:
             np.matmul(g_lin, x_pad[..., None], out=f_pad[..., None])
             if gmin > 0.0:
                 f_pad[..., :self.n_nodes] += gmin * x_pad[..., :self.n_nodes]
-        self._add_sources(state, t, f_pad, source_scale)
+        self._add_sources(state, t, f_pad, source_scale, sources)
         gflat = (g_pad.reshape(batch + ((self.n + 1) ** 2,))
                  if jacobian else None)
         if self.mosfets:
@@ -608,28 +614,41 @@ class CompiledCircuit:
         f_pad[..., self._ground] = 0.0
 
     def _add_sources(self, state: ParamState, t: float, f_pad: np.ndarray,
-                     source_scale: float = 1.0) -> None:
+                     source_scale: float = 1.0,
+                     vec: "np.ndarray | None" = None) -> None:
         """Add the (cached) combined source vector - no per-element loop;
-        see :class:`~repro.analysis.stamps.SourcePlan`."""
+        see :class:`~repro.analysis.stamps.SourcePlan`.  A given *vec*
+        (a source-table row) is used as is."""
         if self._src_plan.empty:
             return
-        vec = self._src_plan.combined(state, t)
+        if vec is None:
+            vec = self._src_plan.combined(state, t)
         if source_scale == 1.0:
             f_pad += vec
         else:
             f_pad += source_scale * vec
 
+    def source_table(self, state: ParamState, t_grid: np.ndarray
+                     ) -> SourceTable:
+        """Source vectors of *state* tabulated over a fixed time grid
+        (:class:`~repro.analysis.stamps.SourceTable`); pass its rows to
+        :meth:`assemble` as *sources*."""
+        return SourceTable(self._src_plan, state, t_grid)
+
     def _mos_eval(self, state: ParamState, x_pad: np.ndarray,
                   derivatives: bool = True):
-        """Vectorised EKV evaluation over all devices (and batch)."""
-        idx = self._mos_idx
-        sgn = self._mos_sign
-        vd = sgn * x_pad[..., idx[:, 0]]
-        vg = sgn * x_pad[..., idx[:, 1]]
-        vs = sgn * x_pad[..., idx[:, 2]]
-        vb = sgn * x_pad[..., idx[:, 3]]
-        return ekv_ids(vd, vg, vs, vb, state.mos["vt0"], state.mos["beta"],
-                       self._mos_n, self._mos_lam, derivatives=derivatives)
+        """Vectorised EKV evaluation over all devices (and batch).
+
+        Batched states keep the reference :func:`~repro.circuit.mosfet.
+        ekv_ids` (Monte-Carlo samples are bit-pinned to it); batchless
+        states take the fused kernel, within 1e-14 of it.
+        """
+        # one gather of all four terminals: (..., 4, ndev)
+        v = self._mos_sign * x_pad[..., self._mos_idx.T]
+        kernel = ekv_ids if state.batched else ekv_ids_fused
+        return kernel(v[..., 0, :], v[..., 1, :], v[..., 2, :],
+                      v[..., 3, :], state.mos["vt0"], state.mos["beta"],
+                      self._mos_n, self._mos_lam, derivatives=derivatives)
 
     def _add_mosfets(self, state: ParamState, x_pad: np.ndarray,
                      f_pad: np.ndarray, jacobian: bool,
@@ -643,9 +662,8 @@ class CompiledCircuit:
         """
         ev = self._mos_eval(state, x_pad, derivatives=jacobian)
         ids_phys = self._mos_sign * ev.ids
-
-        fvals = np.concatenate(
-            np.broadcast_arrays(ids_phys, -ids_phys), axis=-1)
+        # every model output has the full (*batch, ndev) shape
+        fvals = np.concatenate((ids_phys, -ids_phys), axis=-1)
         if batch:
             bidx = self._bidx(batch)
             np.add.at(f_pad, (bidx, self._mos_frows), fvals)
@@ -654,9 +672,8 @@ class CompiledCircuit:
         if not jacobian:
             return
 
-        gvals = np.concatenate(np.broadcast_arrays(
-            ev.g_d, ev.g_g, ev.g_s, ev.g_b,
-            -ev.g_d, -ev.g_g, -ev.g_s, -ev.g_b), axis=-1)
+        g4 = np.concatenate((ev.g_d, ev.g_g, ev.g_s, ev.g_b), axis=-1)
+        gvals = np.concatenate((g4, -g4), axis=-1)
         if batch:
             np.add.at(gflat, (bidx, gidx), gvals)
         else:
@@ -930,9 +947,11 @@ class CompiledCircuit:
         out = np.empty((x_orbit.shape[0], nnz))
         f_pad = np.zeros(self.n + 1)
         x_pad = np.zeros(self.n + 1)
+        sources = self.source_table(state, t_orbit)
         for k in range(x_orbit.shape[0]):
             x_pad[:self.n] = x_orbit[k]
-            asm.assemble(x_pad, float(t_orbit[k]), f_pad)
+            asm.assemble(x_pad, float(t_orbit[k]), f_pad,
+                         sources=sources.row(k))
             out[k] = asm.g_data[:nnz]
         return out
 
@@ -1009,7 +1028,8 @@ class CsrAssembler:
 
     def assemble(self, x_pad: np.ndarray, t: float, f_pad: np.ndarray,
                  source_scale: float = 1.0, gmin: float = 0.0,
-                 jacobian: bool = True) -> None:
+                 jacobian: bool = True,
+                 sources: "np.ndarray | None" = None) -> None:
         """CSR-native equivalent of :meth:`CompiledCircuit.assemble`.
 
         Fills ``f_pad`` with the static residual; with *jacobian* the
@@ -1022,7 +1042,7 @@ class CsrAssembler:
         if gmin > 0.0:
             f_pad[:c.n_nodes] += gmin * x_pad[:c.n_nodes]
         f_pad[n] = 0.0
-        c._add_sources(self.state, t, f_pad, source_scale)
+        c._add_sources(self.state, t, f_pad, source_scale, sources)
         if jacobian:
             np.copyto(self.g_data, self.g_lin_data)
             if gmin > 0.0:

@@ -111,9 +111,11 @@ class OrbitLinearization:
             _, g_pad, f_pad = compiled.buffers(())
             #: Dense per-step Jacobian stack ``(N+1, n, n)``.
             self.g_t = np.empty((self.n_steps + 1, n, n))
+            sources = compiled.source_table(state, t)
             for k in range(self.n_steps + 1):
                 x_pad = compiled.pad(x[k])
-                compiled.assemble(state, x_pad, float(t[k]), g_pad, f_pad)
+                compiled.assemble(state, x_pad, float(t[k]), g_pad, f_pad,
+                                  sources=sources.row(k))
                 self.g_t[k] = g_pad[:n, :n]
             self.c = compiled.capacitance(state)[:n, :n]
             self.c_over_h = self.c / self.h

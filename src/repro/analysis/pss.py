@@ -226,17 +226,21 @@ def integrate_period(compiled: CompiledCircuit, state: ParamState,
     mono = np.eye(n) if want_monodromy else None
     theta = np.append(compiled.theta_rows(state, method), 1.0)
     th_n = theta[:n, None]
+    # t0 + k * h, tabulated once for the whole period
+    sources = compiled.source_table(state, t0 + h * np.arange(n_steps + 1))
 
-    compiled.assemble(state, x_pad, t0, g_pad, f_pad)
+    compiled.assemble(state, x_pad, t0, g_pad, f_pad,
+                      sources=sources.row(0))
     f_prev = f_pad.copy()
     g_prev = g_pad.copy() if want_monodromy else None
     x_prev = x_pad.copy()
 
     for k in range(1, n_steps + 1):
         t_k = t0 + k * h
+        src_k = sources.row(k)
         _newton_step(compiled, state, x_pad, x_prev, f_prev, t_k, theta,
-                     c_over_h, g_pad, f_pad, j_pad, newton)
-        compiled.assemble(state, x_pad, t_k, g_pad, f_pad)
+                     c_over_h, g_pad, f_pad, j_pad, newton, src=src_k)
+        compiled.assemble(state, x_pad, t_k, g_pad, f_pad, sources=src_k)
         if want_monodromy:
             a_k = c_over_h[:n, :n] + th_n * g_pad[:n, :n]
             b_k = c_over_h[:n, :n] - (1.0 - th_n) * g_prev[:n, :n]

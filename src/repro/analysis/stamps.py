@@ -23,6 +23,10 @@ the hot paths become a handful of vectorized gathers and
     *time-varying* part re-evaluated once per distinct time point.  The
     combined padded source vector is cached per ``(state, t)``, so a
     Newton iteration at a fixed time step adds one precomputed vector.
+:class:`SourceTable`
+    The same combined vectors for a batch-of-one state, evaluated once
+    over a whole fixed time grid (vectorized over time) by the loop
+    that owns the grid and indexed by step.
 :class:`NlVccsPlan`
     Behavioral transconductors (``tanh`` limiters, clock gates)
     evaluated for all devices at once; gate waveforms are cached per
@@ -368,6 +372,50 @@ class SourcePlan:
                           self.tv_sign * tvv[self.tv_gather])
         state.src_cache = (t, vec)
         return vec
+
+
+class SourceTable:
+    """:meth:`SourcePlan.combined` tabulated over one fixed time grid.
+
+    Every time-varying wave is evaluated once, vectorized over the
+    grid, instead of once per distinct time point; :meth:`row` returns
+    the padded source vector at grid index ``k``, exactly equal to
+    ``plan.combined(state, t_grid[k])`` (same operands, same
+    accumulation order).  Only the columns the time-varying sources
+    touch are stored - ``(n_points, n_touched)`` - so the table stays
+    small on large circuits; :meth:`row` writes them into one scratch
+    copy of the static vector.
+
+    Only batch-of-one states with time-varying sources are tabulated:
+    for batched states (Monte-Carlo lanes) and DC-only circuits
+    :meth:`row` returns ``None``, which makes
+    :meth:`~repro.analysis.mna.CompiledCircuit.assemble` keep the
+    per-point path.  A table belongs to the loop that built it and is
+    indexed by step; nothing is cached on the parameter state.
+    """
+
+    def __init__(self, plan: SourcePlan, state, t_grid: np.ndarray):
+        self._tab = None
+        if not plan.tv_waves or state.batched:
+            return
+        t_grid = np.asarray(t_grid, dtype=float)
+        cols, slot_col = np.unique(plan.tv_idx, return_inverse=True)
+        self._vec = plan.static_vector(state).copy()
+        self._cols = cols
+        vals = [np.broadcast_to(np.asarray(w(t_grid), dtype=float),
+                                t_grid.shape) for w in plan.tv_waves]
+        tab = np.tile(self._vec[cols], (t_grid.size, 1))
+        for j, s, g in zip(slot_col, plan.tv_sign, plan.tv_gather):
+            tab[:, j] += s * vals[g]
+        self._tab = tab
+
+    def row(self, k: int) -> "np.ndarray | None":
+        """Padded source vector at grid index *k* (a scratch buffer,
+        overwritten by the next call), or ``None`` when untabulated."""
+        if self._tab is None:
+            return None
+        self._vec[self._cols] = self._tab[k]
+        return self._vec
 
 
 class NlVccsPlan:

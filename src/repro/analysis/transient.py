@@ -365,40 +365,47 @@ class _StepSolver:
         if self.cache is not None:
             self.cache.set_key((fingerprint, h))
 
-    def residual_only(self, x_pad: np.ndarray, t: float) -> None:
-        """Assemble the static residual ``f(x, t)`` into ``f_pad``."""
+    def residual_only(self, x_pad: np.ndarray, t: float,
+                      src: "np.ndarray | None" = None) -> None:
+        """Assemble the static residual ``f(x, t)`` into ``f_pad``
+        (*src*: the source vector at *t*, when tabulated)."""
         if self.use_csr:
-            self.asm.assemble(x_pad, t, self.f_pad, jacobian=False)
+            self.asm.assemble(x_pad, t, self.f_pad, jacobian=False,
+                              sources=src)
         else:
             self.compiled.assemble(self.state, x_pad, t, self.g_pad,
-                                   self.f_pad, jacobian=False)
+                                   self.f_pad, jacobian=False, sources=src)
 
     def step(self, x_pad: np.ndarray, x_prev: np.ndarray,
              f_prev: np.ndarray, t_k: float,
-             guard: _LaneGuard | None) -> None:
+             guard: _LaneGuard | None,
+             src: "np.ndarray | None" = None) -> None:
         """One implicit step ``x_prev -> x_pad`` at the configured
-        ``(theta, h)``; leaves ``f_pad`` at the accepted residual."""
+        ``(theta, h)``; leaves ``f_pad`` at the accepted residual.
+        *src* is the source vector at *t_k* when the loop tabulated
+        it."""
         if self.cache is not None:
             if self.use_csr:
                 _newton_step_reuse_csr(self.compiled, self.asm, x_pad,
                                        x_prev, f_prev, t_k, self.theta,
                                        self.coh_data, self.f_pad,
-                                       self.cache, self.opts.newton)
+                                       self.cache, self.opts.newton, src)
             else:
                 _newton_step_reuse(self.compiled, self.state, x_pad,
                                    x_prev, f_prev, t_k, self.theta,
                                    self.c_over_h, self.g_pad, self.f_pad,
-                                   self.cache, self.opts.newton, guard)
+                                   self.cache, self.opts.newton, guard,
+                                   src)
             # the reuse loop accepts with f_pad already assembled at the
             # accepted state - no refresh assembly needed
         else:
             _newton_step(self.compiled, self.state, x_pad, x_prev,
                          f_prev, t_k, self.theta, self.c_over_h,
                          self.g_pad, self.f_pad, self.j_pad,
-                         self.opts.newton, guard=guard)
+                         self.opts.newton, guard=guard, src=src)
             # refresh f_pad at the accepted point for the next trap
             # step (residual only - the Jacobian is rebuilt next step)
-            self.residual_only(x_pad, t_k)
+            self.residual_only(x_pad, t_k, src)
 
 
 def _initial_state(compiled: CompiledCircuit, state: ParamState,
@@ -564,8 +571,12 @@ def _fixed_loop(compiled: CompiledCircuit, state: ParamState,
     if 0 in kept_set:
         store(0, 0)
 
+    # batch-of-one runs tabulate the sources over the whole grid once
+    # (batched Monte-Carlo lanes keep the per-point source path)
+    sources = compiled.source_table(state, t_grid)
+
     # previous-step static residual, needed by trapezoidal
-    solver.residual_only(x_pad, float(t_grid[0]))
+    solver.residual_only(x_pad, float(t_grid[0]), sources.row(0))
     f_prev = solver.f_pad.copy()
     x_prev = x_pad.copy()
     x_prev2 = x_pad.copy()      # one more step back, for the predictor
@@ -589,7 +600,7 @@ def _fixed_loop(compiled: CompiledCircuit, state: ParamState,
                 x_pad += x_prev
             if guard is not None and guard.any:
                 x_pad[guard.failed] = x_prev[guard.failed]
-        solver.step(x_pad, x_prev, f_prev, t_k, guard)
+        solver.step(x_pad, x_prev, f_prev, t_k, guard, sources.row(k))
         np.copyto(f_prev, solver.f_pad)
         np.copyto(x_prev2, x_prev)
         np.copyto(x_prev, x_pad)
@@ -895,18 +906,20 @@ def _newton_step(compiled: CompiledCircuit, state: ParamState,
                  c_over_h: np.ndarray, g_pad: np.ndarray,
                  f_pad: np.ndarray, j_pad: np.ndarray,
                  newton: NewtonOptions,
-                 guard: _LaneGuard | None = None) -> None:
+                 guard: _LaneGuard | None = None,
+                 src: "np.ndarray | None" = None) -> None:
     """One implicit time step solved in place into ``x_pad``.
 
     Full Newton: the Jacobian is rebuilt and factored every iteration
     (the backend still provides the solver).  *theta* is the
     per-equation implicitness vector (padded length ``n+1``); see
-    :meth:`CompiledCircuit.theta_rows`.
+    :meth:`CompiledCircuit.theta_rows`.  *src* is the source vector at
+    *t_k* when the caller tabulated it.
     """
     n = compiled.n
     backend = compiled.backend
     for _ in range(newton.max_iterations):
-        compiled.assemble(state, x_pad, t_k, g_pad, f_pad)
+        compiled.assemble(state, x_pad, t_k, g_pad, f_pad, sources=src)
         res = _residual(x_pad, x_prev, f_pad, f_prev, theta, c_over_h)
         np.multiply(g_pad, theta[..., :, None], out=j_pad)
         j_pad += c_over_h
@@ -941,7 +954,8 @@ def _newton_step_reuse_csr(compiled: CompiledCircuit, asm, x_pad, x_prev,
                            f_prev, t_k: float, theta: np.ndarray,
                            coh_data, f_pad: np.ndarray,
                            cache: FactorizationCache,
-                           newton: NewtonOptions) -> None:
+                           newton: NewtonOptions,
+                           src: "np.ndarray | None" = None) -> None:
     """One implicit time step on the native-CSR assembly path.
 
     Semantically identical to :func:`_newton_step_reuse` (modified
@@ -957,13 +971,13 @@ def _newton_step_reuse_csr(compiled: CompiledCircuit, asm, x_pad, x_prev,
     one_minus = 1.0 - thn
 
     def jac():
-        asm.assemble(x_pad, t_k, f_pad)
+        asm.assemble(x_pad, t_k, f_pad, sources=src)
         return asm.step_matrix(theta, coh_data)
 
     cache.new_sequence()
     plan = asm.plan
     for _ in range(newton.max_iterations):
-        asm.assemble(x_pad, t_k, f_pad, jacobian=False)
+        asm.assemble(x_pad, t_k, f_pad, jacobian=False, sources=src)
         rhs = plan.matvec(coh_data, x_pad[:n] - x_prev[:n])
         rhs += thn * f_pad[:n]
         rhs += one_minus * f_prev[:n]
@@ -989,7 +1003,8 @@ def _newton_step_reuse(compiled: CompiledCircuit, state: ParamState,
                        c_over_h: np.ndarray, g_pad: np.ndarray,
                        f_pad: np.ndarray, cache: FactorizationCache,
                        newton: NewtonOptions,
-                       guard: _LaneGuard | None = None) -> None:
+                       guard: _LaneGuard | None = None,
+                       src: "np.ndarray | None" = None) -> None:
     """One implicit time step with modified-Newton factorization reuse.
 
     Differences from :func:`_newton_step`:
@@ -1009,7 +1024,7 @@ def _newton_step_reuse(compiled: CompiledCircuit, state: ParamState,
     def jac() -> np.ndarray:
         # only called when the cache re-factors: one full assembly
         # (with device derivatives) at the current iterate
-        compiled.assemble(state, x_pad, t_k, g_pad, f_pad)
+        compiled.assemble(state, x_pad, t_k, g_pad, f_pad, sources=src)
         j = theta[:n, None] * g_pad[..., :n, :n] + c_over_h[..., :n, :n]
         if guard is not None:
             guard.patch_jac(j)
@@ -1017,7 +1032,8 @@ def _newton_step_reuse(compiled: CompiledCircuit, state: ParamState,
 
     cache.new_sequence()
     for _ in range(newton.max_iterations):
-        compiled.assemble(state, x_pad, t_k, g_pad, f_pad, jacobian=False)
+        compiled.assemble(state, x_pad, t_k, g_pad, f_pad, jacobian=False,
+                          sources=src)
         res = _residual(x_pad, x_prev, f_pad, f_prev, theta, c_over_h)
         rhs = res[..., :n]
         if guard is not None:

@@ -108,6 +108,11 @@ def ekv_ids(vd, vg, vs, vb, vt0, beta, n, lam_eff,
     ``ids`` is computed (the ``g*`` fields are ``None``) - used by
     residual-only assemblies when a Newton loop reuses a cached Jacobian
     factorization.
+
+    Kernel contract: this is the reference evaluation.  Batched
+    (Monte-Carlo) parameter states always use it, so their samples are
+    bit-pinned to it; batchless states use :func:`ekv_ids_fused`, which
+    agrees with it to 1e-14 relative.
     """
     vd, vg, vs, vb = (np.asarray(a, dtype=float) for a in (vd, vg, vs, vb))
     vp = (vg - vb - vt0) / n
@@ -126,6 +131,67 @@ def ekv_ids(vd, vg, vs, vb, vt0, beta, n, lam_eff,
     gm = 2.0 * beta * phi_t * (df_f - df_r) * m
     g_d = 2.0 * n * beta * phi_t * df_r * m + i_core * dm
     g_s = -2.0 * n * beta * phi_t * df_f * m - i_core * dm
+    g_b = (n - 1.0) * gm
+    return MosEval(ids=ids, g_d=g_d, g_g=gm, g_s=g_s, g_b=g_b)
+
+
+def ekv_ids_fused(vd, vg, vs, vb, vt0, beta, n, lam_eff,
+                  phi_t: float = PHI_T, derivatives: bool = True
+                  ) -> MosEval:
+    """:func:`ekv_ids` with the forward, reverse and ``V_DS`` softplus
+    arguments stacked into one array.
+
+    The softplus evaluations (forward and reverse interpolation, the
+    smooth absolute value) share one ``exp(-|x|)``, which also yields
+    the logistic derivative without boolean masking:
+    ``softplus(x) = max(x, 0) + log1p(e)`` and
+    ``logistic(x) = (1 if x >= 0 else e) / (1 + e)`` with
+    ``e = exp(-|x|)``.  Per call this is about half the ufunc
+    dispatches of :func:`ekv_ids`, which is what matters on the small
+    arrays of a batch-of-one Newton step.
+
+    Kernel contract: used for batchless parameter states only, and
+    within 1e-14 relative of :func:`ekv_ids` (the results differ in the
+    last bits: ``np.exp`` and ``np.logaddexp`` round differently, and
+    the constant factors are grouped differently).
+    Batched Monte-Carlo lanes stay on :func:`ekv_ids`, whose samples
+    are bit-pinned.
+    """
+    vp = np.asarray((vg - vb - vt0) / n)
+    vds = np.asarray(vd - vs)
+    shape = (vp.shape if vp.shape == vds.shape
+             else np.broadcast_shapes(vp.shape, vds.shape))
+    # rows 0/1: forward/reverse interpolation argument u/2; row 2: vds/phi_t
+    x = np.empty((3,) + shape)
+    np.subtract(vs, vb, out=x[0])
+    np.subtract(vd, vb, out=x[1])
+    np.subtract(vp, x[:2], out=x[:2])
+    x[:2] *= 0.5 / phi_t
+    np.divide(vds, phi_t, out=x[2])
+    a = np.abs(x)
+    e = np.exp(-a)
+    lg = np.log1p(e)
+    sp = np.maximum(x[:2], 0.0)
+    sp += lg[:2]
+
+    k = 2.0 * n * beta * phi_t
+    sq = sp * sp
+    i_core = k * phi_t * (sq[0] - sq[1])
+    # softplus(w) + softplus(-w) = |w| + 2 log1p(exp(-|w|))
+    m = 1.0 + (lam_eff * phi_t) * (a[2] + 2.0 * lg[2] - 2.0 * _LN2)
+    ids = i_core * m
+    if not derivatives:
+        return MosEval(ids=ids, g_d=None, g_g=None, g_s=None, g_b=None)
+    ef = e[:2]
+    df = np.where(x[:2] >= 0.0, 1.0, ef)
+    df /= 1.0 + ef
+    df *= sp
+    df *= m
+    df *= k                       # k dF/du * M, forward and reverse
+    i_dm = i_core * (lam_eff * np.tanh(0.5 * x[2]))
+    gm = (df[0] - df[1]) / n
+    g_d = df[1] + i_dm
+    g_s = -df[0] - i_dm
     g_b = (n - 1.0) * gm
     return MosEval(ids=ids, g_d=g_d, g_g=gm, g_s=g_s, g_b=g_b)
 

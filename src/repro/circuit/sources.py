@@ -22,6 +22,9 @@ class TimeFunction:
     """Base class: a time-dependent scalar value ``v(t)``."""
 
     def __call__(self, t):
+        """Value at *t*; an array of times gives the array of values,
+        each equal to the scalar evaluation (fixed-grid loops tabulate
+        sources this way, :class:`~repro.analysis.stamps.SourceTable`)."""
         raise NotImplementedError
 
     @property

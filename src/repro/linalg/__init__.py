@@ -18,7 +18,10 @@ Three backends are registered (:func:`available_backends`):
     the reference implementation the parity tests compare against.
 ``"cached"``
     Dense LU with factorization reuse.  Batchless systems are factored
-    with :func:`scipy.linalg.lu_factor` and solved with ``lu_solve``;
+    with LAPACK ``dgetrf`` and solved with ``dgetrs``, called directly
+    (:class:`~repro.linalg.backends.DenseLuFactorization`: the same
+    calls ``scipy.linalg.lu_factor`` / ``lu_solve`` make, bit-identical
+    to them, without their per-call wrapper cost);
     batched Monte-Carlo stacks pre-invert once (``numpy.linalg.inv``)
     so every subsequent solve is a single batched mat-vec.  The modified
     Newton policy below decides when to re-factor.
@@ -51,6 +54,19 @@ scatters - the per-iteration assembly does no per-element Python work.
 Static (DC) source vectors are cached per parameter state and combined
 source vectors per time point, so a Newton iteration at a fixed step
 adds one precomputed vector.
+
+**Lean batch-of-one step.**  The paper's method runs a few Newton
+loops on a single parameter state (settle, shooting, orbit
+linearisation), where per-call overhead, not arithmetic, sets the
+cost.  Batchless states therefore take three shortcuts, chosen only by
+batch shape - there is no option: fixed-grid loops tabulate every
+time-varying source over the whole grid once
+(:class:`~repro.analysis.stamps.SourceTable`, exactly equal to the
+per-point evaluation); MOSFETs go through the fused EKV kernel
+(:func:`~repro.circuit.mosfet.ekv_ids_fused`, within 1e-14 of the
+reference :func:`~repro.circuit.mosfet.ekv_ids`); and dense factors
+are bare LAPACK calls.  Batched Monte-Carlo lanes keep the per-point
+sources and the reference kernel, so their samples stay bit-identical.
 
 **Native CSR assembly** (:class:`~repro.linalg.sparsity.CsrPlan` +
 :class:`~repro.analysis.mna.CsrAssembler`).  A backend that sets

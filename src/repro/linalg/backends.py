@@ -8,14 +8,13 @@ handle one exception type regardless of the underlying library.
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
+from scipy.linalg.lapack import dgetrf as _dgetrf, dgetrs as _dgetrs
 
 #: ``"auto"`` switches from the cached dense backend to the sparse
 #: backend at this many MNA unknowns.  Dense LU is O(n^3) per factor
@@ -60,20 +59,33 @@ class Factorization(ABC):
 
 
 class DenseLuFactorization(Factorization):
-    """``scipy.linalg.lu_factor`` of one 2-D system."""
+    """LAPACK ``dgetrf`` of one 2-D real system, solved with ``dgetrs``.
+
+    The same LAPACK calls ``scipy.linalg.lu_factor`` / ``lu_solve``
+    make, and bit-identical to them, without their per-call wrapper
+    cost (dtype dispatch, ``check_finite`` copies, batch handling) -
+    several times the factor/solve time itself on the ~16-unknown
+    systems of a batch-of-one Newton step.  A zero pivot raises
+    :class:`numpy.linalg.LinAlgError` directly instead of going through
+    a ``LinAlgWarning``, so nothing touches the process-global warning
+    filters (the analysis daemon factors in concurrent threads).
+    """
 
     def __init__(self, a: np.ndarray):
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise np.linalg.LinAlgError("non-finite matrix entries")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            self._lu_piv = scipy.linalg.lu_factor(a)
-        if not np.all(np.diagonal(self._lu_piv[0]) != 0.0):
+        lu, piv, info = _dgetrf(a)
+        if info > 0:          # U[info-1, info-1] is exactly zero
             raise np.linalg.LinAlgError("singular matrix")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgetrf")
+        self._lu, self._piv = lu, piv
 
     def solve(self, rhs: np.ndarray, trans: bool = False) -> np.ndarray:
-        return scipy.linalg.lu_solve(self._lu_piv, rhs,
-                                     trans=1 if trans else 0)
+        x, info = _dgetrs(self._lu, self._piv, rhs, trans=1 if trans else 0)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgetrs")
+        return x
 
 
 class BatchedInverseFactorization(Factorization):
