@@ -31,7 +31,7 @@ from ..analysis.mna import CompiledCircuit
 from ..analysis.transient import TransientOptions, transient
 from ..circuit.elements import ParamKey
 from ..errors import MeasurementError
-from ..stats import SampleStats, describe
+from ..stats import SampleStats, summarize_samples
 from ..waveform import WaveformSet
 from .analysis import _as_compiled
 from .measures import Measure
@@ -317,15 +317,7 @@ def monte_carlo_transient(circuit, measures: list[Measure], n: int,
     results = _run_specs(specs, compiled, n_workers, retry, run_shard)
     merged = merge_shard_results(results)
 
-    stats = {}
-    failed_metrics = {}
-    for name, vals in merged.samples.items():
-        good = vals[np.isfinite(vals)]
-        failed_metrics[name] = int(vals.size - good.size)
-        if good.size < 2:
-            raise MeasurementError(
-                f"Monte-Carlo metric '{name}' failed on almost all lanes")
-        stats[name] = describe(good)
+    stats, failed_metrics = summarize_samples(merged.samples)
 
     return MonteCarloResult(
         n=n, samples=merged.samples, stats=stats, deltas=all_deltas,
@@ -416,15 +408,7 @@ def monte_carlo_dc(circuit, outputs: dict[str, str | tuple[str, str]],
                          backend=backend)
     results = _run_specs(specs, compiled, n_workers, retry, run_shard)
     merged = merge_shard_results(results)
-    stats = {}
-    failed_metrics = {}
-    for name, vals in merged.samples.items():
-        good = vals[np.isfinite(vals)]
-        failed_metrics[name] = int(vals.size - good.size)
-        if good.size < 2:
-            raise MeasurementError(
-                f"Monte-Carlo metric '{name}' failed on almost all lanes")
-        stats[name] = describe(good)
+    stats, failed_metrics = summarize_samples(merged.samples)
     return MonteCarloResult(
         n=n, samples=merged.samples, stats=stats, deltas=deltas,
         runtime_seconds=time.perf_counter() - t_begin,

@@ -31,12 +31,10 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .. import errors as _errors
 from ..errors import (AnalysisError, JobTimeoutError, ReproError,
                       SolverError, TransportError)
-from ..stats import describe
+from ..stats import summarize_samples
 from .faults import maybe_inject
 from .requests import (REQUEST_FORMAT_VERSION, AnalysisRequest,
                        AnalysisResult)
@@ -411,14 +409,7 @@ def scatter_monte_carlo_transient(workers, circuit, measures, n: int,
             f"all {n} lanes lost to transport failures across "
             f"{len(specs)} shards; first: "
             f"{merged.failures[0].message}")
-    stats = {}
-    for name, vals in merged.samples.items():
-        good = vals[np.isfinite(vals)]
-        if good.size < 2:
-            raise _errors.MeasurementError(
-                f"Monte-Carlo metric '{name}' failed on almost all "
-                "lanes")
-        stats[name] = describe(good)
+    stats, _ = summarize_samples(merged.samples)
     return ScatterResult(n=n, samples=merged.samples, stats=stats,
                          n_failed=merged.n_failed,
                          failures=list(merged.failures),

@@ -12,6 +12,21 @@ The paper leans on three statistical facts (Sections VI and VIII):
   performance distribution.
 
 This module provides those quantities plus standard helpers.
+
+It deliberately does not import :mod:`scipy.stats`: loading that package
+(and the scipy.optimize / spatial / ndimage modules it drags in) costs
+more than half a second, more than the paper's whole PSS+LPTV call on a
+cold process.  The three values taken from it are computed with the
+:mod:`scipy.special` ufuncs scipy.stats itself calls, so every result is
+bit-identical to the scipy.stats formula:
+
+* ``chi2.ppf(q, df)`` is ``2 * gammaincinv(df / 2, q)``;
+* ``norm.ppf(p)`` is ``ndtri(p)``;
+* ``skew(x, bias=False)`` repeats scipy's central-moment steps in the
+  same order (see :func:`_skewness`).
+
+The ``no-scipy-stats`` rule of ``tools/check_import_layering.py`` keeps
+it that way.
 """
 
 from __future__ import annotations
@@ -19,7 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy import special
+
+from .errors import MeasurementError
 
 
 @dataclass(frozen=True)
@@ -50,7 +67,7 @@ def describe(samples: np.ndarray, confidence: float = 0.95) -> SampleStats:
     n = x.size
     mean = float(x.mean())
     std = float(x.std(ddof=1))
-    skew = float(sps.skew(x, bias=False)) if n > 2 else 0.0
+    skew = _skewness(x) if n > 2 else 0.0
     lo, hi = sigma_confidence_interval(std, n, confidence)
     return SampleStats(
         n=n,
@@ -61,6 +78,47 @@ def describe(samples: np.ndarray, confidence: float = 0.95) -> SampleStats:
         std_ci_low=lo,
         std_ci_high=hi,
     )
+
+
+def summarize_samples(samples: dict[str, np.ndarray]
+                      ) -> tuple[dict[str, SampleStats], dict[str, int]]:
+    """Monte-Carlo summary: :func:`describe` over each metric's finite
+    samples.
+
+    Returns ``(stats, failed_metrics)``, the latter counting the
+    non-finite (failed) lanes of each metric.  Raises
+    :class:`~repro.errors.MeasurementError` when fewer than two lanes of
+    a metric survive.
+    """
+    stats = {}
+    failed_metrics = {}
+    for name, vals in samples.items():
+        good = vals[np.isfinite(vals)]
+        failed_metrics[name] = int(vals.size - good.size)
+        if good.size < 2:
+            raise MeasurementError(
+                f"Monte-Carlo metric '{name}' failed on almost all lanes")
+        stats[name] = describe(good)
+    return stats, failed_metrics
+
+
+def _skewness(x: np.ndarray) -> float:
+    """Bias-corrected sample skewness of a 1-D float array (``n > 2``).
+
+    The operations of ``scipy.stats.skew(x, bias=False)`` in the same
+    order, so the result is bit-identical: central moments ``m2`` and
+    ``m3`` about the mean, NaN when ``m2`` is at the rounding level of
+    the mean (constant samples), then the ``sqrt(n (n-1)) / (n-2)``
+    correction of ``m3 / m2**1.5``.
+    """
+    n = x.size
+    mean = np.mean(x, axis=0, keepdims=True)
+    d = x - mean
+    m2 = np.mean(d ** 2, axis=0)
+    m3 = np.mean(d ** 2 * d, axis=0)
+    if m2 <= (np.finfo(m2.dtype).eps * mean[0]) ** 2:
+        return float("nan")
+    return float(((n - 1.0) * n) ** 0.5 / (n - 2.0) * m3 / m2 ** 1.5)
 
 
 def sigma_confidence_interval(std: float, n: int,
@@ -74,10 +132,15 @@ def sigma_confidence_interval(std: float, n: int,
     if n < 2:
         raise ValueError("need at least two samples")
     alpha = 1.0 - confidence
-    chi2_lo = sps.chi2.ppf(alpha / 2.0, n - 1)
-    chi2_hi = sps.chi2.ppf(1.0 - alpha / 2.0, n - 1)
+    chi2_lo = _chi2_ppf(alpha / 2.0, n - 1)
+    chi2_hi = _chi2_ppf(1.0 - alpha / 2.0, n - 1)
     return (std * np.sqrt((n - 1) / chi2_hi),
             std * np.sqrt((n - 1) / chi2_lo))
+
+
+def _chi2_ppf(q: float, df: int) -> np.float64:
+    """Chi-square quantile, exactly as ``scipy.stats.chi2.ppf``."""
+    return 2 * special.gammaincinv(df / 2, q)
 
 
 def sigma_relative_ci_halfwidth(n: int, confidence: float = 0.95) -> float:
@@ -86,7 +149,7 @@ def sigma_relative_ci_halfwidth(n: int, confidence: float = 0.95) -> float:
     ``1.96/sqrt(2 n)`` for the default confidence: the numbers the paper
     quotes (+/-14 %, +/-4.5 %, +/-1.4 % for n = 100, 1000, 10000).
     """
-    z = sps.norm.ppf(0.5 + confidence / 2.0)
+    z = special.ndtri(0.5 + confidence / 2.0)
     return float(z / np.sqrt(2.0 * n))
 
 
@@ -130,16 +193,20 @@ def ascii_histogram(samples: np.ndarray, mean: float, std: float,
     """Text rendering of a histogram with the Gaussian-PDF prediction.
 
     ``#`` bars show the Monte-Carlo density; ``*`` marks the PDF value
-    predicted by the sensitivity-based analysis on each bin row.
+    predicted by the sensitivity-based analysis on each bin row.  A zero
+    *std* (a measure with no mismatch sensitivity) has no finite PDF, so
+    its rows carry the bars only.
     """
-    centres, density, pdf = histogram_against_gaussian(samples, mean, std,
-                                                       bins)
-    top = max(density.max(), pdf.max(), 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centres, density, pdf = histogram_against_gaussian(
+            samples, mean, std, bins)
+    finite = np.isfinite(pdf)
+    top = max(density.max(), pdf[finite].max(initial=0.0), 1e-300)
     lines = [f"{'':>12s}  histogram (#) vs linear-model PDF (*) of {label}"]
-    for c, d, p in zip(centres, density, pdf):
+    for c, d, p, ok in zip(centres, density, pdf, finite):
         bar = int(round(d / top * width))
-        star = min(int(round(p / top * width)), width)
         row = list("#" * bar + " " * (width - bar + 1))
-        row[star] = "*"
+        if ok:
+            row[min(int(round(p / top * width)), width)] = "*"
         lines.append(f"{c:12.4e}  |{''.join(row)}")
     return "\n".join(lines)

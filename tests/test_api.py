@@ -36,14 +36,20 @@ def _divider(r1=1e3):
     return ckt
 
 
-def _layering_violations(only=None):
+def _layering_checker():
     tools = ROOT / "tools"
     sys.path.insert(0, str(tools))
     try:
-        from check_import_layering import RULES, violations
+        import check_import_layering
     finally:
         sys.path.remove(str(tools))
-    return {r.name for r in RULES}, violations(ROOT, only=only)
+    return check_import_layering
+
+
+def _layering_violations(only=None):
+    checker = _layering_checker()
+    return ({r.name for r in checker.RULES},
+            checker.violations(ROOT, only=only))
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +100,29 @@ class TestLayering:
     def test_examples_import_only_the_facade(self):
         _, found = _layering_violations(only="examples-use-facade")
         assert found == []
+
+    def test_package_never_imports_scipy_stats(self):
+        names, found = _layering_violations(only="no-scipy-stats")
+        assert "no-scipy-stats" in names
+        assert found == []
+
+    @pytest.mark.parametrize("line,caught", [
+        ("import scipy.stats", True),
+        ("    import scipy.stats as sps", True),
+        ("import numpy, scipy.stats", True),
+        ("from scipy.stats import norm", True),
+        ("from scipy.stats._stats_py import skew", True),
+        ("from scipy import stats", True),
+        ("    from scipy import special, stats as sps", True),
+        ("from scipy import special", False),
+        ("from scipy import statsmodels_like", False),
+        ("from . import stats", False),
+        ("# from scipy import stats", False),
+    ])
+    def test_scipy_stats_rule_catches_every_spelling(self, line, caught):
+        rule = next(r for r in _layering_checker().RULES
+                    if r.name == "no-scipy-stats")
+        assert any(p.match(line) for p in rule.patterns) is caught
 
 
 # ---------------------------------------------------------------------------

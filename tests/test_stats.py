@@ -1,13 +1,27 @@
 """Unit tests for the statistics helpers, including the paper's
-confidence-interval numbers (Section VI / VIII)."""
+confidence-interval numbers (Section VI / VIII), parity with the
+scipy.stats formulas the module no longer imports, and the cold-start
+guard that keeps scipy.stats out of the package."""
+
+import math
+import os
+import subprocess
+import sys
+import textwrap
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats as sps
 
-from repro.stats import (ascii_histogram, describe, gaussian_pdf,
-                         histogram_against_gaussian, normalized_skewness,
-                         sigma_confidence_interval,
-                         sigma_relative_ci_halfwidth)
+from repro.errors import MeasurementError
+from repro.stats import (SampleStats, ascii_histogram, describe,
+                         gaussian_pdf, histogram_against_gaussian,
+                         normalized_skewness, sigma_confidence_interval,
+                         sigma_relative_ci_halfwidth, summarize_samples)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestDescribe:
@@ -96,3 +110,107 @@ class TestHistogramHelpers:
         assert "offset" in art
         assert art.count("\n") == 15
         assert "*" in art and "#" in art
+
+    def test_ascii_histogram_zero_sigma_draws_bars_only(self):
+        # a measure with no mismatch sensitivity has sigma_lin = 0: its
+        # PDF is not finite, so the rows carry the bars and no marker
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            art = ascii_histogram(np.full(50, 1.5), 1.5, 0.0, bins=5)
+        rows = art.splitlines()[1:]
+        assert len(rows) == 5
+        assert "#" * 50 in art
+        assert not any("*" in row for row in rows)
+
+
+def _scipy_describe(x, confidence):
+    """:func:`describe` spelled with the scipy.stats calls it replaced."""
+    n = x.size
+    std = float(x.std(ddof=1))
+    alpha = 1.0 - confidence
+    chi2_lo = sps.chi2.ppf(alpha / 2.0, n - 1)
+    chi2_hi = sps.chi2.ppf(1.0 - alpha / 2.0, n - 1)
+    return SampleStats(
+        n=n, mean=float(x.mean()), std=std,
+        skewness=float(sps.skew(x, bias=False)) if n > 2 else 0.0,
+        normalized_skewness=normalized_skewness(x),
+        std_ci_low=std * np.sqrt((n - 1) / chi2_hi),
+        std_ci_high=std * np.sqrt((n - 1) / chi2_lo))
+
+
+class TestScipyStatsParity:
+    """The scipy.special formulas are bit-identical to scipy.stats."""
+
+    CONFIDENCES = (0.5, 0.9, 0.95, 0.99)
+
+    def test_describe_every_field(self):
+        rng = np.random.default_rng(7)
+        mismatches = []
+        for n in range(2, 501):
+            x = (rng.exponential(1.0, n) + 3.0 if n % 2
+                 else rng.normal(1e-3, 2e-4, n))
+            for c in self.CONFIDENCES:
+                if describe(x, confidence=c) != _scipy_describe(x, c):
+                    mismatches.append((n, c))
+        assert mismatches == []
+
+    def test_confidence_interval_and_halfwidth(self):
+        mismatches = []
+        for n in range(2, 501):
+            for c in self.CONFIDENCES:
+                alpha = 1.0 - c
+                hi = sps.chi2.ppf(1.0 - alpha / 2.0, n - 1)
+                lo = sps.chi2.ppf(alpha / 2.0, n - 1)
+                ci = (0.7 * np.sqrt((n - 1) / hi),
+                      0.7 * np.sqrt((n - 1) / lo))
+                half = float(sps.norm.ppf(0.5 + c / 2.0)
+                             / np.sqrt(2.0 * n))
+                if (sigma_confidence_interval(0.7, n, c) != ci
+                        or sigma_relative_ci_halfwidth(n, c) != half):
+                    mismatches.append((n, c))
+        assert mismatches == []
+
+    def test_skewness_is_nan_on_constant_samples(self):
+        assert math.isnan(describe(np.full(10, 1.5)).skewness)
+        assert math.isnan(describe(np.zeros(3)).skewness)
+
+    def test_skewness_is_zero_at_two_samples(self):
+        assert describe(np.array([1.0, 4.0])).skewness == 0.0
+
+
+class TestSummarizeSamples:
+    def test_counts_failed_lanes_and_describes_the_rest(self):
+        vals = np.array([1.0, np.nan, 2.0, np.inf, 4.0])
+        stats, failed = summarize_samples({"a": vals})
+        assert failed == {"a": 2}
+        assert stats["a"] == describe(np.array([1.0, 2.0, 4.0]))
+
+    def test_raises_when_fewer_than_two_lanes_survive(self):
+        vals = {"ok": np.arange(4.0), "bad": np.array([np.nan, 1.0])}
+        with pytest.raises(MeasurementError, match="'bad'"):
+            summarize_samples(vals)
+
+
+class TestColdStart:
+    """``import repro.api`` and a Monte-Carlo summary never load
+    scipy.stats (the ``no-scipy-stats`` lint pins the spelling; this
+    pins the module graph, transitive imports included)."""
+
+    def test_scipy_stats_is_never_imported(self):
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import repro.api as api
+            api.describe(np.arange(5.0))
+            ckt = api.Circuit("div")
+            ckt.add_vsource("V1", "in", "0", dc=1.2)
+            ckt.add_resistor("R1", "in", "out", 1e3, sigma_rel=0.02)
+            ckt.add_resistor("R2", "out", "0", 3e3, sigma_rel=0.02)
+            mc = api.monte_carlo_dc(ckt, {"v": "out"}, n=8)
+            assert mc.stats["v"].n == 8
+            print("scipy.stats" in sys.modules)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

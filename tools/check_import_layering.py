@@ -36,6 +36,13 @@ Each named rule below pins one edge of that graph:
     documentation of the supported API, so an example importing a deep
     module would document an unsupported entry point.
 
+``no-scipy-stats``
+    Nothing under ``src/repro`` imports :mod:`scipy.stats`, in any
+    spelling and not even lazily.  Loading it (with the scipy.optimize,
+    spatial and ndimage modules it pulls in) costs more than the
+    paper's whole PSS+LPTV call in a cold process; :mod:`repro.stats`
+    computes the same values bit for bit from :mod:`scipy.special`.
+
 Run from the repository root::
 
     python tools/check_import_layering.py [--only RULE]
@@ -110,6 +117,15 @@ _NON_FACADE_PATTERNS = (
     re.compile(r"^\s*import\s+repro(?!\.api\b)"),
 )
 
+#: Every spelling of a scipy.stats import: ``import scipy.stats``
+#: (aliased or among other modules), ``from scipy.stats[...] import``
+#: and ``from scipy import stats`` (alone or in a name list).
+_SCIPY_STATS_PATTERNS = (
+    re.compile(r"^\s*import\s+(.*[\s,])?scipy\.stats\b"),
+    re.compile(r"^\s*from\s+scipy\.stats\b"),
+    re.compile(r"^\s*from\s+scipy\s+import\s+.*\bstats\b"),
+)
+
 RULES = (
     Rule(
         name="domain-no-service",
@@ -142,6 +158,13 @@ RULES = (
         patterns=_NON_FACADE_PATTERNS,
         description="example importing a deep module instead of the "
                     "repro.api facade",
+    ),
+    Rule(
+        name="no-scipy-stats",
+        paths=("src/repro",),
+        patterns=_SCIPY_STATS_PATTERNS,
+        description="package importing scipy.stats (repro.stats "
+                    "computes the same values from scipy.special)",
     ),
 )
 
