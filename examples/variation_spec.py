@@ -23,10 +23,10 @@ import json
 
 import numpy as np
 
-from repro.api import (AnalysisRequest, Circuit, CorrelationGroup,
-                       ParameterVariation, VariationSpec,
-                       dc_mismatch_analysis, default_session,
-                       from_jsonable, monte_carlo_dc, to_jsonable)
+from repro.api import (AnalysisRequest, AnalysisSession, Circuit,
+                       CorrelationGroup, ParameterVariation, VariationSpec,
+                       dc_mismatch_analysis, from_jsonable, monte_carlo_dc,
+                       to_jsonable)
 
 
 def ladder() -> Circuit:
@@ -72,7 +72,7 @@ def main() -> None:
 
     req = AnalysisRequest.monte_carlo_dc(ckt, outputs, n=256, seed=11,
                                          variations=shipped)
-    mc = default_session().run(req)
+    mc = AnalysisSession().run(req)
     hand = monte_carlo_dc(ckt, outputs, 256, seed=11,
                           param_covariance=spec.covariance(ckt))
     same = np.isclose(mc.summary["metrics"]["vtap"]["sigma"],

@@ -17,7 +17,9 @@ Versioning policy
 * **major** bumps may remove names or change semantics, and only after
   the affected surface spent at least one minor release emitting
   :class:`DeprecationWarning` (warn first, break later - e.g. the
-  legacy positional call shapes of ``*_mismatch_analysis``).
+  legacy positional call shapes of ``*_mismatch_analysis`` warned
+  through 1.x and were removed in 2.0: they now raise
+  :class:`TypeError`).
 
 Wire formats version independently (``REQUEST_FORMAT_VERSION``,
 ``SHARD_PROTOCOL_VERSION``); ``GET /health`` on a daemon reports all
@@ -93,7 +95,7 @@ from .service import (REQUEST_FORMAT_VERSION, SHARD_PROTOCOL_VERSION,
                       serve, to_jsonable, TenantConfig)
 
 #: The facade's own version (see the module docstring for the policy).
-API_VERSION = "1.0"
+API_VERSION = "2.0"
 
 __all__ = [
     "API_VERSION",

@@ -16,19 +16,25 @@
 :func:`dc_mismatch_analysis` is the prior art the paper extends ([8], [9]
 - `.SENS`/dcmatch): the same machinery degenerates to a single adjoint
 solve at the DC operating point.
+
+Both free functions are cold: every call compiles, solves and returns a
+result owned by the caller.  Caching across calls is explicit - an
+:class:`~repro.service.session.AnalysisSession` drives the same engines
+through its content-addressed stores, bit-identically.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from ..analysis.dcop import dc_operating_point
 from ..analysis.lptv import (PeriodicLinearization, SensitivitySolution)
 from ..analysis.mna import CompiledCircuit, Injection, ParamState
-from ..analysis.pss import PssOptions, PssResult
+from ..analysis.pss import PssOptions, PssResult, pss, pss_oscillator
 from ..circuit.elements import ParamKey
 from ..circuit.netlist import Circuit
 from ..errors import AnalysisError
@@ -135,25 +141,81 @@ def _as_compiled(circuit, backend=None) -> CompiledCircuit:
     raise TypeError("expected a Circuit or CompiledCircuit")
 
 
-def run_transient_mismatch(
-        compiled: CompiledCircuit, measures: list[Measure],
-        pss_result: PssResult,
-        injections: list[Injection] | None = None,
-        param_covariance: np.ndarray | None = None,
-) -> MismatchAnalysisResult:
-    """Engine of the sensitivity analysis, given the PSS orbit.
+def check_uniform_keywords(retry=None, n_workers: int | None = None,
+                           param_covariance=None, variations=None) -> None:
+    """Validate the keyword shape every analysis entry point shares.
 
-    This is the post-PSS half of the paper's flow (steps 1, 3-4 of the
-    module docstring): build pseudo-noise injections on the orbit,
-    solve the LPTV system once for all of them, and map the sensitivity
-    waveforms through the measures.  Callers obtain *pss_result*
-    themselves - :meth:`AnalysisSession.transient_mismatch
-    <repro.service.session.AnalysisSession.transient_mismatch>` from
-    its orbit cache, direct callers from :func:`~repro.analysis.pss.
-    pss` - and the session patches ``runtime_breakdown["pss"]`` with
-    the true orbit cost afterwards.
+    ``retry=`` / ``n_workers=`` are accepted everywhere so call sites
+    can switch between the deterministic analyses and Monte-Carlo
+    without reshaping their keywords; a single solve has nothing to
+    retry or fan out, but a malformed value is still an error.  The
+    same rules hold for every call shape - a :class:`Circuit` or a
+    :class:`CompiledCircuit`, a free function or an
+    :class:`~repro.service.requests.AnalysisRequest`:
+
+    * *retry* must be a retry policy (anything with ``to_dict()``, such
+      as :class:`~repro.service.jobs.RetryPolicy`), its dict form, or
+      ``None`` - otherwise :class:`TypeError`;
+    * *n_workers* below 1 raises :class:`AnalysisError`;
+    * *param_covariance* and *variations* are mutually exclusive -
+      :class:`ValueError`.
+    """
+    if not (retry is None or isinstance(retry, dict)
+            or hasattr(retry, "to_dict")):
+        raise TypeError(
+            f"retry must be a RetryPolicy, its dict form, or None - "
+            f"got {type(retry).__name__!r}")
+    if n_workers is not None and int(n_workers) < 1:
+        raise AnalysisError("n_workers must be >= 1")
+    if param_covariance is not None and variations is not None:
+        raise ValueError("give param_covariance or variations, not both")
+
+
+def check_drive_spec(period: float | None, oscillator_anchor: str | None,
+                     t_settle: float | None,
+                     dt_settle: float | None) -> None:
+    """Raise unless the drive spec names a periodic steady state: a
+    *period* (driven circuit) or an *oscillator_anchor* with its
+    startup-transient *t_settle* / *dt_settle*."""
+    if oscillator_anchor is not None:
+        if t_settle is None or dt_settle is None:
+            raise AnalysisError(
+                "oscillator analyses need t_settle and dt_settle")
+    elif period is None:
+        raise AnalysisError("give period= or oscillator_anchor=")
+
+
+def _solve_pss(compiled: CompiledCircuit, period: float | None = None,
+               oscillator_anchor: str | None = None,
+               t_settle: float | None = None,
+               dt_settle: float | None = None,
+               state: ParamState | None = None,
+               options: PssOptions | None = None) -> PssResult:
+    """The periodic steady state for one drive spec (see
+    :func:`check_drive_spec`): :func:`~repro.analysis.pss.pss` for a
+    driven circuit, :func:`~repro.analysis.pss.pss_oscillator` for an
+    autonomous one."""
+    check_drive_spec(period, oscillator_anchor, t_settle, dt_settle)
+    if oscillator_anchor is not None:
+        return pss_oscillator(compiled, oscillator_anchor, t_settle,
+                              dt_settle, state=state, options=options)
+    return pss(compiled, period, state=state, options=options)
+
+
+def _analyze_on_orbit(compiled: CompiledCircuit, measures: list[Measure],
+                      orbit: Callable[[], PssResult],
+                      injections: list[Injection] | None = None,
+                      param_covariance: np.ndarray | None = None,
+                      ) -> MismatchAnalysisResult:
+    """Steps 1-4 of the module docstring on the orbit *orbit()* returns.
+
+    The orbit is obtained here, so ``runtime_breakdown["pss"]`` is the
+    wall time of that call - a fresh solve, a cache lookup or a
+    precomputed result, whichever *orbit* is.
     """
     t_start = time.perf_counter()
+    pss_result = orbit()
+    t_pss = time.perf_counter()
     if injections is None:
         injections = compiled.mismatch_injections(pss_result.state,
                                                   pss_result.x)
@@ -180,86 +242,31 @@ def run_transient_mismatch(
         compiled=compiled, pss=pss_result, sens=sens, measures=measures,
         nominal=nominal, tables=tables,
         runtime_seconds=t_end - t_start,
-        runtime_breakdown={"pss": 0.0,
-                           "lptv": t_lptv - t_start,
+        runtime_breakdown={"pss": t_pss - t_start,
+                           "lptv": t_lptv - t_pss,
                            "measures": t_end - t_lptv})
 
 
-def _positional_shim(func_name: str, order: tuple[str, ...],
-                     args: tuple, kwargs: dict) -> dict:
-    """Map legacy positional arguments (beyond circuit + outputs) onto
-    their keyword names, with a :class:`DeprecationWarning`.
+def run_transient_mismatch(
+        compiled: CompiledCircuit, measures: list[Measure],
+        pss_result: PssResult,
+        injections: list[Injection] | None = None,
+        param_covariance: np.ndarray | None = None,
+) -> MismatchAnalysisResult:
+    """Engine of the sensitivity analysis, given the PSS orbit.
 
-    The public entry points froze their keyword surface in the
-    ``repro.api`` facade; positional call shapes like
-    ``dc_mismatch_analysis(ckt, outs, None, cov)`` still work but warn,
-    so they can be retired without breaking anyone silently.
+    This is the post-PSS half of the paper's flow (steps 1, 3-4 of the
+    module docstring): build pseudo-noise injections on the orbit,
+    solve the LPTV system once for all of them, and map the sensitivity
+    waveforms through the measures.  The orbit comes in ready-made, so
+    ``runtime_breakdown["pss"]`` is (near) zero.
     """
-    if not args:
-        return kwargs
-    if len(args) > len(order):
-        raise TypeError(
-            f"{func_name}() takes at most {2 + len(order)} positional "
-            f"arguments ({2 + len(args)} given)")
-    import warnings
-    names = order[:len(args)]
-    warnings.warn(
-        f"passing {', '.join(names)} positionally to {func_name}() is "
-        "deprecated; pass them as keywords",
-        DeprecationWarning, stacklevel=3)
-    merged = dict(kwargs)
-    for name, value in zip(names, args):
-        if name in merged:
-            raise TypeError(
-                f"{func_name}() got multiple values for argument "
-                f"'{name}'")
-        merged[name] = value
-    return merged
+    return _analyze_on_orbit(compiled, measures, lambda: pss_result,
+                             injections=injections,
+                             param_covariance=param_covariance)
 
 
-def _as_request(kind: str, circuit, requestable: bool, **kwargs):
-    """Build the :class:`~repro.service.requests.AnalysisRequest` form
-    of a free-function call, or ``None`` when the call can only run on
-    the in-process flow path (live engine objects - a custom state, a
-    precomputed orbit, a backend instance, an unregistered measure, an
-    already-compiled circuit - have no serializable identity)."""
-    if not requestable:
-        return None
-    if not isinstance(circuit, Circuit):
-        return None
-    from ..service.requests import AnalysisRequest
-    try:
-        return AnalysisRequest.build(kind, circuit, **kwargs)
-    except TypeError:
-        # outside the closed serialization registry (e.g. a custom
-        # Measure): in-process only
-        return None
-
-
-#: Historical positional order of :func:`transient_mismatch_analysis`,
-#: used by the deprecation shim that maps stray positionals to keywords.
-_TRANSIENT_ORDER = ("period", "oscillator_anchor", "t_settle",
-                    "dt_settle", "state", "pss_options", "injections",
-                    "param_covariance", "precomputed_pss", "backend",
-                    "variations")
-
-_DC_ORDER = ("state", "param_covariance", "backend", "variations")
-
-
-def transient_mismatch_analysis(circuit, measures: list[Measure],
-                                *args, **kwargs):
-    """Run the paper's sensitivity-based transient mismatch analysis.
-
-    Keyword-only beyond *circuit* and *measures* (legacy positional
-    call shapes still work with a :class:`DeprecationWarning`); see
-    :func:`_transient_mismatch_analysis` for the full contract.
-    """
-    kwargs = _positional_shim("transient_mismatch_analysis",
-                              _TRANSIENT_ORDER, args, kwargs)
-    return _transient_mismatch_analysis(circuit, measures, **kwargs)
-
-
-def _transient_mismatch_analysis(
+def transient_mismatch_analysis(
         circuit, measures: list[Measure], *,
         period: float | None = None,
         oscillator_anchor: str | None = None,
@@ -281,22 +288,12 @@ def _transient_mismatch_analysis(
     (autonomous circuit, with *t_settle*/*dt_settle* for the startup
     transient) must be given, unless *precomputed_pss* is supplied.
 
-    This is a thin wrapper over the process-default
-    :class:`~repro.service.session.AnalysisSession`
-    (:func:`repro.service.default_session`): serializable calls are
-    expressed as an :class:`~repro.service.requests.AnalysisRequest`
-    and executed through :meth:`AnalysisSession.run`, so the in-process
-    path and a future daemon submitting the identical request run
-    byte-for-byte the same pipeline - and repeats of an identical call
-    hit the session's result memo.  Calls carrying live engine objects
-    (a custom *state*, explicit *injections*, a *precomputed_pss*, a
-    backend instance, an unregistered measure, or an already-compiled
-    circuit) run the same session flow directly.  Either way the
-    compile and the PSS orbit go through the session's
-    content-addressed caches, and results are bit-identical to a cold,
-    cache-free run.  Use a dedicated :class:`AnalysisSession` (or its
-    :meth:`~repro.service.session.AnalysisSession.transient_mismatch`)
-    for isolated cache lifetimes, request memoization and job fan-out.
+    Every call is cold: it compiles the circuit, solves the periodic
+    steady state and runs the LPTV engine, and the result belongs to
+    the caller alone.  For caching across calls (compiled circuits,
+    PSS orbits, memoized results) use an
+    :class:`~repro.service.session.AnalysisSession`; its results are
+    bit-identical to this function's.
 
     Parameters
     ----------
@@ -322,37 +319,29 @@ def _transient_mismatch_analysis(
     retry, n_workers:
         Accepted for keyword uniformity with the Monte-Carlo entry
         points; a single deterministic solve has nothing to retry or
-        fan out, so they are checked for shape and otherwise ignored.
+        fan out, so they are checked for shape
+        (:func:`check_uniform_keywords`) and otherwise ignored.
 
     Returns
     -------
     MismatchAnalysisResult
     """
-    from ..service.session import default_session
-    session = default_session()
-    request = _as_request(
-        "transient_mismatch", circuit,
-        requestable=(state is None and injections is None
-                     and precomputed_pss is None
-                     and (backend is None or isinstance(backend, str))),
-        measures=measures, period=period,
-        oscillator_anchor=oscillator_anchor, t_settle=t_settle,
-        dt_settle=dt_settle, pss_options=pss_options,
-        param_covariance=param_covariance, variations=variations,
-        retry=retry, n_workers=n_workers)
-    if request is not None:
-        return session.run(request).detail
+    check_uniform_keywords(retry, n_workers, param_covariance, variations)
+    compiled = _as_compiled(circuit, backend=backend)
     if variations is not None:
-        if param_covariance is not None:
-            raise ValueError(
-                "give param_covariance or variations, not both")
-        param_covariance = variations.covariance(circuit)
-    return session.transient_mismatch(
-        circuit, measures, period=period,
-        oscillator_anchor=oscillator_anchor, t_settle=t_settle,
-        dt_settle=dt_settle, state=state, pss_options=pss_options,
-        injections=injections, param_covariance=param_covariance,
-        precomputed_pss=precomputed_pss, backend=backend)
+        param_covariance = variations.covariance(compiled)
+
+    def orbit() -> PssResult:
+        if precomputed_pss is not None:
+            return precomputed_pss
+        return _solve_pss(compiled, period=period,
+                          oscillator_anchor=oscillator_anchor,
+                          t_settle=t_settle, dt_settle=dt_settle,
+                          state=state, options=pss_options)
+
+    return _analyze_on_orbit(compiled, measures, orbit,
+                             injections=injections,
+                             param_covariance=param_covariance)
 
 
 def run_dc_mismatch(compiled: CompiledCircuit,
@@ -410,37 +399,22 @@ def run_dc_mismatch(compiled: CompiledCircuit,
         runtime_breakdown={"dc": t_end - t_start})
 
 
+
 def dc_mismatch_analysis(circuit,
-                         outputs: dict[str, str | tuple[str, str]],
-                         *args, **kwargs):
-    """DC mismatch analysis; keyword-only beyond *circuit* and
-    *outputs* (legacy positional call shapes still work with a
-    :class:`DeprecationWarning`).  See :func:`_dc_mismatch_analysis`
-    for the full contract."""
-    kwargs = _positional_shim("dc_mismatch_analysis", _DC_ORDER,
-                              args, kwargs)
-    return _dc_mismatch_analysis(circuit, outputs, **kwargs)
-
-
-def _dc_mismatch_analysis(circuit,
-                          outputs: dict[str, str | tuple[str, str]], *,
-                          state: ParamState | None = None,
-                          param_covariance: np.ndarray | None = None,
-                          backend: str | None = None,
-                          variations=None,
-                          retry=None,
-                          n_workers: int | None = None,
-                          ) -> MismatchAnalysisResult:
+                         outputs: dict[str, str | tuple[str, str]], *,
+                         state: ParamState | None = None,
+                         param_covariance: np.ndarray | None = None,
+                         backend: str | None = None,
+                         variations=None,
+                         retry=None,
+                         n_workers: int | None = None,
+                         ) -> MismatchAnalysisResult:
     """DC mismatch (dcmatch / [8]) analysis - the method the paper extends.
 
-    A thin wrapper over the process-default
-    :class:`~repro.service.session.AnalysisSession`: serializable calls
-    run as an :class:`~repro.service.requests.AnalysisRequest` through
-    :meth:`AnalysisSession.run` (memoized, daemon-identical), calls
-    carrying live objects run the session flow directly; the compile
-    goes through the session's content-addressed cache either way
-    (results are bit-identical to a cache-free run), and the adjoint
-    engine :func:`run_dc_mismatch` does the rest.
+    Cold on every call, like :func:`transient_mismatch_analysis`: it
+    compiles the circuit and runs the adjoint engine
+    :func:`run_dc_mismatch`.  Use an
+    :class:`~repro.service.session.AnalysisSession` for caching.
 
     Parameters
     ----------
@@ -452,23 +426,12 @@ def _dc_mismatch_analysis(circuit,
         alternative to *param_covariance* (mutually exclusive).
     retry, n_workers:
         Accepted for keyword uniformity with the Monte-Carlo entry
-        points; checked for shape and otherwise ignored.
+        points; checked for shape (:func:`check_uniform_keywords`) and
+        otherwise ignored.
     """
-    from ..service.session import default_session
-    session = default_session()
-    request = _as_request(
-        "dc_mismatch", circuit,
-        requestable=(state is None
-                     and (backend is None or isinstance(backend, str))),
-        outputs=outputs, param_covariance=param_covariance,
-        variations=variations, retry=retry, n_workers=n_workers)
-    if request is not None:
-        return session.run(request).detail
+    check_uniform_keywords(retry, n_workers, param_covariance, variations)
+    compiled = _as_compiled(circuit, backend=backend)
     if variations is not None:
-        if param_covariance is not None:
-            raise ValueError(
-                "give param_covariance or variations, not both")
-        param_covariance = variations.covariance(circuit)
-    return session.dc_mismatch(
-        circuit, outputs, state=state,
-        param_covariance=param_covariance, backend=backend)
+        param_covariance = variations.covariance(compiled)
+    return run_dc_mismatch(compiled, outputs, state=state,
+                           param_covariance=param_covariance)

@@ -33,7 +33,7 @@ from ..circuit.elements import ParamKey
 from ..errors import MeasurementError
 from ..stats import SampleStats, summarize_samples
 from ..waveform import WaveformSet
-from .analysis import _as_compiled
+from .analysis import _as_compiled, check_uniform_keywords
 from .measures import Measure
 
 
@@ -123,8 +123,8 @@ def _resolve_variations(compiled, param_covariance, variations):
     the bit-identical-merge contract is untouched."""
     if variations is None:
         return param_covariance
-    if param_covariance is not None:
-        raise ValueError("give param_covariance or variations, not both")
+    check_uniform_keywords(param_covariance=param_covariance,
+                           variations=variations)
     if isinstance(variations, dict):
         from ..service.serialize import variation_spec
         variations = variation_spec(variations)

@@ -24,8 +24,10 @@ and deterministic degradation (NaN-frozen spans with structured
 execution sites to prove all of it.
 
 The dependency direction is one-way: this package imports the layers
-below it, never the reverse (``repro.circuit`` / ``repro.analysis``
-must not import ``repro.service`` - CI enforces it).
+below it, never the reverse (``repro.circuit`` / ``repro.analysis`` /
+``repro.core`` must not import ``repro.service`` - CI enforces it, with
+the Monte-Carlo shard path in ``repro.core.montecarlo`` the one named
+exclusion).
 """
 
 from ..errors import DrainingError, FailureRecord, TransportError

@@ -249,20 +249,14 @@ def pss_cached(session, compiled, period: float | None = None,
     ``ParamState`` is mutable engine state without a content identity,
     so those calls always execute.
     """
-    from ..analysis.pss import pss, pss_oscillator
     from ..circuit.netlist import content_digest
+    from ..core.analysis import _solve_pss
 
     def run():
-        if oscillator_anchor is not None:
-            if t_settle is None or dt_settle is None:
-                raise AnalysisError(
-                    "oscillator analyses need t_settle and dt_settle")
-            return pss_oscillator(compiled, oscillator_anchor,
-                                  t_settle, dt_settle, state=state,
-                                  options=options)
-        if period is None:
-            raise AnalysisError("give period= or oscillator_anchor=")
-        return pss(compiled, period, state=state, options=options)
+        return _solve_pss(compiled, period=period,
+                          oscillator_anchor=oscillator_anchor,
+                          t_settle=t_settle, dt_settle=dt_settle,
+                          state=state, options=options)
 
     if state is not None:
         return run()
@@ -291,30 +285,25 @@ def transient_mismatch_flow(session, circuit, measures,
                             precomputed_pss=None, backend=None,
                             cmin: float | None = None):
     """The paper's sensitivity analysis through the session caches
-    (body of :meth:`AnalysisSession.transient_mismatch`)."""
-    from ..core.analysis import run_transient_mismatch
-    t_begin = time.perf_counter()
+    (body of :meth:`AnalysisSession.transient_mismatch`): the compile
+    and the orbit come from the session stores, and
+    ``runtime_breakdown["pss"]`` is the cost of obtaining the orbit -
+    a lookup on a hit."""
+    from ..core.analysis import _analyze_on_orbit
     compiled = compile_cached(session, circuit, cmin=cmin,
                               backend=backend)
-    if precomputed_pss is None:
-        if period is None and oscillator_anchor is None:
-            raise AnalysisError("give period=, oscillator_anchor=, "
-                                "or precomputed_pss=")
-        pss_result = pss_cached(session, compiled, period=period,
-                                state=state, options=pss_options,
-                                oscillator_anchor=oscillator_anchor,
-                                t_settle=t_settle, dt_settle=dt_settle)
-    else:
-        pss_result = precomputed_pss
-    t_pss = time.perf_counter()
-    result = run_transient_mismatch(
-        compiled, measures, pss_result,
-        injections=injections, param_covariance=param_covariance)
-    # the engine only saw the precomputed orbit; restore the true
-    # wall-clock split including the (possibly cached) PSS
-    result.runtime_breakdown["pss"] = t_pss - t_begin
-    result.runtime_seconds = time.perf_counter() - t_begin
-    return result
+
+    def orbit():
+        if precomputed_pss is not None:
+            return precomputed_pss
+        return pss_cached(session, compiled, period=period, state=state,
+                          options=pss_options,
+                          oscillator_anchor=oscillator_anchor,
+                          t_settle=t_settle, dt_settle=dt_settle)
+
+    return _analyze_on_orbit(compiled, measures, orbit,
+                             injections=injections,
+                             param_covariance=param_covariance)
 
 
 def dc_mismatch_flow(session, circuit, outputs: dict, state=None,
@@ -353,9 +342,9 @@ def mc_dc_flow(session, circuit, outputs: dict, n: int, **kwargs):
 # ---------------------------------------------------------------------------
 def _mismatch_payloads(param_covariance, variations) -> dict:
     """The two mutually exclusive mismatch-description options."""
-    if param_covariance is not None and variations is not None:
-        raise AnalysisError(
-            "give param_covariance= or variations=, not both")
+    from ..core.analysis import check_uniform_keywords
+    check_uniform_keywords(param_covariance=param_covariance,
+                           variations=variations)
     return {"param_covariance": covariance_payload(param_covariance),
             "variations": variation_payload(variations)}
 
@@ -368,10 +357,11 @@ def _uniform_keywords(retry, n_workers) -> None:
     On kinds that are one deterministic solve there is nothing to fan
     out or retry, so the values are validated and dropped from the
     canonical options (the request key stays independent of them).
+    The shape rules are the free functions' own
+    (:func:`~repro.core.analysis.check_uniform_keywords`).
     """
-    retry_payload(retry)  # raises on a malformed policy shape
-    if n_workers is not None and int(n_workers) < 1:
-        raise AnalysisError("n_workers must be >= 1")
+    from ..core.analysis import check_uniform_keywords
+    check_uniform_keywords(retry, n_workers)
 
 
 def _retry_policy(options: dict):
@@ -538,9 +528,9 @@ def _run_mc_dc(session, ctx):
 def _canon_pss(period=None, oscillator_anchor=None, t_settle=None,
                dt_settle=None, pss_options=None, cmin=None,
                backend=None, retry=None, n_workers=None):
+    from ..core.analysis import check_drive_spec
     _uniform_keywords(retry, n_workers)
-    if period is None and oscillator_anchor is None:
-        raise AnalysisError("give period= or oscillator_anchor=")
+    check_drive_spec(period, oscillator_anchor, t_settle, dt_settle)
     return clean_options({
         "period": period, "oscillator_anchor": oscillator_anchor,
         "t_settle": t_settle, "dt_settle": dt_settle,

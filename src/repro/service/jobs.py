@@ -402,8 +402,8 @@ class JobQueue:
     Parameters
     ----------
     session:
-        The session inline jobs run through (default: the process
-        default session).
+        The session inline jobs run through (default: a private
+        :class:`~repro.service.session.AnalysisSession` of this queue).
     n_workers:
         ``None``/1 executes every job inline at submission time;
         ``> 1`` spawns a process pool.
@@ -419,8 +419,8 @@ class JobQueue:
     def __init__(self, session=None, n_workers: int | None = None,
                  retry: RetryPolicy | None = None):
         if session is None:
-            from .session import default_session
-            session = default_session()
+            from .session import AnalysisSession
+            session = AnalysisSession()
         self.session = session
         self.n_workers = n_workers
         self.retry = retry

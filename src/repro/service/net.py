@@ -7,9 +7,10 @@ speak - :meth:`AnalysisRequest.to_dict` payloads and
 :class:`~repro.service.session.AnalysisSession` / inline
 :class:`~repro.service.jobs.JobQueue`.  Nothing here re-implements
 execution: a request served over HTTP runs the same registered engine,
-through the same content-addressed caches, as the in-process
-``default_session()`` path, so the summaries (and the request keys they
-memoize under) are bit-identical.
+through the same content-addressed caches, as an in-process
+:meth:`AnalysisSession.run <repro.service.session.AnalysisSession.run>`,
+so the summaries (and the request keys they memoize under) are
+bit-identical.
 
 Endpoints
 ---------

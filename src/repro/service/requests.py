@@ -17,6 +17,7 @@ boundary.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field, replace
 
@@ -328,5 +329,9 @@ class AnalysisResult:
     def from_json(cls, text: str) -> "AnalysisResult":
         return cls.from_dict(json.loads(text))
 
-    def as_cached(self) -> "AnalysisResult":
-        return replace(self, from_cache=True)
+    def detached(self, **changes) -> "AnalysisResult":
+        """A copy owning its ``summary`` and ``failures`` list, with
+        *changes* applied as by :func:`dataclasses.replace`; ``detail``
+        stays shared (copying the engine's result is not cheap)."""
+        return replace(self, summary=copy.deepcopy(self.summary),
+                       failures=list(self.failures), **changes)

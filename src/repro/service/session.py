@@ -24,9 +24,8 @@ engine - this module owns the stores and the memoization only, and
 never imports :mod:`repro.core` or :mod:`repro.analysis` itself (CI
 enforces that split, so a new engine registers without touching the
 session).  The free functions in :mod:`repro.core`
-(``transient_mismatch_analysis`` and friends) are thin wrappers over
-the process-default session (:func:`default_session`), so plain
-functional callers share these caches without knowing they exist.
+(``transient_mismatch_analysis`` and friends) are cold and never touch
+a session: a session is the one, explicit way to cache.
 """
 
 from __future__ import annotations
@@ -188,10 +187,9 @@ class AnalysisSession:
     def transient_mismatch(self, circuit, measures, **kwargs):
         """The paper's sensitivity analysis through the session caches.
 
-        Same contract as :func:`~repro.core.analysis.
-        transient_mismatch_analysis` (which delegates here); repeated
-        calls on an unchanged circuit reuse the compiled system and the
-        PSS orbit.
+        Same contract as the cold :func:`~repro.core.analysis.
+        transient_mismatch_analysis`; repeated calls on an unchanged
+        circuit reuse the compiled system and the PSS orbit.
         """
         from .engines import transient_mismatch_flow
         return transient_mismatch_flow(self, circuit, measures,
@@ -225,15 +223,20 @@ class AnalysisSession:
         ``from_cache=True`` without touching the engines.  Unknown
         kinds raise an :class:`~repro.errors.AnalysisError` listing
         the registered kinds.
+
+        Every returned result owns its ``summary`` and ``failures``, so
+        a caller mutating them never reaches the memo.  The rich
+        ``detail`` object is shared with the memo (and with every
+        later hit): treat it as read-only.
         """
         from .engines import execute
         key = request.key()
         hit = self.results.get(key)
         if hit is not None:
-            return hit.as_cached()
+            return hit.detached(from_cache=True)
         result = execute(self, request, key)
         self.results.put(key, result)
-        return result
+        return result.detached()
 
     def evict_result(self, key: str) -> bool:
         """Drop one memoized result by request key (cascading through
@@ -267,9 +270,11 @@ _DEFAULT_SESSION: AnalysisSession | None = None
 
 
 def default_session() -> AnalysisSession:
-    """The process-wide session behind the :mod:`repro.core` free
-    functions.  Create dedicated :class:`AnalysisSession` instances for
-    isolated cache lifetimes."""
+    """A lazily created process-wide session, for callers that want one
+    shared cache without threading a session through their code.
+    Nothing in the package uses it: the :mod:`repro.core` free
+    functions are cold, and everything else takes an explicit
+    :class:`AnalysisSession`."""
     global _DEFAULT_SESSION
     if _DEFAULT_SESSION is None:
         _DEFAULT_SESSION = AnalysisSession()

@@ -8,8 +8,9 @@ This suite pins the PR's API-redesign contract:
 * the in-repo examples and the network front-end respect the layering
   rules CI enforces (``examples-use-facade``, ``net-no-internals``);
 * the request paths take ``variations`` / ``retry`` / ``n_workers``
-  uniformly, and the legacy positional call shapes of the analysis
-  entry points warn (``DeprecationWarning``) without breaking.
+  uniformly, validated by the same rules whatever the call shape, and
+  the legacy positional call shapes of the analysis entry points,
+  removed in API 2.0, raise ``TypeError``.
 """
 
 import re
@@ -21,8 +22,9 @@ import numpy as np
 import pytest
 
 import repro.api as api
-from repro.api import (AnalysisRequest, Circuit, RetryPolicy,
-                       dc_mismatch_analysis,
+from repro.api import (AnalysisError, AnalysisRequest, Circuit,
+                       RetryPolicy, Sine, compile_circuit,
+                       dc_mismatch_analysis, spec_for_circuit,
                        transient_mismatch_analysis)
 
 ROOT = Path(__file__).parent.parent
@@ -33,6 +35,15 @@ def _divider(r1=1e3):
     ckt.add_vsource("V1", "in", "0", dc=1.2)
     ckt.add_resistor("R1", "in", "out", r1, sigma_rel=0.02)
     ckt.add_resistor("R2", "out", "0", 3e3, sigma_rel=0.02)
+    return ckt
+
+
+def _rc():
+    ckt = Circuit("rc")
+    ckt.add_vsource("VS", "in", "0",
+                    wave=Sine(amplitude=0.3, freq=1e6, offset=0.6))
+    ckt.add_resistor("R", "in", "out", 1e3, sigma_rel=0.05)
+    ckt.add_capacitor("C", "out", "0", 1e-9, sigma_rel=0.02)
     return ckt
 
 
@@ -106,6 +117,29 @@ class TestLayering:
         assert "no-scipy-stats" in names
         assert found == []
 
+    def test_domain_rule_covers_core_but_montecarlo(self):
+        rule = next(r for r in _layering_checker().RULES
+                    if r.name == "domain-no-service")
+        assert "src/repro/core" in rule.paths
+        assert rule.exclude == ("src/repro/core/montecarlo.py",)
+        core = ROOT / "src" / "repro" / "core"
+        scanned = {p for p in rule.files(ROOT) if p.parent == core}
+        assert scanned == set(core.glob("*.py")) - {core / "montecarlo.py"}
+
+    def test_domain_rule_flags_a_service_import_in_core(self, tmp_path):
+        rule = next(r for r in _layering_checker().RULES
+                    if r.name == "domain-no-service")
+        core = tmp_path / "src" / "repro" / "core"
+        core.mkdir(parents=True)
+        line = "    from ..service.session import default_session\n"
+        for name in ("analysis.py", "montecarlo.py"):
+            source = (ROOT / "src" / "repro" / "core" / name).read_text()
+            (core / name).write_text(source + "\n\ndef f():\n" + line)
+        found = rule.violations(tmp_path)
+        assert len(found) == 1
+        assert found[0].startswith("src/repro/core/analysis.py:")
+        assert "default_session" in found[0]
+
     @pytest.mark.parametrize("line,caught", [
         ("import scipy.stats", True),
         ("    import scipy.stats as sps", True),
@@ -147,52 +181,47 @@ class TestUniformKeywords:
             AnalysisRequest.dc_mismatch(_divider(), {"v": "out"},
                                         retry="soon")
 
+    @pytest.mark.parametrize("compiled", [False, True],
+                             ids=["Circuit", "CompiledCircuit"])
+    @pytest.mark.parametrize("analysis", ["dc", "transient"])
+    @pytest.mark.parametrize("bad,error", [
+        ({"retry": "soon"}, TypeError),
+        ({"n_workers": 0}, AnalysisError),
+        ("both", ValueError),
+    ], ids=["retry", "n_workers", "both_forms"])
+    def test_keyword_shape_is_checked_the_same_for_every_call_shape(
+            self, compiled, analysis, bad, error):
+        ckt = _divider() if analysis == "dc" else _rc()
+        if bad == "both":
+            spec = spec_for_circuit(ckt)
+            bad = {"variations": spec,
+                   "param_covariance": spec.covariance(ckt)}
+        target = compile_circuit(ckt) if compiled else ckt
+        with pytest.raises(error):
+            if analysis == "dc":
+                dc_mismatch_analysis(target, {"v": "out"}, **bad)
+            else:
+                transient_mismatch_analysis(
+                    target, [api.DcLevel("vout", "out")], period=1e-6,
+                    **bad)
+
 
 # ---------------------------------------------------------------------------
-# deprecation policy: positional call shapes warn, then keep working
+# deprecation policy: positional call shapes warned through 1.x and were
+# removed in 2.0
 # ---------------------------------------------------------------------------
 class TestPositionalDeprecation:
-    def test_dc_positional_warns_and_matches_keyword(self):
-        cov = np.diag([1e-4, 1e-4])
-        with pytest.warns(DeprecationWarning,
-                          match="param_covariance positionally"):
-            legacy = dc_mismatch_analysis(_divider(), {"v": "out"},
-                                          None, cov)
-        modern = dc_mismatch_analysis(_divider(), {"v": "out"},
-                                      param_covariance=cov)
-        assert legacy.sigma("v") == modern.sigma("v")
-
-    def test_transient_positional_warns_and_matches_keyword(self):
-        from repro.api import DcLevel, PssOptions
-        ckt = Circuit("rc")
-        ckt.add_vsource("VS", "in", "0",
-                        wave=api.Sine(amplitude=0.3, freq=1e6,
-                                      offset=0.6))
-        ckt.add_resistor("R", "in", "out", 1e3, sigma_rel=0.05)
-        ckt.add_capacitor("C", "out", "0", 1e-9, sigma_rel=0.02)
-        opts = PssOptions(n_steps=64, settle_periods=2)
-        meas = [DcLevel("vout", "out")]
-        with pytest.warns(DeprecationWarning,
-                          match="passing period positionally"):
-            legacy = transient_mismatch_analysis(ckt, meas, 1e-6,
-                                                 pss_options=opts)
-        modern = transient_mismatch_analysis(ckt, meas, period=1e-6,
-                                             pss_options=opts)
-        assert legacy.sigma("vout") == modern.sigma("vout")
+    @pytest.mark.parametrize("call", [
+        lambda: dc_mismatch_analysis(_divider(), {"v": "out"}, None,
+                                     np.diag([1e-4, 1e-4])),
+        lambda: transient_mismatch_analysis(_rc(), [api.DcLevel(
+            "vout", "out")], 1e-6),
+    ], ids=["dc", "transient"])
+    def test_positional_call_is_a_type_error(self, call):
+        with pytest.raises(TypeError, match="positional argument"):
+            call()
 
     def test_keyword_call_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             dc_mismatch_analysis(_divider(), {"v": "out"})
-
-    def test_too_many_positionals_is_a_type_error(self):
-        with pytest.raises(TypeError, match="at most"):
-            dc_mismatch_analysis(_divider(), {"v": "out"},
-                                 None, None, None, None, None)
-
-    def test_positional_keyword_clash_is_a_type_error(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="multiple values"):
-                dc_mismatch_analysis(_divider(), {"v": "out"}, None,
-                                     state=None)

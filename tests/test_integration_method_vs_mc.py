@@ -66,26 +66,28 @@ class TestLogicPathDelay:
         assert rho_lin > 0.7
         assert rho_lin == pytest.approx(rho_mc, abs=0.08)
 
-    def test_correlation_collapses_y_late(self, tech):
+    @pytest.fixture(scope="class")
+    def y_late(self, tech):
+        """The Y-late testbench and its independent-mismatch analysis,
+        solved once for the tests below (the free function is cold)."""
         tb = logic_path_testbench(tech, late_input="Y")
         measures = [EdgeDelay("dA", "Y", "A", tb.vth),
                     EdgeDelay("dB", "Y", "B", tb.vth)]
         res = transient_mismatch_analysis(
             tb.circuit, measures, period=tb.period,
             pss_options=PssOptions(n_steps=800, settle_periods=2))
+        return tb, measures, res
+
+    def test_correlation_collapses_y_late(self, y_late):
+        _, _, res = y_late
         # disjoint critical paths -> |rho| small (paper Table I: 0.01)
         assert abs(res.correlation("dA", "dB")) < 0.35
 
-    def test_correlated_die_level_mismatch_raises_rho(self, tech):
+    def test_correlated_die_level_mismatch_raises_rho(self, y_late):
         """Adding a fully shared (die-to-die) component to every vt0
         raises the delay correlation even on disjoint paths - the
         paper's Section III-C argument, via Eq. 6."""
-        tb = logic_path_testbench(tech, late_input="Y")
-        measures = [EdgeDelay("dA", "Y", "A", tb.vth),
-                    EdgeDelay("dB", "Y", "B", tb.vth)]
-        res_indep = transient_mismatch_analysis(
-            tb.circuit, measures, period=tb.period,
-            pss_options=PssOptions(n_steps=800, settle_periods=2))
+        tb, measures, res_indep = y_late
         keys = res_indep.keys
         sig = np.array([d.sigma for d in
                         tb.circuit.mismatch_decls()])
@@ -96,9 +98,9 @@ class TestLogicPathDelay:
                            for k, s in zip(keys, sig)])
         mix[:, m] = shared
         cov = correlated_covariance_from_mixing(mix)
+        # same orbit, new covariance: only the LPTV half re-runs
         res_corr = transient_mismatch_analysis(
-            tb.circuit, measures, period=tb.period,
-            pss_options=PssOptions(n_steps=800, settle_periods=2),
+            res_indep.compiled, measures, precomputed_pss=res_indep.pss,
             param_covariance=cov)
         assert (res_corr.correlation("dA", "dB")
                 > res_indep.correlation("dA", "dB") + 0.2)

@@ -5,7 +5,10 @@ the comparator-scale cache win is measured by
 ``benchmarks/bench_service_cache.py``.
 """
 
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,7 @@ from repro.service import (AnalysisRequest, AnalysisResult,
                            AnalysisSession, JobQueue)
 
 PSS_OPTS = PssOptions(n_steps=64, settle_periods=2)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _rc(r=1e3):
@@ -86,14 +90,6 @@ class TestSessionCaches:
         assert wrapped.sigma("vout") == direct.sigma("vout")
         assert wrapped.nominal["vout"] == direct.nominal["vout"]
 
-    def test_free_function_routes_through_default_session(self):
-        from repro.service import default_session
-        before = default_session().stats()["compiled"]["misses"]
-        transient_mismatch_analysis(_rc(r=7e3), MEAS, period=1e-6,
-                                    pss_options=PSS_OPTS)
-        assert (default_session().stats()["compiled"]["misses"]
-                == before + 1)
-
     def test_dc_parity(self):
         wrapped = dc_mismatch_analysis(_divider(), {"vout": "out"})
         direct = run_dc_mismatch(compile_circuit(_divider()),
@@ -108,6 +104,83 @@ class TestSessionCaches:
         assert set(bd) == {"pss", "lptv", "measures"}
         assert bd["pss"] > 0.0
         assert res.runtime_seconds >= bd["pss"]
+
+
+class TestColdFreeFunctions:
+    """The free functions keep no memo: every call solves and returns a
+    result that belongs to its caller alone."""
+
+    def test_identical_calls_return_distinct_results(self):
+        r1 = dc_mismatch_analysis(_divider(), {"vout": "out"})
+        r2 = dc_mismatch_analysis(_divider(), {"vout": "out"})
+        assert r1 is not r2
+        nominal, sigma = r2.nominal["vout"], r2.sigma("vout")
+        r1.nominal["vout"] = -9.0
+        r1.tables.clear()
+        assert r2.nominal["vout"] == nominal
+        assert r2.sigma("vout") == sigma
+
+    def test_repeat_call_solves_and_reports_its_own_pss_time(self):
+        r1 = transient_mismatch_analysis(_rc(), MEAS, period=1e-6,
+                                         pss_options=PSS_OPTS)
+        r2 = transient_mismatch_analysis(_rc(), MEAS, period=1e-6,
+                                         pss_options=PSS_OPTS)
+        assert r2 is not r1 and r2.pss is not r1.pss
+        assert r2.runtime_breakdown is not r1.runtime_breakdown
+        assert r2.runtime_breakdown["pss"] > 0.0
+        r1.nominal["vout"] = -9.0
+        assert r2.nominal["vout"] != -9.0
+        assert r2.sigma("vout") == r1.sigma("vout")
+
+    def test_no_default_session_is_created(self):
+        script = textwrap.dedent("""
+            import repro.api as api
+            import repro.service.session as session
+            ckt = api.Circuit("div")
+            ckt.add_vsource("V1", "in", "0", dc=1.2)
+            ckt.add_resistor("R1", "in", "out", 1e3, sigma_rel=0.02)
+            ckt.add_resistor("R2", "out", "0", 3e3, sigma_rel=0.02)
+            rc = api.Circuit("rc")
+            rc.add_vsource("VS", "in", "0", wave=api.Sine(
+                amplitude=0.3, freq=1e6, offset=0.6))
+            rc.add_resistor("R", "in", "out", 1e3, sigma_rel=0.05)
+            rc.add_capacitor("C", "out", "0", 1e-9, sigma_rel=0.02)
+            api.dc_mismatch_analysis(ckt, {"v": "out"})
+            api.transient_mismatch_analysis(
+                rc, [api.DcLevel("v", "out")], period=1e-6,
+                pss_options=api.PssOptions(n_steps=64, settle_periods=2))
+            mc = api.monte_carlo_dc(
+                ckt, {"v": "out"}, 16, n_workers=2,
+                retry=api.RetryPolicy(max_attempts=2))
+            assert mc.stats["v"].n == 16
+            print(session._DEFAULT_SESSION is None)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "True"
+
+
+class TestDetachedResults:
+    def test_mutating_a_result_never_reaches_the_memo(self):
+        s = AnalysisSession()
+        req = AnalysisRequest.dc_mismatch(_divider(), {"vout": "out"})
+        cold = s.run(req)
+        sigma = cold.summary["metrics"]["vout"]["sigma"]
+        cold.summary["metrics"]["vout"]["sigma"] = 123.0
+        cold.failures.append("bogus")
+        hit = s.run(req)
+        assert hit.from_cache
+        assert hit.summary["metrics"]["vout"]["sigma"] == sigma
+        assert hit.failures == []
+        hit.summary["metrics"]["vout"]["sigma"] = 456.0
+        hit.summary["n_params"] = -1
+        hit.failures.append("bogus")
+        again = s.run(req)
+        assert again.summary["metrics"]["vout"]["sigma"] == sigma
+        assert again.summary["n_params"] == 2
+        assert again.failures == []
+        assert again.detail is cold.detail
 
 
 class TestCacheHygiene:
