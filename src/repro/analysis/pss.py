@@ -17,6 +17,21 @@ A converged :class:`PssResult` stores the orbit on a uniform grid of
 ``n_steps`` points per period; everything downstream (LPTV sensitivities,
 periodic noise, measurements) consumes that grid.
 
+The settle is a cap, not a cost
+-------------------------------
+Driven shooting starts from a fixed-grid settle transient of at most
+:attr:`PssOptions.settle_periods` periods.  At every period boundary
+from the second on the settle applies shooting's own test,
+``max|x(pT) - x((p-1)T)| <= tol * max(max|x| over the period, 1)``,
+and stops at the first period that passes: that period, on the
+settle's own time grid, *is* the orbit, and no shooting period is
+integrated (:attr:`PssResult.shooting_periods` is 0).  Period 1 starts
+at the DC point or the ICs - not an integrated state - so it is never
+accepted.  A settle that never closes runs to the cap and hands its
+final state to Newton shooting unchanged.  The adaptive settle
+(:attr:`PssOptions.settle_adaptive`), the ``settle`` engine and
+:func:`pss_oscillator`'s ``t_settle`` keep their full settle length.
+
 Matrix-free shooting and the dense fallback
 -------------------------------------------
 Shooting has two implementations behind one option
@@ -67,7 +82,12 @@ class PssOptions:
     n_steps: int = 400
     method: str = "trap"
     engine: str = "shooting"          # or "settle"
-    settle_periods: int = 8           # pre-shooting settle length
+    #: Cap on the pre-shooting settle, in periods.  On the fixed grid
+    #: the shooting engine's settle stops at the first period (from the
+    #: second on) that closes to :attr:`tol` and returns it as the
+    #: orbit; only a settle that never closes runs to the cap and hands
+    #: its final state to Newton shooting.
+    settle_periods: int = 8
     max_iterations: int = 40          # shooting Newton iterations
     tol: float = 1e-9                 # on max|x(T) - x(0)|
     settle_max_periods: int = 2000
@@ -131,6 +151,9 @@ class PssResult:
     is_oscillator: bool = False
     anchor_index: int | None = None
     residual: float = 0.0
+    #: Periods integrated by Newton shooting; 0 when a settle period
+    #: already closed and became the orbit.
+    shooting_periods: int = 0
     #: Cached factored orbit linearisation (built once on first
     #: :meth:`linearization` call, shared by every periodic consumer).
     _lin: "OrbitLinearization | None" = field(
@@ -307,29 +330,63 @@ def _krylov_or_dense(lin: OrbitLinearization, op, rhs: np.ndarray,
     return dense_solve(lin.monodromy())
 
 
+class _PeriodClosure:
+    """Stop test of the fixed-grid settle: shooting's own convergence
+    test, applied at every period boundary from the second on.
+
+    Called by the stepper after each accepted step; holds only the
+    current period's ``n_steps + 1`` states.  Period 1 starts at the DC
+    point or the ICs - not an integrated state - so it is never
+    accepted.
+    """
+
+    def __init__(self, n_steps: int, n: int, tol: float):
+        self.n_steps = n_steps
+        self.tol = tol
+        self.orbit = np.empty((n_steps + 1, n))
+        self.residual: float | None = None
+
+    def __call__(self, k: int, x_pad: np.ndarray) -> bool:
+        j = (k - 1) % self.n_steps + 1
+        self.orbit[j] = x_pad[:-1]
+        if j < self.n_steps:
+            return False
+        if k > self.n_steps:
+            worst = float(np.max(np.abs(self.orbit[-1] - self.orbit[0])))
+            scale = max(float(np.max(np.abs(self.orbit))), 1.0)
+            if worst <= self.tol * scale:
+                self.residual = worst
+                return True
+        self.orbit[0] = self.orbit[-1]
+        return False
+
+
 def _settle_start(compiled: CompiledCircuit, state: ParamState,
-                  period: float, opts: PssOptions) -> np.ndarray:
-    """Initial state after a few settling periods (padded)."""
+                  period: float, opts: PssOptions,
+                  closure: "_PeriodClosure | None" = None
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Padded state after the settle, and the settle's time grid
+    (``None`` without a settle).  With *closure* the fixed-grid settle
+    stops at the first period it accepts."""
     if compiled.circuit.ic:
         x_pad = compiled.initial_padded()
     else:
         dc = dc_operating_point(compiled, state, t=0.0)
         x_pad = compiled.pad(dc.x)
-    if opts.settle_periods > 0:
-        if opts.settle_adaptive:
-            topts = TransientOptions(
-                method=opts.method, record=[], newton=opts.newton,
-                adaptive=True, rtol=opts.settle_rtol,
-                atol=opts.settle_atol)
-        else:
-            topts = TransientOptions(method=opts.method, record=[],
-                                     newton=opts.newton)
-        res = transient(
-            compiled, t_stop=opts.settle_periods * period,
-            dt=period / opts.n_steps, state=state, x0_pad=x_pad,
-            options=topts)
-        x_pad = res.x_final_pad
-    return x_pad
+    if opts.settle_periods <= 0:
+        return x_pad, None
+    if opts.settle_adaptive:
+        topts = TransientOptions(
+            method=opts.method, record=[], newton=opts.newton,
+            adaptive=True, rtol=opts.settle_rtol, atol=opts.settle_atol)
+    else:
+        topts = TransientOptions(method=opts.method, record=[],
+                                 newton=opts.newton)
+    res = transient(
+        compiled, t_stop=opts.settle_periods * period,
+        dt=period / opts.n_steps, state=state, x0_pad=x_pad,
+        options=topts, stop_at=closure)
+    return res.x_final_pad, res.t
 
 
 def pss(compiled: CompiledCircuit, period: float,
@@ -347,7 +404,15 @@ def pss(compiled: CompiledCircuit, period: float,
     if state.batched:
         raise AnalysisError("PSS analyses are batchless")
     mf = use_matrix_free(compiled.backend, compiled.n, opts.matrix_free)
-    x_pad = _settle_start(compiled, state, period, opts)
+    closure = (_PeriodClosure(opts.n_steps, compiled.n, opts.tol)
+               if opts.engine != "settle" and not opts.settle_adaptive
+               else None)
+    x_pad, t_settle = _settle_start(compiled, state, period, opts, closure)
+    if closure is not None and closure.residual is not None:
+        return PssResult(compiled, state, period,
+                         t_settle[-(opts.n_steps + 1):].copy(),
+                         closure.orbit, opts.method, "shooting",
+                         residual=closure.residual)
     t0 = opts.settle_periods * period
 
     if opts.engine == "settle":
@@ -373,7 +438,7 @@ def pss(compiled: CompiledCircuit, period: float,
                              t0 + np.linspace(0.0, period,
                                               opts.n_steps + 1),
                              orbit, opts.method, "shooting",
-                             residual=worst)
+                             residual=worst, shooting_periods=it + 1)
         if mf:
             lin = _shooting_linearization(compiled, state, orbit, t0,
                                           period, opts.method)
@@ -506,7 +571,7 @@ def pss_oscillator(compiled: CompiledCircuit, anchor: str,
                                               opts.n_steps + 1),
                              orbit, opts.method, "shooting",
                              is_oscillator=True, anchor_index=a_idx,
-                             residual=worst)
+                             residual=worst, shooting_periods=it + 1)
         h = period / opts.n_steps
         xdot_t = (orbit[-1] - orbit[-2]) / h
         rhs = np.concatenate([-res, [0.0]])

@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -428,7 +428,9 @@ def transient(compiled: CompiledCircuit, t_stop: float, dt: float,
               x0_pad: np.ndarray | None = None,
               t_start: float = 0.0,
               options: TransientOptions | None = None,
-              batch_shape: tuple[int, ...] = ()) -> TransientResult:
+              batch_shape: tuple[int, ...] = (), *,
+              stop_at: "Callable[[int, np.ndarray], bool] | None" = None
+              ) -> TransientResult:
     """Integrate the circuit from *t_start* to *t_stop*.
 
     On the default fixed grid *dt* is the uniform step; with
@@ -445,6 +447,12 @@ def transient(compiled: CompiledCircuit, t_stop: float, dt: float,
     Linear systems are solved by ``compiled.backend``; see
     :mod:`repro.linalg` for backend selection and the factorization
     reuse policy.
+
+    *stop_at* (fixed grid only) is called as ``stop_at(k, x_pad)`` after
+    every accepted step ``k >= 1``; the run ends at the first step for
+    which it returns true, and ``t``, the recorded signals, ``states``
+    and ``n_accepted`` then describe the run up to that step.  The PSS
+    settle uses it to stop at the first period that closes.
 
     Warns
     -----
@@ -476,6 +484,8 @@ def transient(compiled: CompiledCircuit, t_stop: float, dt: float,
                 "uniform steps); disable adaptive")
         if opts.stride != 1:
             raise ValueError("stride requires the fixed grid")
+        if stop_at is not None:
+            raise ValueError("stop_at requires the fixed grid")
     elif opts.t_out:
         raise ValueError(
             "t_out requires adaptive=True: the fixed grid cannot land "
@@ -494,7 +504,7 @@ def transient(compiled: CompiledCircuit, t_stop: float, dt: float,
                               first_step_be, t_start, t_stop, dt, rec)
     return _fixed_loop(compiled, state, opts, solver, x_pad,
                        first_step_be, t_start, t_stop, dt, rec,
-                       batch_shape)
+                       batch_shape, stop_at)
 
 
 def _finalize(compiled: CompiledCircuit, state: ParamState,
@@ -546,7 +556,9 @@ def _fixed_loop(compiled: CompiledCircuit, state: ParamState,
                 opts: TransientOptions, solver: _StepSolver,
                 x_pad: np.ndarray, first_step_be: bool, t_start: float,
                 t_stop: float, dt: float, rec: dict[str, int],
-                batch_shape: tuple[int, ...]) -> TransientResult:
+                batch_shape: tuple[int, ...],
+                stop_at: "Callable[[int, np.ndarray], bool] | None"
+                ) -> TransientResult:
     n = compiled.n
     t_grid, h_last = _fixed_grid(t_start, t_stop, dt,
                                  compiled.circuit.name)
@@ -581,6 +593,7 @@ def _fixed_loop(compiled: CompiledCircuit, state: ParamState,
     x_prev = x_pad.copy()
     x_prev2 = x_pad.copy()      # one more step back, for the predictor
 
+    n_done = n_steps
     for k in range(1, n_steps + 1):
         t_k = float(t_grid[k])
         h = dt if k < n_steps else h_last
@@ -608,10 +621,18 @@ def _fixed_loop(compiled: CompiledCircuit, state: ParamState,
             store(kept_set[k], k)
         elif states is not None:
             states[k] = x_pad[..., :n]
+        if stop_at is not None and stop_at(k, x_pad):
+            n_done = k
+            break
 
+    if n_done < n_steps:
+        n_kept = len(range(0, n_done + 1, opts.stride))
+        sig_store = {name: sig[:n_kept] for name, sig in sig_store.items()}
+        if states is not None:
+            states = states[:n_done + 1]
     return _finalize(compiled, state, solver,
-                     t_grid[::opts.stride][:n_kept], sig_store, x_pad,
-                     states, n_steps, 0)
+                     t_grid[:n_done + 1:opts.stride], sig_store, x_pad,
+                     states, n_done, 0)
 
 
 # ---------------------------------------------------------------------------

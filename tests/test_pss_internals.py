@@ -1,13 +1,16 @@
 """Deeper tests of the PSS machinery: monodromy correctness, settle
-fallback behaviour, grid consistency."""
+fallback behaviour, grid consistency, the settle-to-shooting hand-off."""
 
 import numpy as np
 import pytest
 
 from repro.analysis import compile_circuit
-from repro.analysis.dcop import NewtonOptions
+from repro.analysis.dcop import NewtonOptions, dc_operating_point
 from repro.analysis.pss import PssOptions, integrate_period, pss
+from repro.analysis.transient import TransientOptions, transient
 from repro.circuit import Circuit, Sine
+from repro.core.analysis import run_transient_mismatch
+from repro.core.measures import DcLevel
 from repro.errors import ConvergenceError
 
 
@@ -111,8 +114,73 @@ class TestGridConsistency:
         assert e2 < 0.5 * e1
 
     def test_absolute_time_axis(self):
-        compiled = rc_circuit()
-        res = pss(compiled, 1e-6,
+        # tau = 0.1 T closes on settle period 3: the orbit is that
+        # period, on the settle's own grid
+        res = pss(rc_circuit(1e-7), 1e-6,
                   options=PssOptions(n_steps=64, settle_periods=3))
+        assert res.shooting_periods == 0
+        assert res.t[0] == pytest.approx(2e-6)
+        assert res.t[-1] - res.t[0] == pytest.approx(1e-6)
+        # tau = 2 T never closes inside the cap: shooting starts at 3 T
+        res = pss(rc_circuit(2e-6), 1e-6,
+                  options=PssOptions(n_steps=64, settle_periods=3))
+        assert res.shooting_periods >= 1
         assert res.t[0] == pytest.approx(3e-6)
         assert res.t[-1] - res.t[0] == pytest.approx(1e-6)
+
+
+class TestSettleHandOff:
+    """The fixed-grid settle stops at the first period that passes
+    shooting's test and hands it over as the orbit; a settle that
+    never closes goes to Newton shooting unchanged."""
+
+    def test_comparator_stops_at_period_two(self, comparator_pss):
+        tb, compiled, res = comparator_pss     # settle_periods=30
+        assert res.shooting_periods == 0
+        assert res.t[0] == pytest.approx(tb.period)
+        assert res.t[-1] - res.t[0] == pytest.approx(tb.period)
+        out = run_transient_mismatch(
+            compiled, [DcLevel("vos", tb.vos_node)], res)
+        assert out.sigma("vos") == pytest.approx(0.03225431185840952,
+                                                 rel=1e-9)
+
+    def test_unclosed_settle_matches_shooting_flow(self):
+        """tau = 2 T cannot close in a 2-period settle: the orbit is
+        bit-identical to settle-then-dense-shooting composed by hand."""
+        compiled = rc_circuit(2e-6)
+        period, n_steps = 1e-6, 100
+        opts = PssOptions(n_steps=n_steps, settle_periods=2)
+        res = pss(compiled, period, options=opts)
+
+        state = compiled.nominal
+        x_pad = compiled.pad(dc_operating_point(compiled, state).x)
+        x_pad = transient(
+            compiled, t_stop=2 * period, dt=period / n_steps, state=state,
+            x0_pad=x_pad,
+            options=TransientOptions(method=opts.method, record=[],
+                                     newton=opts.newton)).x_final_pad
+        for it in range(opts.max_iterations):
+            orbit, mono = integrate_period(
+                compiled, state, x_pad, 2 * period, period, n_steps,
+                opts.method, opts.newton, want_monodromy=True)
+            r = orbit[-1] - orbit[0]
+            scale = max(float(np.max(np.abs(orbit))), 1.0)
+            if float(np.max(np.abs(r))) <= opts.tol * scale:
+                break
+            x_pad[:-1] = orbit[0] + np.linalg.solve(
+                mono - np.eye(compiled.n), -r)
+        assert res.shooting_periods == it + 1 >= 2
+        assert np.array_equal(res.x, orbit)
+        assert res.t[0] == 2 * period
+
+    def test_dc_started_period_is_never_accepted(self):
+        """settle_periods=1: period 1 starts at the DC point, so the
+        DC-driven RC still goes through shooting."""
+        ckt = Circuit("dcrc")
+        ckt.add_vsource("VS", "in", "0", dc=1.0)
+        ckt.add_resistor("R1", "in", "out", 1e3)
+        ckt.add_resistor("R2", "out", "0", 1e3)
+        ckt.add_capacitor("C", "out", "0", 1e-12)
+        res = pss(compile_circuit(ckt), 1e-6,
+                  options=PssOptions(n_steps=64, settle_periods=1))
+        assert res.shooting_periods == 1

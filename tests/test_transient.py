@@ -149,3 +149,27 @@ class TestOptionsAndRobustness:
         res = transient(compile_circuit(ckt), t_stop=1e-6, dt=1e-9)
         w = res.waveset()["in"]
         assert w(1e-8) == pytest.approx(1.0, abs=1e-6)
+
+    def test_stop_at_truncates_the_run(self):
+        """A run stopped by its caller reports only the steps it took,
+        bit-identical to the same prefix of the full run."""
+        c = compile_circuit(rc_step_circuit())
+        opts = TransientOptions(record=["out"], stride=3, record_states=True)
+        full = transient(c, t_stop=1e-7, dt=1e-9, options=opts)
+        seen = []
+
+        def stop_at(k, x_pad):
+            seen.append(k)
+            return k == 40
+
+        cut = transient(c, t_stop=1e-7, dt=1e-9, options=opts,
+                        stop_at=stop_at)
+        assert seen == list(range(1, 41))
+        assert cut.n_accepted == 40
+        assert np.array_equal(cut.t, full.t[:14])
+        assert np.array_equal(cut.signal("out"), full.signal("out")[:14])
+        assert np.array_equal(cut.states, full.states[:41])
+        assert np.array_equal(cut.x_final_pad[:-1], full.states[40])
+        with pytest.raises(ValueError):
+            transient(c, t_stop=1e-7, dt=1e-9, stop_at=stop_at,
+                      options=TransientOptions(adaptive=True))
