@@ -10,6 +10,9 @@ evaluation and the LAPACK wrappers.  This benchmark publishes:
   logic path's nominal state, at orbit operating points: ``assemble``
   with and without the Jacobian, ``factor`` and ``solve`` through the
   circuit's backend (median of several rounds);
+* microseconds per batched ``assemble`` call, with and without the
+  Jacobian, on a 100-lane Monte-Carlo state (one lane chunk of the
+  Table II MC-200 baseline) at the same operating points;
 * for one proposed call (PSS with 800 steps and 2 settle periods, then
   the LPTV solve): its wall time, the number of assemblies and
   factorizations it made, and sigma(delay_A), which must stay within
@@ -35,6 +38,8 @@ from conftest import publish
 SIGMA_REF = 6.880112389803763e-12
 N_STEPS = 800
 SETTLE_PERIODS = 2
+#: Lanes of one Monte-Carlo chunk of the Table II baseline.
+MC_LANES = 100
 ROUNDS = 7
 CALLS = 300
 
@@ -101,19 +106,38 @@ def test_lean_step(tech, results_dir):
         kern.assemble(state, x_pads[i], float(t_pts[i]), g_pad, f_pad,
                       jacobian=jacobian, sources=table.row(i))
 
+    # one Monte-Carlo chunk: per-lane threshold deltas, every lane at
+    # the same orbit point, lane-shared sources from a grid table
+    rng = np.random.default_rng(1)
+    lanes = (MC_LANES,)
+    mc_state = kern.make_state(deltas={
+        (e.name, "vt0"): rng.normal(0.0, 0.01, lanes) for e in kern.mosfets
+    })
+    mc_x = [np.broadcast_to(x, lanes + x.shape).copy() for x in x_pads]
+    _, mc_g, mc_f = kern.buffers(lanes)
+    mc_table = kern.source_table(mc_state, t_pts)
+
+    def assemble_lanes(i, jacobian):
+        kern.assemble(mc_state, mc_x[i], float(t_pts[i]), mc_g, mc_f,
+                      jacobian=jacobian, sources=mc_table.row(i))
+
     us = {
         "assemble_jacobian": _us_per_call(lambda i: assemble(i, True), pts),
         "assemble_residual": _us_per_call(lambda i: assemble(i, False),
                                           pts),
         "factor": _us_per_call(backend.factor, steps),
         "solve": _us_per_call(lambda f: f.solve(rhs), factors),
+        f"assemble_jacobian_{MC_LANES}_lanes": _us_per_call(
+            lambda i: assemble_lanes(i, True), pts),
+        f"assemble_residual_{MC_LANES}_lanes": _us_per_call(
+            lambda i: assemble_lanes(i, False), pts),
     }
 
     lines = [
         "batch-of-one Newton step, Table II logic path "
         f"(n={n}, {len(kern.mosfets)} MOSFETs, backend={backend.name})",
-        f"{'kernel':<20s} {'us/call':>9s}",
-        *(f"{k:<20s} {v:>9.1f}" for k, v in us.items()),
+        f"{'kernel':<30s} {'us/call':>9s}",
+        *(f"{k:<30s} {v:>9.1f}" for k, v in us.items()),
         f"proposed call: {wall:.3f} s, {counts['assemble']} assemblies, "
         f"{counts['factor']} factorizations, "
         f"sigma(delay_A) = {sigma:.6e} s",
@@ -123,6 +147,7 @@ def test_lean_step(tech, results_dir):
         "n_mosfets": len(kern.mosfets),
         "n_steps": N_STEPS,
         "n_settle_periods": SETTLE_PERIODS,
+        "n_mc_lanes": MC_LANES,
         "backend": backend.name,
         "per_call_us": us,
         "proposed": {

@@ -29,10 +29,12 @@ this.
 COO index/value arrays at construction (:mod:`repro.analysis.stamps`),
 so template building and the per-iteration source/MOSFET/VCCS stamping
 are vectorised gathers plus ``np.add.at`` scatters - no per-element
-Python loops in any hot path.  On a ``wants_csr`` backend, batchless
-runs go further and assemble natively on the circuit's sparsity
-pattern (:class:`CsrAssembler`), never materialising a dense
-``(n+1)^2`` buffer.
+Python loops in any hot path.  Batched device stamps scatter through
+cached 1-D positions into the flattened buffers (numpy's fast
+``np.add.at`` path), in the same accumulation order.  On a
+``wants_csr`` backend, batchless runs go further and assemble natively
+on the circuit's sparsity pattern (:class:`CsrAssembler`), never
+materialising a dense ``(n+1)^2`` buffer.
 
 **Sparse-native parameter states.**  :meth:`CompiledCircuit.make_state`
 builds the linear G/C templates as value arrays over the circuit's
@@ -73,8 +75,9 @@ from .stamps import LinearStampPlan, NlVccsPlan, SourcePlan, SourceTable
 
 Deltas = dict[ParamKey, "float | np.ndarray"]
 
-#: Upper bound on cached per-batch-shape scatter-index columns
-#: (:meth:`CompiledCircuit._bidx`): enough for steady Monte-Carlo
+#: Upper bound on the batch shapes whose scatter indices are cached
+#: (:meth:`CompiledCircuit._bidx`, :meth:`CompiledCircuit._flat_idx`),
+#: per cache: enough for steady Monte-Carlo
 #: chunking (one full-size + one remainder shape) with slack for nested
 #: sweeps, small enough that varying chunk shapes cannot grow memory
 #: without bound.
@@ -193,6 +196,19 @@ class ParamState:
             h.update(np.ascontiguousarray(
                 np.asarray(self.source_values[name], dtype=float)))
         return h.hexdigest()[:16]
+
+
+def _lru(cache: dict, key, build):
+    """``cache[key]``, built by ``build()`` on a miss and refreshed to
+    most recent on a hit; the oldest entry is evicted beyond
+    :data:`_BIDX_CACHE_MAX` (dicts preserve insertion order)."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = build()
+        if len(cache) >= _BIDX_CACHE_MAX:
+            cache.pop(next(iter(cache)))
+    cache[key] = value
+    return value
 
 
 def _delta_for(deltas: Deltas | None, key: ParamKey):
@@ -335,6 +351,10 @@ class CompiledCircuit:
         #: per-batch-shape flat scatter index columns (satellite of the
         #: stamp-plan work: rebuilt once per shape, not per assemble)
         self._bidx_cache: dict[tuple[int, ...], np.ndarray] = {}
+        #: per-batch-shape 1-D scatter positions of the device stamps
+        #: over a flattened batched buffer (:meth:`_flat_idx`)
+        self._flat_cache: dict[tuple[int, ...],
+                               dict[str, np.ndarray]] = {}
         self._csr_plan: "CsrPlan | None" = None
         self._mos_gpos: "np.ndarray | None" = None
         self._nlv_gpos: "np.ndarray | None" = None
@@ -401,18 +421,51 @@ class CompiledCircuit:
         long sweep over *varying* chunk shapes recycles slots instead
         of growing memory monotonically.
         """
-        cache = self._bidx_cache
-        b = cache.get(batch)
-        if b is None:
-            b = np.arange(int(np.prod(batch))).reshape(batch)[..., None]
-            cache[batch] = b
-            if len(cache) > _BIDX_CACHE_MAX:
-                cache.pop(next(iter(cache)))
-        else:
-            # refresh recency (dicts preserve insertion order)
-            cache.pop(batch)
-            cache[batch] = b
-        return b
+        return _lru(self._bidx_cache, batch, lambda: np.arange(
+            int(np.prod(batch))).reshape(batch)[..., None])
+
+    def _flat_idx(self, batch: tuple[int, ...], kind: str) -> np.ndarray:
+        """1-D positions of the *kind* device stamps (``"mos_f"``,
+        ``"mos_g"``, ``"nlv_f"``, ``"nlv_g"``) in a flattened, C-ordered
+        ``(*batch, m)`` buffer.
+
+        ``np.add.at`` on a 1-D target with a 1-D index takes numpy's
+        fast path, about 10x faster at 100 lanes than the broadcast
+        ``(bidx, idx)`` tuple it replaces.  The positions run lane by
+        lane in stamp order, so every slot accumulates the same values
+        in the same order and the result is bit-identical.  Cached per
+        batch shape, LRU-bounded like :meth:`_bidx`.
+        """
+        per_shape = _lru(self._flat_cache, batch, dict)
+        flat = per_shape.get(kind)
+        if flat is None:
+            n1 = self.n + 1
+            idx, width = {
+                "mos_f": (self._mos_frows, n1),
+                "mos_g": (self._mos_gflat, n1 * n1),
+                "nlv_f": (self._nlv_plan.f_idx, n1),
+                "nlv_g": (self._nlv_plan.g_idx, n1 * n1)}[kind]
+            lanes = self._bidx(batch).reshape(-1, 1) * width
+            flat = per_shape[kind] = (lanes + idx).ravel()
+        return flat
+
+    def _scatter(self, target: np.ndarray, idx: np.ndarray,
+                 vals: np.ndarray, batch: tuple[int, ...],
+                 kind: str) -> None:
+        """``target[..., idx] += vals`` with duplicates accumulated in
+        stamp order; a batched *target* must be C-contiguous and is
+        scattered through its 1-D view (:meth:`_flat_idx`)."""
+        if not batch:
+            np.add.at(target, idx, vals)
+            return
+        if not target.flags.c_contiguous:
+            raise ValueError("batched assembly buffers must be "
+                             "C-contiguous")
+        shape = batch + idx.shape
+        if vals.shape != shape:
+            vals = np.broadcast_to(vals, shape)
+        np.add.at(target.reshape(-1), self._flat_idx(batch, kind),
+                  vals.reshape(-1))
 
     # ------------------------------------------------------------------
     # content-addressed identity
@@ -467,6 +520,7 @@ class CompiledCircuit:
         them would only cost time - so they survive.  Returns ``self``.
         """
         self._bidx_cache.clear()
+        self._flat_cache.clear()
         if self._nominal_state is not None:
             self._nominal_state.clear_caches()
         self._nominal_state = None
@@ -565,7 +619,8 @@ class CompiledCircuit:
         """
         return state.to_dense()[1]
 
-    def assemble(self, state: ParamState, x_pad: np.ndarray, t: float,
+    def assemble(self, state: ParamState, x_pad: np.ndarray,
+                 t: "float | np.ndarray",
                  g_pad: np.ndarray, f_pad: np.ndarray,
                  source_scale: float = 1.0, gmin: float = 0.0,
                  jacobian: bool = True,
@@ -587,6 +642,11 @@ class CompiledCircuit:
         already has it - a :class:`~repro.analysis.stamps.SourceTable`
         row of a fixed-grid loop; by default it comes from the source
         plan.
+
+        *t* may also be an array with one time per row of a batched
+        *x_pad* - a block of orbit samples - when *sources* holds the
+        matching rows (:meth:`~repro.analysis.stamps.SourceTable.
+        rows`); gates are then evaluated per row.
         """
         batch = f_pad.shape[:-1]
         # dense-path consumers densify the sparse template once per
@@ -603,8 +663,7 @@ class CompiledCircuit:
             if gmin > 0.0:
                 f_pad[..., :self.n_nodes] += gmin * x_pad[..., :self.n_nodes]
         self._add_sources(state, t, f_pad, source_scale, sources)
-        gflat = (g_pad.reshape(batch + ((self.n + 1) ** 2,))
-                 if jacobian else None)
+        gflat = g_pad.reshape(batch + (-1,)) if jacobian else None
         if self.mosfets:
             self._add_mosfets(state, x_pad, f_pad, jacobian,
                               gflat, self._mos_gflat, batch)
@@ -641,7 +700,8 @@ class CompiledCircuit:
 
         Batched states keep the reference :func:`~repro.circuit.mosfet.
         ekv_ids` (Monte-Carlo samples are bit-pinned to it); batchless
-        states take the fused kernel, within 1e-14 of it.
+        states take the fused kernel, within 1e-14 of it, whatever the
+        batch of *x_pad* (a block of orbit samples is one call).
         """
         # one gather of all four terminals: (..., 4, ndev)
         v = self._mos_sign * x_pad[..., self._mos_idx.T]
@@ -664,20 +724,13 @@ class CompiledCircuit:
         ids_phys = self._mos_sign * ev.ids
         # every model output has the full (*batch, ndev) shape
         fvals = np.concatenate((ids_phys, -ids_phys), axis=-1)
-        if batch:
-            bidx = self._bidx(batch)
-            np.add.at(f_pad, (bidx, self._mos_frows), fvals)
-        else:
-            np.add.at(f_pad, self._mos_frows, fvals)
+        self._scatter(f_pad, self._mos_frows, fvals, batch, "mos_f")
         if not jacobian:
             return
 
         g4 = np.concatenate((ev.g_d, ev.g_g, ev.g_s, ev.g_b), axis=-1)
         gvals = np.concatenate((g4, -g4), axis=-1)
-        if batch:
-            np.add.at(gflat, (bidx, gidx), gvals)
-        else:
-            np.add.at(gflat, gidx, gvals)
+        self._scatter(gflat, gidx, gvals, batch, "mos_g")
 
     def _add_nl_vccs(self, state: ParamState, x_pad: np.ndarray, t: float,
                      f_pad: np.ndarray, jacobian: bool,
@@ -693,20 +746,13 @@ class CompiledCircuit:
         gg = plan.gate_values(t) * state.vccs_gm
         cur = gg * phi
         fvals = np.concatenate(np.broadcast_arrays(cur, -cur), axis=-1)
-        if batch:
-            bidx = self._bidx(batch)
-            np.add.at(f_pad, (bidx, plan.f_idx), fvals)
-        else:
-            np.add.at(f_pad, plan.f_idx, fvals)
+        self._scatter(f_pad, plan.f_idx, fvals, batch, "nlv_f")
         if not jacobian:
             return
         gd = gg * dphi
         gvals = np.concatenate(
             np.broadcast_arrays(gd, -gd, -gd, gd), axis=-1)
-        if batch:
-            np.add.at(gflat, (bidx, gidx), gvals)
-        else:
-            np.add.at(gflat, gidx, gvals)
+        self._scatter(gflat, gidx, gvals, batch, "nlv_g")
 
     # ------------------------------------------------------------------
     # operating-point quantities and injections

@@ -31,7 +31,10 @@ factorization, O(nnz) total.
 
 **Dense** (everything else).  The legacy explicit path, bit-identical
 to earlier releases: dense ``g_t`` stack, per-step dense factors from
-``backend.factor``.
+``backend.factor``.  The stack is assembled in blocks of
+:data:`ORBIT_BLOCK` samples through the batched
+:meth:`~repro.analysis.mna.CompiledCircuit.assemble` (per-row times,
+gates and source rows), not one call per sample.
 
 The factorization list is a *derived cache*: :meth:`clear_factors`
 drops it (and the sparse ``B_k`` value block) so long sweeps that
@@ -45,6 +48,12 @@ import numpy as np
 
 from ..linalg.krylov import use_matrix_free
 from .mna import CompiledCircuit, ParamState
+
+#: Orbit samples per batched assembly of the dense linearisation: few
+#: enough calls to drop the per-call overhead, small enough that the
+#: block's work buffers stay a few hundred kB (a whole-orbit block
+#: raised the cold PSS+LPTV call's peak RSS by ~8 MB).
+ORBIT_BLOCK = 64
 
 
 class OrbitLinearization:
@@ -108,15 +117,24 @@ class OrbitLinearization:
             self.g_t = None
         else:
             n = compiled.n
-            _, g_pad, f_pad = compiled.buffers(())
-            #: Dense per-step Jacobian stack ``(N+1, n, n)``.
-            self.g_t = np.empty((self.n_steps + 1, n, n))
+            n_pts = self.n_steps + 1
+            #: Dense per-step Jacobian stack ``(N+1, n, n)``, assembled
+            #: in blocks of :data:`ORBIT_BLOCK` samples through the
+            #: batched path - each sample bit-identical to a
+            #: single-sample assembly, at a fraction of the calls.
+            self.g_t = np.empty((n_pts, n, n))
+            t = np.asarray(t, dtype=float)
             sources = compiled.source_table(state, t)
-            for k in range(self.n_steps + 1):
-                x_pad = compiled.pad(x[k])
-                compiled.assemble(state, x_pad, float(t[k]), g_pad, f_pad,
-                                  sources=sources.row(k))
-                self.g_t[k] = g_pad[:n, :n]
+            x_buf, g_buf, f_buf = compiled.buffers(
+                (min(ORBIT_BLOCK, n_pts),))
+            for k0 in range(0, n_pts, ORBIT_BLOCK):
+                k1 = min(k0 + ORBIT_BLOCK, n_pts)
+                x_pad, g_pad = x_buf[:k1 - k0], g_buf[:k1 - k0]
+                x_pad[:, :n] = x[k0:k1]
+                compiled.assemble(state, x_pad, t[k0:k1], g_pad,
+                                  f_buf[:k1 - k0],
+                                  sources=sources.rows(k0, k1))
+                self.g_t[k0:k1] = g_pad[:, :n, :n]
             self.c = compiled.capacitance(state)[:n, :n]
             self.c_over_h = self.c / self.h
 

@@ -24,9 +24,10 @@ the hot paths become a handful of vectorized gathers and
     combined padded source vector is cached per ``(state, t)``, so a
     Newton iteration at a fixed time step adds one precomputed vector.
 :class:`SourceTable`
-    The same combined vectors for a batch-of-one state, evaluated once
-    over a whole fixed time grid (vectorized over time) by the loop
-    that owns the grid and indexed by step.
+    The same combined vectors for any state whose static sources have
+    no lane axis, evaluated once over a whole fixed time grid
+    (vectorized over time) by the loop that owns the grid and indexed
+    by step.
 :class:`NlVccsPlan`
     Behavioral transconductors (``tanh`` limiters, clock gates)
     evaluated for all devices at once; gate waveforms are cached per
@@ -386,8 +387,11 @@ class SourceTable:
     small on large circuits; :meth:`row` writes them into one scratch
     copy of the static vector.
 
-    Only batch-of-one states with time-varying sources are tabulated:
-    for batched states (Monte-Carlo lanes) and DC-only circuits
+    Every state whose static source vector has no lane axis is
+    tabulated - batch-of-one runs and the batched Monte-Carlo lanes of
+    a mismatch run alike, since all lanes then share one source vector
+    per time point.  A state whose ``source_values`` vary by lane (the
+    comparator bisection lanes) and a DC-only circuit are not: there
     :meth:`row` returns ``None``, which makes
     :meth:`~repro.analysis.mna.CompiledCircuit.assemble` keep the
     per-point path.  A table belongs to the loop that built it and is
@@ -396,11 +400,12 @@ class SourceTable:
 
     def __init__(self, plan: SourcePlan, state, t_grid: np.ndarray):
         self._tab = None
-        if not plan.tv_waves or state.batched:
+        self._vec = plan.static_vector(state)
+        if not plan.tv_waves or self._vec.ndim > 1:
             return
         t_grid = np.asarray(t_grid, dtype=float)
         cols, slot_col = np.unique(plan.tv_idx, return_inverse=True)
-        self._vec = plan.static_vector(state).copy()
+        self._vec = self._vec.copy()
         self._cols = cols
         vals = [np.broadcast_to(np.asarray(w(t_grid), dtype=float),
                                 t_grid.shape) for w in plan.tv_waves]
@@ -416,6 +421,18 @@ class SourceTable:
             return None
         self._vec[self._cols] = self._tab[k]
         return self._vec
+
+    def rows(self, k0: int, k1: int) -> "np.ndarray | None":
+        """Padded source vectors at grid indices ``k0 .. k1 - 1``, one
+        per row of a fresh ``(k1 - k0, n + 1)`` array, each equal to
+        ``plan.combined(state, t_grid[k])``.  A DC-only circuit gives
+        its static vector, which broadcasts over the rows; ``None``
+        when the static vector has a lane axis."""
+        if self._tab is None:
+            return self._vec if self._vec.ndim == 1 else None
+        out = np.tile(self._vec, (k1 - k0, 1))
+        out[:, self._cols] = self._tab[k0:k1]
+        return out
 
 
 class NlVccsPlan:
@@ -460,20 +477,29 @@ class NlVccsPlan:
         :meth:`~repro.analysis.mna.CompiledCircuit.clear_caches`)."""
         self._gate_cache = None
 
-    def gate_values(self, t: float) -> np.ndarray:
-        """Per-device gate at *t* (cached: gates depend on time only)."""
+    def gate_values(self, t: "float | np.ndarray") -> np.ndarray:
+        """Per-device gate at *t* (cached: gates depend on time only).
+
+        An array *t* of per-row times (a block of orbit samples) gives
+        one row of gates per time, uncached, each row equal to the
+        scalar evaluation at its time.
+        """
+        if np.ndim(t):
+            return self._gates(np.asarray(t, dtype=float)[..., None])
         cache = self._gate_cache
         if cache is not None and cache[0] == t:
             return cache[1]
-        if not self.any_gate:
-            g = self._ones
-        else:
-            ph = np.mod(float(t), self.gate_period)
-            g = (smoothstep((ph - self.gate_t_on) / self.gate_tau)
-                 - smoothstep((ph - self.gate_t_off) / self.gate_tau))
-            g = np.where(self.has_gate, g, 1.0)
+        g = self._gates(float(t))
         self._gate_cache = (t, g)
         return g
+
+    def _gates(self, t: "float | np.ndarray") -> np.ndarray:
+        if not self.any_gate:
+            return self._ones
+        ph = np.mod(t, self.gate_period)
+        g = (smoothstep((ph - self.gate_t_on) / self.gate_tau)
+             - smoothstep((ph - self.gate_t_off) / self.gate_tau))
+        return np.where(self.has_gate, g, 1.0)
 
     def phi(self, vc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Control law and derivative for every device at once."""

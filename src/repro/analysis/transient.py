@@ -257,6 +257,10 @@ class _LaneGuard:
     def absorb_bad_delta(self, delta: np.ndarray, x_pad: np.ndarray,
                          x_prev: np.ndarray) -> None:
         """Quarantine lanes whose update is non-finite; zero their delta."""
+        # a finite sum has only finite terms: one reduction settles the
+        # common all-healthy case
+        if np.isfinite(delta.sum()):
+            return
         bad = ~np.all(np.isfinite(delta), axis=-1)
         if bad.any():
             self.quarantine(bad, x_pad, x_prev)
@@ -264,10 +268,10 @@ class _LaneGuard:
 
     def worst(self, delta: np.ndarray) -> float:
         """Batch-max update norm over the healthy lanes."""
-        per_lane = np.max(np.abs(delta), axis=-1)
-        if self.any:
-            per_lane = np.where(self.failed, 0.0, per_lane)
-        return float(np.max(per_lane))
+        mag = np.abs(delta)
+        if not self.any:
+            return float(mag.max())
+        return float(np.where(self.failed, 0.0, mag.max(axis=-1)).max())
 
 
 def _solve_isolated(solve, jac_builder, rhs: np.ndarray,
@@ -583,8 +587,8 @@ def _fixed_loop(compiled: CompiledCircuit, state: ParamState,
     if 0 in kept_set:
         store(0, 0)
 
-    # batch-of-one runs tabulate the sources over the whole grid once
-    # (batched Monte-Carlo lanes keep the per-point source path)
+    # tabulate the sources over the whole grid once; only lanes whose
+    # own source values differ (row() is None) keep the per-point path
     sources = compiled.source_table(state, t_grid)
 
     # previous-step static residual, needed by trapezoidal

@@ -46,33 +46,17 @@ from .technology import MosParams, Technology
 _LN2 = math.log(2.0)
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe ``ln(1 + e^x)``."""
-    return np.logaddexp(0.0, x)
-
-
 def _logistic(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe ``1 / (1 + e^-x)``."""
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Overflow-safe ``1 / (1 + e^-x)``, without boolean masking.
+
+    With ``e = exp(-|x|)`` this is ``1 / (1 + e)`` for ``x >= 0`` and
+    ``e / (1 + e)`` otherwise: the two-branch overflow-safe form,
+    evaluated over the whole array in one pass.
+    """
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
     return out
-
-
-def _interp_f(u: np.ndarray, derivative: bool = True
-              ) -> tuple[np.ndarray, np.ndarray | None]:
-    """EKV interpolation ``F(u) = ln^2(1+e^{u/2})`` and its derivative."""
-    sp = _softplus(0.5 * u)
-    return sp * sp, sp * _logistic(0.5 * u) if derivative else None
-
-
-def _smooth_abs(v: np.ndarray, phi_t: float, derivative: bool = True
-                ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Smooth ``|v|`` (zero at v=0) and its derivative ``tanh(v/2 phi_t)``."""
-    a = phi_t * (_softplus(v / phi_t) + _softplus(-v / phi_t) - 2.0 * _LN2)
-    return a, np.tanh(0.5 * v / phi_t) if derivative else None
 
 
 @dataclass(frozen=True)
@@ -109,25 +93,44 @@ def ekv_ids(vd, vg, vs, vb, vt0, beta, n, lam_eff,
     residual-only assemblies when a Newton loop reuses a cached Jacobian
     factorization.
 
-    Kernel contract: this is the reference evaluation.  Batched
+    Kernel contract: this is the reference evaluation, and batched
     (Monte-Carlo) parameter states always use it, so their samples are
-    bit-pinned to it; batchless states use :func:`ekv_ids_fused`, which
-    agrees with it to 1e-14 relative.
+    bit-pinned to it.  The three softplus arguments (forward and
+    reverse interpolation ``u/2``, and ``-|v_DS|/phi_t``) are stacked
+    into one ``np.logaddexp`` dispatch.  The smooth ``|v_DS|`` needs no
+    fourth row: ``softplus(z) + softplus(-z)`` is exactly
+    ``(|z| + L) + L`` with ``L = softplus(-|z|)``, the operands
+    ``np.logaddexp`` itself forms, so every bit of the textbook
+    four-softplus form is kept.  Batchless states use
+    :func:`ekv_ids_fused`, which agrees with it to 1e-14 relative.
     """
     vd, vg, vs, vb = (np.asarray(a, dtype=float) for a in (vd, vg, vs, vb))
     vp = (vg - vb - vt0) / n
-    f_f, df_f = _interp_f((vp - (vs - vb)) / phi_t, derivatives)
-    f_r, df_r = _interp_f((vp - (vd - vb)) / phi_t, derivatives)
-
-    i_core = 2.0 * n * beta * phi_t * phi_t * (f_f - f_r)
     vds = vd - vs
-    sabs, dsabs = _smooth_abs(vds, phi_t, derivatives)
+    az = np.abs(vds / phi_t)
+    # rows 0/1: forward/reverse interpolation argument u/2; row 2: -|z|
+    # (``x[k, ...]`` stays a writable view for scalar inputs too)
+    x = np.empty((3,) + np.broadcast_shapes(vp.shape, vs.shape, vb.shape,
+                                            vd.shape))
+    np.subtract(vs, vb, out=x[0, ...])
+    np.subtract(vd, vb, out=x[1, ...])
+    np.subtract(vp, x[:2], out=x[:2])
+    x[:2] /= phi_t
+    x[:2] *= 0.5
+    np.negative(az, out=x[2, ...])
+    sp = np.logaddexp(0.0, x)
+    f = sp[:2] * sp[:2]             # F(u) = softplus(u/2)^2
+
+    i_core = 2.0 * n * beta * phi_t * phi_t * (f[0] - f[1])
+    sabs = phi_t * ((az + sp[2]) + sp[2] - 2.0 * _LN2)
     m = 1.0 + lam_eff * sabs
 
     ids = i_core * m
     if not derivatives:
         return MosEval(ids=ids, g_d=None, g_g=None, g_s=None, g_b=None)
-    dm = lam_eff * dsabs
+    df = sp[:2] * _logistic(x[:2])  # dF/du
+    df_f, df_r = df[0], df[1]
+    dm = lam_eff * np.tanh(0.5 * vds / phi_t)
     gm = 2.0 * beta * phi_t * (df_f - df_r) * m
     g_d = 2.0 * n * beta * phi_t * df_r * m + i_core * dm
     g_s = -2.0 * n * beta * phi_t * df_f * m - i_core * dm
@@ -150,12 +153,14 @@ def ekv_ids_fused(vd, vg, vs, vb, vt0, beta, n, lam_eff,
     dispatches of :func:`ekv_ids`, which is what matters on the small
     arrays of a batch-of-one Newton step.
 
-    Kernel contract: used for batchless parameter states only, and
-    within 1e-14 relative of :func:`ekv_ids` (the results differ in the
-    last bits: ``np.exp`` and ``np.logaddexp`` round differently, and
-    the constant factors are grouped differently).
-    Batched Monte-Carlo lanes stay on :func:`ekv_ids`, whose samples
-    are bit-pinned.
+    Kernel contract: used for batchless parameter states only - one
+    Newton iterate, or a block of orbit samples assembled at once (the
+    evaluation is elementwise, so a block gives each sample's bits) -
+    and within 1e-14 relative of :func:`ekv_ids` (the results differ in
+    the last bits: ``np.exp`` and ``np.logaddexp`` round differently,
+    and the constant factors are grouped differently).  Batched
+    Monte-Carlo lanes stay on :func:`ekv_ids`, whose samples are
+    bit-pinned.
     """
     vp = np.asarray((vg - vb - vt0) / n)
     vds = np.asarray(vd - vs)

@@ -13,7 +13,11 @@ measured performances.  Two implementation notes:
   to construct); the dense stacks a batched solve needs are densified
   from the sparse template exactly once per chunk through the
   :meth:`~repro.analysis.mna.ParamState.to_dense` escape hatch, and
-  die with the chunk.
+  die with the chunk.  Lanes that share their sources read them from
+  one grid table (:class:`~repro.analysis.stamps.SourceTable`); the
+  device stamps scatter through cached flat indices, and the EKV
+  model stays the reference :func:`~repro.circuit.mosfet.ekv_ids`,
+  so every sample keeps its bits whatever the speed-ups around it.
 * **Identical measurement path.** The same :class:`~repro.core.measures`
   objects extract metrics from MC waveforms and from the PSS orbit, so
   method-vs-MC deltas reflect the linear-model error only.

@@ -21,8 +21,11 @@ def _update_norm(delta: np.ndarray) -> float:
     """Max-abs norm over all lanes, ignoring non-finite entries
     (failed lanes are handled by the caller, not the policy)."""
     mag = np.abs(delta)
-    mag = mag[np.isfinite(mag)]
-    return float(mag.max()) if mag.size else 0.0
+    top = mag.max(initial=0.0)
+    if np.isfinite(top):
+        # max propagates NaN and inf, so every entry is finite
+        return float(top)
+    return float(mag[np.isfinite(mag)].max(initial=0.0))
 
 
 class FactorizationCache:

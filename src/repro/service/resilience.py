@@ -53,6 +53,7 @@ from dataclasses import dataclass
 
 from ..errors import DrainingError, TransportError
 from .client import RemoteSession, annotate_shard_failure
+from .jobs import RetryPolicy
 from .shards import ShardResult, ShardSpec, degraded_shard_result
 
 #: Circuit-breaker states (see :class:`CircuitBreaker`).
@@ -80,8 +81,8 @@ class ScatterPolicy:
     cross-host sibling of :class:`~repro.service.jobs.RetryPolicy`).
 
     ``delay(k)`` after the *k*-th failed attempt is
-    ``base_delay * backoff**(k-1)`` - the same exponential-backoff
-    shape the job supervisor uses.
+    ``base_delay * backoff**(k-1)`` - the job supervisor's own
+    :meth:`~repro.service.jobs.RetryPolicy.delay`.
     """
 
     #: Dispatch attempts per shard across the pool (first + retries;
@@ -132,11 +133,9 @@ class ScatterPolicy:
             raise ValueError(
                 "ScatterPolicy.hedge_min_samples must be >= 1")
 
-    def delay(self, failed_attempts: int) -> float:
-        """Backoff [s] after *failed_attempts* failures (>= 1)."""
-        if self.base_delay <= 0.0:
-            return 0.0
-        return self.base_delay * self.backoff ** (failed_attempts - 1)
+    #: The job supervisor's backoff, shared rather than copied: it
+    #: reads only ``base_delay`` and ``backoff``.
+    delay = RetryPolicy.delay
 
     def to_dict(self) -> dict:
         return {"max_attempts": self.max_attempts,

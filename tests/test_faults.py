@@ -36,6 +36,7 @@ from repro.service import (AnalysisRequest, AnalysisResult, FaultPlan,
                            to_jsonable)
 from repro.service.faults import FAULTS_ENV, maybe_inject
 from repro.service.jobs import run_with_retry
+from repro.service.resilience import ScatterPolicy
 
 
 def _divider():
@@ -138,6 +139,16 @@ class TestRetryPolicy:
         assert RetryPolicy(base_delay=0.0).delay(3) == 0.0
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
+
+    @pytest.mark.parametrize("base_delay, backoff",
+                             [(0.05, 2.0), (0.0, 2.0), (0.3, 1.5),
+                              (-1.0, 3.0)])
+    def test_scatter_policy_shares_the_backoff(self, base_delay, backoff):
+        retry = RetryPolicy(base_delay=base_delay, backoff=backoff)
+        scatter = ScatterPolicy(base_delay=base_delay, backoff=backoff)
+        assert ScatterPolicy.delay is RetryPolicy.delay
+        assert ([scatter.delay(k) for k in range(1, 7)]
+                == [retry.delay(k) for k in range(1, 7)])
 
     def test_non_retryable_errors_fail_fast(self):
         calls = []
