@@ -26,7 +26,6 @@ measured performances.  Two implementation notes:
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +38,7 @@ from ..stats import SampleStats, summarize_samples
 from ..waveform import WaveformSet
 from .analysis import _as_compiled, check_uniform_keywords
 from .measures import Measure
+from .workers import shard_runner, worker_pool
 
 
 @dataclass
@@ -333,7 +333,12 @@ def monte_carlo_transient(circuit, measures: list[Measure], n: int,
 def _run_specs(specs, compiled, n_workers: int | None, retry,
                run_shard) -> list:
     """Execute shard *specs* - serial or pooled, supervised when a
-    retry policy is given - returning results in spec (= merge) order."""
+    retry policy is given, or by the context's
+    :data:`~repro.core.workers.shard_runner` - returning results in
+    spec (= merge) order."""
+    runner = shard_runner.get()
+    if runner is not None:
+        return runner(specs, compiled, retry)
     parallel = n_workers is not None and n_workers > 1 and len(specs) > 1
     if retry is not None:
         from ..service.jobs import JobQueue, run_supervised_shard
@@ -344,7 +349,7 @@ def _run_specs(specs, compiled, n_workers: int | None, retry,
         return [run_supervised_shard(spec, retry, compiled=compiled)
                 for spec in specs]
     if parallel:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        with worker_pool(n_workers) as pool:
             futures = [pool.submit(run_shard, spec, compiled)
                        for spec in specs]
             # merge in submission (= serial) order

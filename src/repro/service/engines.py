@@ -79,9 +79,17 @@ class AnalysisEngine:
         triples) or ``None``.
     fan_out:
         True when the engine fans its own work across processes
-        (Monte-Carlo); :class:`~repro.service.jobs.JobQueue` strips
-        ``n_workers`` from such requests inside pool workers so a
-        pooled job never nests a second pool.
+        (Monte-Carlo).  A pooled :class:`~repro.service.jobs.JobQueue`
+        runs such a request that asks for ``n_workers > 1`` in the
+        submitting process and sends its shards to the queue's
+        workers, so a pooled job never nests a second pool.
+    composite:
+        True when the engine's work is sub-requests it runs through
+        ``session.run`` (``sweep``).  A pooled
+        :class:`~repro.service.jobs.JobQueue` runs such an engine in
+        the submitting process and sends each sub-request through the
+        queue, so the cases hit the queue's memo and their misses run
+        in the workers.
     description:
         One line for docs and error messages.
     """
@@ -92,6 +100,7 @@ class AnalysisEngine:
     summarize: Callable
     payload: str | None = None
     fan_out: bool = False
+    composite: bool = False
     description: str = ""
 
 
@@ -702,4 +711,5 @@ register_engine(AnalysisEngine(
     canonicalize=_canon_sweep,
     run=_run_sweep,
     summarize=_summary_sweep,
+    composite=True,
     description="a batch of sub-requests run (and memoized) as one"))

@@ -16,9 +16,12 @@ all of them reproducible:
   optional seeded probability.
 * :class:`FaultPlan` - an ordered rule set with a seed, serializable to
   JSON.  :meth:`FaultPlan.active` exports the plan through the
-  ``REPRO_FAULT_PLAN`` environment variable, which worker processes
-  inherit - so one plan drives faults on both sides of the process
-  boundary, deterministically.
+  ``REPRO_FAULT_PLAN`` environment variable.  A pooled
+  :class:`~repro.service.jobs.JobQueue` ships the plan active at
+  dispatch (:func:`plan_text`) with every job, and the worker adopts it
+  (:func:`adopt_plan`) - so one plan drives faults on both sides of the
+  process boundary, deterministically, even in workers started before
+  the plan was.
 * :func:`maybe_inject` - the hook the execution sites call.  With no
   plan in the environment it is a dictionary lookup and a return; the
   clean path stays clean.
@@ -187,6 +190,21 @@ def current_plan() -> FaultPlan | None:
     if _CACHED[0] != text:
         _CACHED = (text, FaultPlan.from_json(text))
     return _CACHED[1]
+
+
+def plan_text() -> str | None:
+    """The active plan as exported (JSON text), or ``None``: what a
+    job carries to its worker."""
+    return os.environ.get(FAULTS_ENV)
+
+
+def adopt_plan(text: str | None) -> None:
+    """Make *text* (a :func:`plan_text` value) this process's plan;
+    ``None`` clears it."""
+    if text is None:
+        os.environ.pop(FAULTS_ENV, None)
+    else:
+        os.environ[FAULTS_ENV] = text
 
 
 def maybe_inject(site: str, key=None, attempt: int = 0) -> None:

@@ -3,16 +3,28 @@
 :class:`JobQueue` executes :class:`~repro.service.requests.
 AnalysisRequest` jobs - inline through a shared
 :class:`~repro.service.session.AnalysisSession` when no pool is
-requested, or across a :class:`~concurrent.futures.ProcessPoolExecutor`
-when one is.
+requested, or across a process pool
+(:func:`~repro.core.workers.worker_pool`) when one is.
 
-Worker processes return the *serialized* result
-(:meth:`AnalysisResult.to_dict`): the rich ``detail`` object holds live
-factorizations and is deliberately not shipped back.  Inline execution
-keeps the full detail, and repeated jobs hit the shared session's
-result memo either way.  Each worker process keeps its own private
-session, so a queue that executes many jobs on few circuits pays each
-compile/PSS once per worker, not once per job.
+Either way a request is looked up in the session's result memo first
+(:meth:`AnalysisSession.cached <repro.service.session.AnalysisSession.
+cached>`): a hit is served in the submitting process and never waits
+for a worker.  A pooled miss runs in a worker process, which returns
+the *serialized* result (:meth:`AnalysisResult.to_dict`); the rich
+``detail`` object holds live factorizations and is deliberately not
+shipped back.  The submitting process memoizes that summary-only
+result (``detail is None``) in its session
+(:meth:`~repro.service.session.AnalysisSession.memoize`), so a repeat
+returns ``from_cache=True`` with no second dispatch.  A composite kind
+(``sweep``) runs in the submitting process and sends each of its cases
+through the queue the same way; so does a Monte-Carlo request asking
+for ``n_workers > 1``, whose shards (with its compile) go to the
+workers in place of a second pool.  Inline execution keeps the full
+detail.  Each worker process keeps its own private
+session for compiled circuits and PSS orbits, so a queue that executes
+many jobs on few circuits pays each compile/PSS once per worker, not
+once per job.  Workers exit when the process that started them dies
+(:mod:`repro.core.workers`).
 
 Supervision
 -----------
@@ -43,19 +55,23 @@ workers counts; size them with headroom over the per-shard runtime.
 Fault injection for all of these paths lives in
 :mod:`repro.service.faults`; the hooks sit in :func:`_run_request` /
 :func:`_run_shard` (the worker entry points) and fire on both sides of
-the process boundary.
+the process boundary: every dispatch carries the submitter's active
+plan to the worker.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
-from concurrent.futures import CancelledError, Future, ProcessPoolExecutor
+from concurrent.futures import CancelledError, Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
+from ..core.workers import shard_runner, worker_pids, worker_pool
 from ..errors import RETRYABLE_ERRORS, JobTimeoutError, WorkerCrashError
-from .faults import maybe_inject
+from .engines import engine_for, execute
+from .faults import adopt_plan, maybe_inject, plan_text
 from .requests import AnalysisRequest, AnalysisResult
 from .shards import (ShardResult, ShardSpec, degraded_shard_result,
                      run_shard)
@@ -142,23 +158,15 @@ def _worker_session():
     return _WORKER_SESSION
 
 
-def _run_request(request_dict: dict, attempt: int = 0) -> dict:
-    from .engines import engine_for
+def _run_request(request_dict: dict, attempt: int = 0,
+                 plan: str | None = None) -> dict:
+    adopt_plan(plan)
     request = AnalysisRequest.from_dict(request_dict)
     key = request.key()
     maybe_inject("run_request", key=key, attempt=attempt)
-    if engine_for(request.kind).fan_out:
-        # no nested pools: the job already owns a whole process
-        options = {k: v for k, v in request.options.items()
-                   if k != "n_workers"}
-        request = AnalysisRequest(kind=request.kind,
-                                  circuit=request.circuit,
-                                  measures=request.measures,
-                                  outputs=request.outputs,
-                                  options=options)
-    result = _worker_session().run(request).to_dict()
-    result["request_key"] = key  # as submitted, pre-strip
-    return result
+    # the submitting process memoizes the result; the worker keeps
+    # only compiles and orbits
+    return execute(_worker_session(), request, key).to_dict()
 
 
 def compiled_for_shard(spec: ShardSpec, session):
@@ -181,9 +189,12 @@ def execute_shard(spec: ShardSpec, attempt: int = 0,
     return run_shard(spec, compiled)
 
 
-def _run_shard(spec_dict: dict, attempt: int = 0) -> dict:
+def _run_shard(spec_dict: dict, attempt: int = 0,
+               plan: str | None = None, compiled=None) -> dict:
+    adopt_plan(plan)
     spec = ShardSpec.from_dict(spec_dict)
-    compiled = compiled_for_shard(spec, _worker_session())
+    if compiled is None:
+        compiled = compiled_for_shard(spec, _worker_session())
     return execute_shard(spec, attempt, compiled).to_dict()
 
 
@@ -402,11 +413,13 @@ class JobQueue:
     Parameters
     ----------
     session:
-        The session inline jobs run through (default: a private
-        :class:`~repro.service.session.AnalysisSession` of this queue).
+        The session whose result memo every request is looked up in
+        (and, inline, executed through); default: a private
+        :class:`~repro.service.session.AnalysisSession` of this queue.
     n_workers:
-        ``None``/1 executes every job inline at submission time;
-        ``> 1`` spawns a process pool.
+        ``None`` executes every job inline at submission time; an
+        integer (at least 1) starts a pool of that many worker
+        processes now.
     retry:
         A :class:`RetryPolicy` putting every submission under
         supervision (deadlines, retry with backoff, pool-crash
@@ -424,11 +437,13 @@ class JobQueue:
         self.session = session
         self.n_workers = n_workers
         self.retry = retry
-        self._inline = n_workers is None or n_workers <= 1
+        if n_workers is not None and n_workers < 1:
+            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+        self._inline = n_workers is None
         self._pool_lock = threading.Lock()
         self._pool_epoch = 0
-        self._pool = (None if self._inline
-                      else ProcessPoolExecutor(max_workers=n_workers))
+        self._dispatched = 0
+        self._pool = None if self._inline else worker_pool(n_workers)
 
     # -- pool plumbing -------------------------------------------------
     def _submit_raw(self, fn, payload: dict,
@@ -436,9 +451,11 @@ class JobQueue:
         with self._pool_lock:
             pool = self._pool
             epoch = self._pool_epoch
+            if pool is not None:
+                self._dispatched += 1
         if pool is None:
             raise RuntimeError("JobQueue is shut down")
-        return pool.submit(fn, payload, attempt), epoch
+        return pool.submit(fn, payload, attempt, plan_text()), epoch
 
     def _respawn_pool(self, seen_epoch: int) -> None:
         """Replace a broken executor, exactly once per breakage.
@@ -454,7 +471,7 @@ class JobQueue:
             if self._pool_epoch != seen_epoch:
                 return
             old = self._pool
-            self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
+            self._pool = worker_pool(self.n_workers)
             self._pool_epoch += 1
         old.shutdown(wait=False, cancel_futures=True)
 
@@ -463,12 +480,23 @@ class JobQueue:
         """Number of pool respawns survived so far."""
         return self._pool_epoch
 
+    def pool_stats(self) -> dict:
+        """The worker pool: configured ``workers`` (0 inline), live
+        worker ``pids``, jobs ``dispatched`` to it (attempts, memo hits
+        excluded) and the respawn ``epoch``."""
+        with self._pool_lock:
+            return {"workers": 0 if self._inline else self.n_workers,
+                    "pids": worker_pids(self._pool),
+                    "dispatched": self._dispatched,
+                    "epoch": self._pool_epoch}
+
     # -- submission ----------------------------------------------------
     def submit(self, request: AnalysisRequest) -> Job:
         """Queue one request; returns immediately with a :class:`Job`.
 
-        Inline queues execute synchronously here (full ``detail``
-        available); pooled queues execute in a worker and deliver the
+        A memo hit resolves at once.  Inline queues execute a miss
+        synchronously here (full ``detail`` available); pooled queues
+        execute it in a worker and deliver (and memoize) the
         summary-only result.
         """
         if self._inline:
@@ -478,41 +506,65 @@ class JobQueue:
                 return self.session.run(request)
             return Job(request, _inline_future(
                 self.retry, attempt_fn, None))
-        if self.retry is None:
-            inner, _ = self._submit_raw(_run_request, request.to_dict(),
-                                        0)
-            return Job(request, _chain(inner, AnalysisResult.from_dict))
-        sup = _Supervised(self, _run_request, request.to_dict(),
-                          AnalysisResult.from_dict, self.retry)
-        return Job(request, sup.future, supervisor=sup)
+        key = request.key()
+        hit = self.session.cached(key)
+        if hit is not None:
+            return Job(request, _inline_future(None, lambda _: hit, None))
+        if _runs_in_front(request):
+            def run_in_front() -> AnalysisResult:
+                token = shard_runner.set(self._run_shards)
+                try:
+                    return self.session.memoize(key, execute(
+                        _QueuedSession(self), request, key))
+                finally:
+                    shard_runner.reset(token)
+            return Job(request, _in_thread(run_in_front))
+
+        def decode(raw: dict) -> AnalysisResult:
+            return self.session.memoize(key, AnalysisResult.from_dict(raw))
+        return self._dispatch(request, _run_request, request.to_dict(),
+                              decode, self.retry)
 
     def submit_shard(self, spec: ShardSpec) -> Job:
         """Queue one Monte-Carlo shard (see
-        :mod:`repro.service.shards`)."""
-        if self._inline:
-            if self.retry is not None:
-                future: Future = Future()
-                try:
-                    future.set_result(run_supervised_shard(
-                        spec, self.retry,
-                        compiled=compiled_for_shard(spec, self.session)))
-                except Exception as exc:
-                    future.set_exception(exc)
-                return Job(spec, future)
-            return Job(spec, _inline_future(
-                None, lambda attempt: execute_shard(
-                    spec, attempt,
-                    compiled_for_shard(spec, self.session)), None))
-        if self.retry is None:
-            inner, _ = self._submit_raw(_run_shard, spec.to_dict(), 0)
-            return Job(spec, _chain(inner, ShardResult.from_dict))
+        :mod:`repro.service.shards`); shards are never memoized."""
+        return self._submit_shard(spec, self.retry)
+
+    def _submit_shard(self, spec: ShardSpec, policy: RetryPolicy | None,
+                      compiled=None) -> Job:
         degrade_fn = None
-        if self.retry.degrade:
+        if policy is not None and policy.degrade:
             def degrade_fn(exc, attempts):
                 return degraded_shard_result(spec, exc, attempts)
-        sup = _Supervised(self, _run_shard, spec.to_dict(),
-                          ShardResult.from_dict, self.retry, degrade_fn)
-        return Job(spec, sup.future, supervisor=sup)
+        if self._inline:
+            def attempt_fn(attempt: int) -> ShardResult:
+                return execute_shard(
+                    spec, attempt, compiled_for_shard(spec, self.session))
+            return Job(spec, _inline_future(policy, attempt_fn,
+                                            degrade_fn))
+        fn = (_run_shard if compiled is None
+              else functools.partial(_run_shard, compiled=compiled))
+        return self._dispatch(spec, fn, spec.to_dict(),
+                              ShardResult.from_dict, policy, degrade_fn)
+
+    def _run_shards(self, specs, compiled, retry) -> list:
+        """The :data:`~repro.core.workers.shard_runner` of a fan-out
+        request run in this process: its shards, with its compile, go
+        to the workers under the request's policy (else the queue's);
+        results in spec (= merge) order."""
+        policy = retry if retry is not None else self.retry
+        jobs = [self._submit_shard(spec, policy, compiled)
+                for spec in specs]
+        return [job.result() for job in jobs]
+
+    def _dispatch(self, item, fn, payload: dict, decode,
+                  policy: RetryPolicy | None, degrade_fn=None) -> Job:
+        """Send one job to the pool, supervised when a policy is set."""
+        if policy is None:
+            inner, _ = self._submit_raw(fn, payload, 0)
+            return Job(item, _chain(inner, decode))
+        sup = _Supervised(self, fn, payload, decode, policy, degrade_fn)
+        return Job(item, sup.future, supervisor=sup)
 
     def map(self, requests) -> list:
         """Submit all *requests* and block for their results, in
@@ -541,6 +593,45 @@ class JobQueue:
         self.shutdown()
 
 
+def _runs_in_front(request: AnalysisRequest) -> bool:
+    """Whether a pooled queue runs *request*'s engine in the submitting
+    process, sending its sub-requests (a composite kind) or its shards
+    (a fan-out kind asking for ``n_workers > 1``) through the queue."""
+    engine = engine_for(request.kind)
+    return engine.composite or (
+        engine.fan_out and (request.options.get("n_workers") or 1) > 1)
+
+
+class _QueuedSession:
+    """What an engine run in the submitting process sees as its
+    session: the queue's session, except that sub-requests go through
+    the queue itself (memo first, misses to workers)."""
+
+    def __init__(self, queue: JobQueue):
+        self.queue = queue
+
+    def run(self, request: AnalysisRequest) -> AnalysisResult:
+        return self.queue.submit(request).result()
+
+    def __getattr__(self, name):
+        return getattr(self.queue.session, name)
+
+
+def _in_thread(fn) -> Future:
+    """A future resolving to ``fn()``, run on a daemon thread."""
+    future: Future = Future()
+
+    def target() -> None:
+        try:
+            future.set_result(fn())
+        except Exception as exc:
+            future.set_exception(exc)
+
+    threading.Thread(target=target, name="repro-front-job",
+                     daemon=True).start()
+    return future
+
+
 def _inline_future(policy: RetryPolicy | None, attempt_fn,
                    degrade_fn) -> Future:
     """Execute now (optionally under a retry policy); deliver through
@@ -566,10 +657,13 @@ def _chain(inner: Future, decode) -> Future:
             outer.cancel()
             return
         exc = fut.exception()
-        if exc is not None:
-            outer.set_exception(exc)
-        else:
-            outer.set_result(decode(fut.result()))
+        if exc is None:
+            try:
+                outer.set_result(decode(fut.result()))
+                return
+            except Exception as dexc:
+                exc = dexc
+        outer.set_exception(exc)
 
     inner.add_done_callback(_done)
     return outer

@@ -3,11 +3,16 @@
 The daemon serves the exact wire formats the lower layers already
 speak - :meth:`AnalysisRequest.to_dict` payloads and
 :class:`~repro.service.shards.ShardSpec` shards - over a
-:class:`http.server.ThreadingHTTPServer`, routed through one shared
-:class:`~repro.service.session.AnalysisSession` / inline
-:class:`~repro.service.jobs.JobQueue`.  Nothing here re-implements
-execution: a request served over HTTP runs the same registered engine,
-through the same content-addressed caches, as an in-process
+:class:`http.server.ThreadingHTTPServer`.  ``/run``, ``/shard`` and
+``/jobs`` all go through one pooled
+:class:`~repro.service.jobs.JobQueue` over one shared
+:class:`~repro.service.session.AnalysisSession`: the daemon is one
+front process plus ``job_workers`` engine processes.  The front decodes,
+answers memo hits from the session, and serializes; engine misses and
+shards run in the workers, off the front's interpreter, and a miss's
+summary is memoized in the front.  Nothing here re-implements
+execution: a request served over HTTP runs the same registered engine
+as an in-process
 :meth:`AnalysisSession.run <repro.service.session.AnalysisSession.run>`,
 so the summaries (and the request keys they memoize under) are
 bit-identical.
@@ -19,7 +24,9 @@ Endpoints
     (``REQUEST_FORMAT_VERSION``, ``SHARD_PROTOCOL_VERSION``), the
     facade ``API_VERSION`` and the registered kinds.  Unauthenticated.
 ``GET /stats``
-    Session store counters plus per-tenant quota counters.
+    Session store counters, the engine pool (``workers``, ``pids``,
+    ``dispatched``, respawn ``epoch``), per-tenant quota counters and
+    the asynchronous job count.
 ``POST /run``
     Execute one :class:`AnalysisRequest` synchronously; returns the
     ``AnalysisResult.to_dict()`` summary.
@@ -35,8 +42,8 @@ Endpoints
     request's content key - resubmitting an identical request returns
     the same job instead of queueing twice).
 ``GET /jobs/<key>``
-    Poll: ``queued`` / ``running`` / ``done`` (with the result) /
-    ``failed`` (with the structured error record).
+    Poll: ``running`` / ``done`` (with the result) / ``failed`` (with
+    the structured error record).
 ``POST /admin/drain``
     Graceful drain for rolling restarts: the daemon stops accepting
     new ``/run``/``/shard``/``/jobs`` work - each refused with a
@@ -70,6 +77,8 @@ unknown-kind errors.  Supervision is server-side: construct the server
 with ``retry=RetryPolicy(...)`` and transient solver faults retry (or
 degrade, for shards) exactly as they do on an in-process supervised
 queue, surfacing as ``failures`` on a ``200`` rather than as a 5xx.
+The policy's deadlines apply too, and a crashed engine process is
+respawned.
 """
 
 from __future__ import annotations
@@ -77,7 +86,7 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -87,7 +96,6 @@ from ..errors import (AnalysisError, AuthenticationError, DrainingError,
                       SolverError, TransportError, WorkerCrashError)
 from .engines import registered_kinds
 from .jobs import JobQueue, RetryPolicy
-from .jobs import compiled_for_shard, execute_shard, run_supervised_shard
 from .requests import REQUEST_FORMAT_VERSION, AnalysisRequest
 from .serialize import to_jsonable
 from .session import AnalysisSession
@@ -219,11 +227,10 @@ class _JobRecord:
         self.key = key
         self.tenants = tenants
         self.future: Future | None = None
-        self.started = threading.Event()
 
     def status(self) -> str:
         if self.future is None or not self.future.done():
-            return "running" if self.started.is_set() else "queued"
+            return "running"
         return "failed" if self.future.exception() is not None else "done"
 
 
@@ -234,7 +241,11 @@ class ServiceApp:
     """Endpoint logic over one shared session - everything the HTTP
     handler does after parsing and before serializing.  Keeping it off
     the handler class makes the surface testable without sockets and
-    reusable by a future transport."""
+    reusable by a future transport.
+
+    *job_workers* (at least 1) engine processes execute memo misses
+    and shards; *session* is the memo in front of them.
+    """
 
     def __init__(self, session: AnalysisSession | None = None,
                  tenants: list[TenantConfig] | None = None,
@@ -243,13 +254,15 @@ class ServiceApp:
                  max_body_bytes: int = 16 * 2 ** 20,
                  drain_retry_after: float = 5.0):
         self.session = session if session is not None else AnalysisSession()
-        self.retry = retry
         self.max_body_bytes = max_body_bytes
         self.drain_retry_after = drain_retry_after
         self._draining = threading.Event()
-        # inline queue: executes in the calling (handler) thread,
-        # through the shared session's memo, under `retry` supervision
-        self.queue = JobQueue(session=self.session, retry=retry)
+        # one queue for /run, /shard and /jobs: memo hits answered here,
+        # misses and shards on the engine processes, all under `retry`
+        # supervision.  Its workers start now, before this app's server
+        # starts its threads (see worker_pool for what that guarantees).
+        self.queue = JobQueue(session=self.session, n_workers=job_workers,
+                              retry=retry)
         self._open = tenants is None
         roster = [ANONYMOUS] if tenants is None else list(tenants)
         self._by_token = {t.token: _TenantState(t) for t in roster}
@@ -260,8 +273,6 @@ class ServiceApp:
         self._owners: dict[str, set] = {}
         self._jobs_lock = threading.Lock()
         self._jobs: dict[str, _JobRecord] = {}
-        self._executor = ThreadPoolExecutor(
-            max_workers=job_workers, thread_name_prefix="repro-job")
 
     # -- auth ----------------------------------------------------------
     def authenticate(self, token: str | None) -> _TenantState:
@@ -313,7 +324,7 @@ class ServiceApp:
         self._draining.set()
         with self._jobs_lock:
             pending = sum(1 for j in self._jobs.values()
-                          if j.status() in ("queued", "running"))
+                          if j.status() == "running")
         return {"status": "draining", "pending_jobs": pending,
                 "retry_after": self.drain_retry_after}
 
@@ -338,19 +349,19 @@ class ServiceApp:
         with self._jobs_lock:
             jobs = list(self._jobs.values())
         return {"session": self.session.stats(),
+                "pool": self.queue.pool_stats(),
                 "draining": self.draining,
                 "tenants": {st.config.name: st.stats()
                             for st in self._by_token.values()},
                 "jobs": {"total": len(jobs),
                          "pending": sum(1 for j in jobs
-                                        if j.status() in ("queued",
-                                                          "running"))}}
+                                        if j.status() == "running")}}
 
     def run(self, tenant: _TenantState, payload: dict) -> dict:
         self._refuse_if_draining("synchronous runs")
         request = AnalysisRequest.from_dict(payload)
         result = self.queue.submit(request).result()
-        self._record_result(tenant, request.key())
+        self._record_result(tenant, result.request_key)
         return result.to_dict()
 
     def run_shard(self, tenant: _TenantState, payload: dict) -> dict:
@@ -358,13 +369,7 @@ class ServiceApp:
         spec = ShardSpec.from_dict(payload)
         with self._quota_lock:
             tenant.requests += 1
-        compiled = compiled_for_shard(spec, self.session)
-        if self.retry is not None:
-            result = run_supervised_shard(spec, self.retry,
-                                          compiled=compiled)
-        else:
-            result = execute_shard(spec, 0, compiled)
-        return result.to_dict()
+        return self.queue.submit_shard(spec).result().to_dict()
 
     def submit_job(self, tenant: _TenantState, payload: dict) -> dict:
         self._refuse_if_draining("jobs")
@@ -379,7 +384,7 @@ class ServiceApp:
             pending = sum(
                 1 for r in self._jobs.values()
                 if tenant.config.name in r.tenants
-                and r.status() in ("queued", "running"))
+                and r.status() == "running")
             if pending >= tenant.config.max_pending_jobs:
                 raise QuotaExceededError(
                     f"tenant '{tenant.config.name}' already has "
@@ -387,14 +392,18 @@ class ServiceApp:
                     f"(max_pending_jobs={tenant.config.max_pending_jobs})")
             record = _JobRecord(key, {tenant.config.name})
             self._jobs[key] = record
+        try:
+            record.future = self.queue.submit(request).future
+        except Exception:
+            with self._jobs_lock:
+                self._jobs.pop(key, None)
+            raise
 
-        def _execute():
-            record.started.set()
-            result = self.queue.submit(request).result()
-            self._record_result(tenant, key)
-            return result
+        def _charge(future: Future) -> None:
+            if not future.cancelled() and future.exception() is None:
+                self._record_result(tenant, key)
 
-        record.future = self._executor.submit(_execute)
+        record.future.add_done_callback(_charge)
         return self._job_payload(record)
 
     def job_status(self, tenant: _TenantState, key: str) -> dict:
@@ -418,7 +427,6 @@ class ServiceApp:
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
-        self._executor.shutdown(wait=True, cancel_futures=True)
         self.queue.shutdown()
 
 

@@ -271,6 +271,12 @@ class AnalysisResult:
     :class:`~repro.core.montecarlo.MonteCarloResult`) - dropped by
     :meth:`to_dict`, absent on results from worker processes and on
     deserialized results.
+
+    ``runtime_seconds`` is the cost of the call that returned this
+    result: the engine run on a miss, the memo lookup on a hit.
+    ``compute_seconds`` is what the engine run behind the answer took
+    (equal to ``runtime_seconds`` on a miss, kept from the original run
+    on a hit).
     """
 
     kind: str
@@ -284,6 +290,12 @@ class AnalysisResult:
     failures: list = field(default_factory=list)
     detail: object = field(default=None, repr=False, compare=False)
     version: int = REQUEST_FORMAT_VERSION
+    #: Engine time behind the answer [s] (``None``: ``runtime_seconds``).
+    compute_seconds: float | None = None
+
+    def __post_init__(self):
+        if self.compute_seconds is None:
+            self.compute_seconds = self.runtime_seconds
 
     def sigma(self, metric: str) -> float:
         return float(self._metric(metric)["sigma"])
@@ -304,6 +316,7 @@ class AnalysisResult:
         return {"version": self.version, "kind": self.kind,
                 "request_key": self.request_key, "summary": self.summary,
                 "runtime_seconds": self.runtime_seconds,
+                "compute_seconds": self.compute_seconds,
                 "from_cache": self.from_cache,
                 "failures": [to_jsonable(f) for f in self.failures]}
 
@@ -317,6 +330,7 @@ class AnalysisResult:
         return cls(kind=data["kind"], request_key=data["request_key"],
                    summary=data["summary"],
                    runtime_seconds=data.get("runtime_seconds", 0.0),
+                   compute_seconds=data.get("compute_seconds"),
                    from_cache=data.get("from_cache", False),
                    failures=[from_jsonable(f)
                              for f in data.get("failures", [])],

@@ -22,6 +22,7 @@ The invariants under test are this PR's contract:
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -38,6 +39,7 @@ import pytest
 from repro.circuit import Circuit, Sine
 from repro.core import DcLevel
 from repro.core.montecarlo import monte_carlo_transient
+from repro.core.workers import WATCH_INTERVAL_S, worker_pids, worker_pool
 from repro.errors import (ConvergenceError, DrainingError, FailureRecord,
                           ReproError, TransportError)
 from repro.service import (AnalysisRequest, AnalysisServer, FaultPlan,
@@ -52,6 +54,8 @@ from repro.service.resilience import (CircuitBreaker, ScatterPolicy,
 
 MEAS = [DcLevel("vout", "out")]
 FAST = ScatterPolicy(base_delay=0.0)
+#: Every process start method this platform offers.
+START_METHODS = multiprocessing.get_all_start_methods()
 
 
 def _rc(r=1e3):
@@ -554,3 +558,90 @@ class TestSubprocessFailover:
         assert by_url[urls[0]]["failures"] >= 1       # the kill was felt
         assert by_url[urls[2]]["draining"] is True    # the drain too
         assert by_url[urls[1]]["failures"] == 0
+
+
+# ---------------------------------------------------------------------------
+# engine processes die with their daemon
+# ---------------------------------------------------------------------------
+def _alive(pid: int) -> bool:
+    """Whether *pid* is a live process (a zombie is not)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: fall back to a signal probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+def _gone_within(pids, seconds: float) -> list:
+    """The *pids* still alive after waiting up to *seconds*."""
+    deadline = time.monotonic() + seconds
+    while True:
+        alive = [pid for pid in pids if _alive(pid)]
+        if not alive or time.monotonic() > deadline:
+            return alive
+        time.sleep(0.05)
+
+
+class TestOrphanedWorkers:
+    @pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM],
+                             ids=["sigkill", "sigterm"])
+    def test_engine_workers_die_with_the_daemon(self, sig):
+        proc, url = _spawn_daemon()
+        try:
+            client = RemoteSession(url)
+            client.run(AnalysisRequest.dc_mismatch(_rc(), {"vdc": "out"}))
+            pids = client.server_stats()["pool"]["pids"]
+            assert len(pids) == 2 and proc.pid not in pids
+            assert all(_alive(pid) for pid in pids)
+            proc.send_signal(sig)
+            proc.wait(timeout=10)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait(timeout=10)
+        assert _gone_within(pids, 2.0) == []
+
+    @pytest.mark.parametrize("method", START_METHODS)
+    def test_pool_workers_die_with_their_parent(self, method):
+        """The pool factory the Monte-Carlo free functions share: a
+        parent that exits without shutting its pool down leaves no
+        worker behind, whatever the start method - also one the pool
+        was still starting when the parent exited."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        script = ("import multiprocessing, os\n"
+                  "from repro.core.workers import worker_pids, "
+                  "worker_pool\n"
+                  "if __name__ == '__main__':\n"
+                  "    pool = worker_pool(2, multiprocessing."
+                  f"get_context({method!r}))\n"
+                  "    pool.submit(os.getpid).result()\n"
+                  "    pool.submit(os.getpid)\n"
+                  "    print(*worker_pids(pool), flush=True)\n"
+                  "    os._exit(0)\n")
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.PIPE, text=True)
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        proc.wait(timeout=30)
+        proc.stdout.close()
+        assert pids
+        assert _gone_within(pids, 2.0) == []
+
+    @pytest.mark.parametrize("method", START_METHODS)
+    def test_a_live_owner_keeps_its_workers(self, method):
+        """Under ``forkserver`` a worker's parent is the forkserver, not
+        the pool's owner; the watchdog must not mistake that for an
+        orphaning."""
+        with worker_pool(2, multiprocessing.get_context(method)) as pool:
+            pool.submit(os.getpid).result(timeout=30)
+            time.sleep(3 * WATCH_INTERVAL_S)
+            pids = worker_pids(pool)
+            assert pids and all(_alive(pid) for pid in pids)
+            assert pool.submit(abs, -1).result(timeout=30) == 1

@@ -22,7 +22,7 @@ from repro.core import (DcLevel, dc_mismatch_analysis,
 from repro.core.analysis import run_dc_mismatch, run_transient_mismatch
 from repro.errors import AnalysisError
 from repro.service import (AnalysisRequest, AnalysisResult,
-                           AnalysisSession, JobQueue)
+                           AnalysisSession, JobQueue, RetryPolicy)
 
 PSS_OPTS = PssOptions(n_steps=64, settle_periods=2)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -183,6 +183,34 @@ class TestDetachedResults:
         assert again.detail is cold.detail
 
 
+class TestMemoRuntime:
+    def test_hit_reports_its_lookup_not_the_original_run(self):
+        s = AnalysisSession()
+        req = AnalysisRequest.transient_mismatch(
+            _rc(), MEAS, period=1e-6, pss_options=PSS_OPTS)
+        miss = s.run(req)
+        hit = s.run(req)
+        assert not miss.from_cache and hit.from_cache
+        assert miss.compute_seconds == miss.runtime_seconds > 0.0
+        # the original engine time rides along; the hit's own runtime
+        # is the lookup that served it
+        assert hit.compute_seconds == miss.runtime_seconds
+        assert 0.0 < hit.runtime_seconds < miss.runtime_seconds
+
+    def test_compute_seconds_round_trips_and_defaults(self):
+        s = AnalysisSession()
+        req = AnalysisRequest.dc_mismatch(_divider(), {"vout": "out"})
+        s.run(req)
+        hit = s.run(req)
+        data = hit.to_dict()
+        assert AnalysisResult.from_dict(data).compute_seconds \
+            == hit.compute_seconds
+        # a payload from before the field existed still decodes
+        del data["compute_seconds"]
+        old = AnalysisResult.from_dict(data)
+        assert old.compute_seconds == old.runtime_seconds
+
+
 class TestCacheHygiene:
     def test_eviction_bounds_and_cascades(self):
         s = AnalysisSession(compiled_capacity=2)
@@ -284,6 +312,37 @@ class TestJobQueue:
             with pytest.raises(Exception):
                 job.result()
 
+    def test_pooled_repeat_is_a_memo_hit_without_dispatch(self):
+        s = AnalysisSession()
+        req = AnalysisRequest.dc_mismatch(_divider(), {"vout": "out"})
+        with JobQueue(session=s, n_workers=2) as q:
+            first = q.submit(req).result(timeout=60)
+            again = q.submit(req).result(timeout=60)
+            pool = q.pool_stats()
+        assert not first.from_cache and again.from_cache
+        assert pool["dispatched"] == 1  # the repeat never left
+        assert again.summary == first.summary
+        # the worker's summary is what the submitting session memoized
+        assert first.detail is None and again.detail is None
+        assert s.stats()["results"] == {"size": 1, "capacity": 64,
+                                         "hits": 1, "misses": 1}
+
+    def test_pooled_sweep_cases_go_through_the_queue(self):
+        cases = [AnalysisRequest.dc_mismatch(_divider(r1), {"vout": "out"})
+                 for r1 in (1e3, 2e3)]
+        with JobQueue(n_workers=2) as q:
+            q.submit(cases[0]).result(timeout=60)
+            sweep = q.submit(AnalysisRequest.sweep(cases)).result(
+                timeout=60)
+            pool = q.pool_stats()
+        # the memoized case is a hit; only the other one is dispatched
+        assert [c["from_cache"] for c in sweep.summary["cases"]] \
+            == [True, False]
+        assert pool["dispatched"] == 2
+        inline = AnalysisSession().run(AnalysisRequest.sweep(cases))
+        assert [c["summary"] for c in sweep.summary["cases"]] \
+            == [c["summary"] for c in inline.summary["cases"]]
+
     def test_worker_pool_matches_inline(self):
         req = AnalysisRequest.monte_carlo_transient(
             _rc(), MEAS, n=6, t_stop=2e-6, dt=2e-8,
@@ -293,6 +352,34 @@ class TestJobQueue:
             remote = q.map([req])[0]
         assert remote.summary == inline.summary
         assert remote.detail is None
+
+    @pytest.mark.parametrize("kind,retry", [
+        ("mc_transient", None),
+        ("mc_dc", RetryPolicy(max_attempts=2)),
+    ])
+    def test_pooled_fan_out_spreads_its_shards_over_the_workers(
+            self, kind, retry):
+        if kind == "mc_transient":
+            req = AnalysisRequest.monte_carlo_transient(
+                _rc(), MEAS, n=6, t_stop=2e-6, dt=2e-8,
+                window=(1e-6, 2e-6), seed=5, chunk_size=2, n_workers=2)
+        else:
+            req = AnalysisRequest.monte_carlo_dc(
+                _divider(), {"vout": "out"}, 12, seed=5, chunk_size=4,
+                n_workers=2)
+        inline = AnalysisSession().run(req)
+        with JobQueue(n_workers=2, retry=retry) as q:
+            pooled = q.submit(req).result(timeout=60)
+            again = q.submit(req).result(timeout=60)
+            pool = q.pool_stats()
+        # one dispatch per shard: no request dispatch, no nested pool
+        assert pool["dispatched"] == 3
+        assert pooled.summary == inline.summary
+        assert again.from_cache and again.summary == inline.summary
+
+    def test_pool_size_is_validated(self):
+        with pytest.raises(ValueError, match="n_workers"):
+            JobQueue(n_workers=0)
 
 
 class TestImportLayering:

@@ -210,6 +210,72 @@ class TestConcurrentClients:
 
 
 # ---------------------------------------------------------------------------
+# the engine pool: misses and shards run in worker processes
+# ---------------------------------------------------------------------------
+def _numbers(summary):
+    # everything but the wall-clock timings
+    return {k: v for k, v in summary.items() if k != "runtime_breakdown"}
+
+
+class TestEnginePool:
+    def test_worker_bits_equal_in_process_bits(self):
+        """One request of each kind, a fan-out one and one shard,
+        executed in the daemon's engine processes, against the same
+        work in-process: the transient sigma here is pure roundoff, so
+        only identical arithmetic keeps it equal."""
+        requests = {
+            "dc": _dc_request(),
+            "mc": AnalysisRequest.monte_carlo_transient(
+                _rc(), MEAS, 8, 2e-6, 2e-8, seed=3, chunk_size=4),
+            "tm": _transient_request(),
+            # fans out: its two shards run in the workers
+            "mc_fan_out": AnalysisRequest.monte_carlo_transient(
+                _rc(), MEAS, 8, 2e-6, 2e-8, seed=3, chunk_size=4,
+                n_workers=2),
+        }
+        spec = mc_transient_shards(_rc(2e3), MEAS, 8, 2e-6, 2e-8,
+                                   chunk_size=4, seed=3)[1]
+        local = {kind: AnalysisSession().run(request)
+                 for kind, request in requests.items()}
+        with AnalysisServer() as server:
+            client = RemoteSession(server.url)
+            remote = {kind: client.run(request)
+                      for kind, request in requests.items()}
+            shard = client.run_shard(spec)
+            pool = client.server_stats()["pool"]
+        assert pool["workers"] == 2 and len(pool["pids"]) == 2
+        assert pool["dispatched"] == 6  # every one ran in a worker
+        for kind in requests:
+            assert not remote[kind].from_cache
+            assert _numbers(remote[kind].summary) \
+                == _numbers(local[kind].summary), kind
+        assert remote["tm"].sigma("vout") == local["tm"].sigma("vout")
+        assert shard.to_dict() == run_shard(spec).to_dict()
+
+    def test_stats_show_the_pool(self):
+        with AnalysisServer() as server:
+            client = RemoteSession(server.url)
+            before = client.server_stats()["pool"]
+            client.run(_dc_request())
+            client.run(_dc_request())   # a memo hit: not dispatched
+            after = client.server_stats()["pool"]
+        assert before["workers"] == 2
+        assert before["epoch"] == after["epoch"] == 0
+        assert after["pids"] == before["pids"]
+        assert after["dispatched"] - before["dispatched"] == 1
+
+    def test_memo_hit_reports_its_own_runtime(self):
+        with AnalysisServer() as server:
+            client = RemoteSession(server.url)
+            miss = client.run(_transient_request())
+            hit = client.run(_transient_request())
+        assert not miss.from_cache and hit.from_cache
+        assert miss.compute_seconds == miss.runtime_seconds > 0.0
+        assert hit.compute_seconds == miss.runtime_seconds
+        assert 0.0 < hit.runtime_seconds < miss.runtime_seconds
+
+
+# ---------------------------------------------------------------------------
 # asynchronous jobs
 # ---------------------------------------------------------------------------
 class TestJobs:
