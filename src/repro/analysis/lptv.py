@@ -45,7 +45,12 @@ operator ``v -> M v`` (:mod:`repro.linalg.krylov`) - all injections
 ride through the two sweeps and the closure as one blocked RHS, so the
 cost stays parameter-count independent.  Below the threshold (or on
 dense backends) the explicit dense monodromy path runs instead,
-bit-identical to earlier releases; ``matrix_free=`` on
+bit-identical to earlier releases: pass 1 carries the identity columns
+beside the injections, so one sweep yields ``M`` and ``P_N`` together.
+Both engines sweep operands built once - the ``B_k`` stack of the
+linearisation, one shared ``A_k`` factorization on a constant-Jacobian
+circuit, and ``rho_k`` written step by step into one reused buffer (no
+``(N, n, m)`` injection stack); ``matrix_free=`` on
 :class:`PeriodicLinearization` / :func:`periodic_sensitivities` forces
 either engine (the parity suite does).  A closure that fails to
 converge in GMRES falls back to the explicit monodromy with a warning.
@@ -176,11 +181,27 @@ class PeriodicLinearization:
         """State-transition matrix over one period, ``dPhi/dx0``."""
         return self.lin.monodromy()
 
-    def _rho(self, di: np.ndarray, dq: np.ndarray, k: int) -> np.ndarray:
-        """Step injection ``rho_k`` for the per-row theta scheme,
-        shape ``(n, m)``."""
-        return (self.theta * di[k] + (1.0 - self.theta) * di[k - 1]
-                + (dq[k] - dq[k - 1]) / self.h)
+    def _rho_sweep(self, di: np.ndarray, dq: np.ndarray):
+        """Step injections ``rho_k``, ``k = 1 .. n_steps`` in order,
+        for the per-row theta scheme, each ``(n, m)``.
+
+        Every ``rho_k`` is written into one reused buffer with the
+        order of operations of ``theta * di[k] + (1 - theta) *
+        di[k-1] + (dq[k] - dq[k-1]) / h``; a consumer must be done with
+        it before the next step.  No ``(N, n, m)`` stack is built.
+        """
+        theta = self.theta
+        one_minus = 1.0 - theta
+        rho = np.empty(di.shape[1:])
+        tmp = np.empty_like(rho)
+        for k in range(1, self.n_steps + 1):
+            np.multiply(theta, di[k], out=rho)
+            np.multiply(one_minus, di[k - 1], out=tmp)
+            rho += tmp
+            np.subtract(dq[k], dq[k - 1], out=tmp)
+            tmp /= self.h
+            rho += tmp
+            yield rho
 
     def solve(self, injections: list[Injection]) -> SensitivitySolution:
         """Periodic response to a unit constant deviation of every
@@ -210,8 +231,8 @@ class PeriodicLinearization:
         d = np.empty((n_steps + 1, n, m))
         d[0] = dx0
         cur = dx0
-        for k in range(1, n_steps + 1):
-            cur = self.lin.step_map(k, cur, self._rho(di, dq, k))
+        for k, rho in enumerate(self._rho_sweep(di, dq), start=1):
+            cur = self.lin.step_map(k, cur, rho)
             d[k] = cur
         return SensitivitySolution(pss=self.pss, injections=list(injections),
                                    waveforms=d, dT_dp=dT_dp)
@@ -224,15 +245,9 @@ class PeriodicLinearization:
         """Explicit monodromy closure (the legacy bit-identical path):
         pass 1 carries the identity columns alongside the injections,
         so one sweep yields ``M`` and ``P_N`` together."""
-        n = self.compiled.n
-        m = di.shape[-1]
-        z = np.zeros((n, n + m))
-        z[:, :n] = np.eye(n)
-        for k in range(1, self.n_steps + 1):
-            rhs = self.lin.b_mat(k) @ z
-            rhs[:, n:] -= self._rho(di, dq, k)
-            z = self.lin.step_solve(k, rhs)
-        return self._close_explicit(z[:, :n], z[:, n:])
+        mono, p_n = self.lin.monodromy_and_response(
+            di.shape[-1], self._rho_sweep(di, dq))
+        return self._close_explicit(mono, p_n)
 
     def _close_explicit(self, mono: np.ndarray, p_n: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -265,8 +280,8 @@ class PeriodicLinearization:
 
         # pass 1: particular solution only - the monodromy never rides
         p = np.zeros((n, m))
-        for k in range(1, self.n_steps + 1):
-            p = lin.step_map(k, p, self._rho(di, dq, k))
+        for k, rho in enumerate(self._rho_sweep(di, dq), start=1):
+            p = lin.step_map(k, p, rho)
 
         if self.pss.is_oscillator:
             a_idx = self.pss.anchor_index

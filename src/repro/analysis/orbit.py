@@ -34,10 +34,16 @@ to earlier releases: dense ``g_t`` stack, per-step dense factors from
 ``backend.factor``.  The stack is assembled in blocks of
 :data:`ORBIT_BLOCK` samples through the batched
 :meth:`~repro.analysis.mna.CompiledCircuit.assemble` (per-row times,
-gates and source rows), not one call per sample.
+gates and source rows), not one call per sample.  Dense shooting takes
+the monodromy of every pass that does not close from here, so this
+class is the only code that forms one.
+
+On both engines ``B_k`` is built once per linearisation, as one stack,
+and a time-invariant linearisation shares one factorization of its one
+``A_k`` across all steps (the same matrix, so the same bits).
 
 The factorization list is a *derived cache*: :meth:`clear_factors`
-drops it (and the sparse ``B_k`` value block) so long sweeps that
+drops it (and the ``B_k`` block) so long sweeps that
 linearise many orbits do not accumulate SuperLU objects; the first
 sweep after a clear rebuilds lazily.
 """
@@ -92,9 +98,14 @@ class OrbitLinearization:
         self.sparse = use_matrix_free(compiled.backend, compiled.n,
                                       matrix_free)
         #: ``G_k`` is the same at every sample (no state-dependent
-        #: devices): one factorization serves all steps.
+        #: devices): on both engines one factorization of the one
+        #: ``A_k`` serves all steps, and ``B_k`` is one broadcast row.
         self.time_invariant = not compiled.has_nonlinear
         self._factors: "list | None" = None
+        #: ``B_k`` for ``k = 1 .. n_steps``: CSR value rows on the
+        #: sparse engine, dense ``(n, n)`` blocks otherwise; built on
+        #: the first sweep (:meth:`_b_block`).
+        self._b_t: "np.ndarray | None" = None
         if self.sparse:
             self.plan = compiled.csr_plan
             #: Per-step Jacobian values over the plan, ``(N+1, nnz)``.
@@ -113,7 +124,6 @@ class OrbitLinearization:
             self._asm = compiled.csr_assembler(state)
             self._coh_data = self._asm.c_over_h_data(self.h)
             self._theta1 = np.ascontiguousarray(self.theta[:, 0])
-            self._b_data_t: "np.ndarray | None" = None
             self.g_t = None
         else:
             n = compiled.n
@@ -154,6 +164,9 @@ class OrbitLinearization:
                 else:
                     self._factors = [backend.factor_csc(self._a_csc(k))
                                      for k in range(1, self.n_steps + 1)]
+            elif self.time_invariant:
+                f = backend.factor(self.c_over_h + self.theta * self.g_t[1])
+                self._factors = [f] * self.n_steps
             else:
                 self._factors = [backend.factor(
                     self.c_over_h + self.theta * self.g_t[k])
@@ -168,42 +181,45 @@ class OrbitLinearization:
         return self._asm.step_matrix(self._theta1, self._coh_data)
 
     def clear_factors(self) -> "OrbitLinearization":
-        """Drop the factorization list (and the derived ``B_k`` value
-        block) so repeated orbit linearisations in long sweeps do not
+        """Drop the factorization list (and the derived ``B_k`` block)
+        so repeated orbit linearisations in long sweeps do not
         accumulate factorizations; the stored linearisation itself
         (``g_data_t`` / ``g_t``) survives and the next sweep rebuilds
         lazily.  Returns ``self``."""
         self._factors = None
-        if self.sparse:
-            self._b_data_t = None
+        self._b_t = None
         return self
 
     # ------------------------------------------------------------------
     # the per-step maps
     # ------------------------------------------------------------------
     def _b_block(self) -> np.ndarray:
-        """``B_k`` value rows over the plan, ``(N, nnz)`` (sparse;
-        one broadcast row when time-invariant)."""
-        if self._b_data_t is None:
-            nnz = self.plan.nnz
-            coh = self._coh_data[:nnz]
-            one_minus = 1.0 - self._asm.theta_data(self._theta1)
-            if self.time_invariant:
-                row = coh - one_minus * self.g_data_t[0]
-                self._b_data_t = np.broadcast_to(
-                    row, (self.n_steps, nnz))
+        """Every ``B_k``, built once: CSR value rows ``(N, nnz)`` on
+        the sparse engine, dense blocks ``(N, n, n)`` otherwise; one
+        broadcast row when time-invariant."""
+        if self._b_t is None:
+            if self.sparse:
+                coh = self._coh_data[:self.plan.nnz]
+                one_minus = 1.0 - self._asm.theta_data(self._theta1)
+                g_prev = self.g_data_t
             else:
-                self._b_data_t = (coh[None, :]
-                                  - one_minus * self.g_data_t[:-1])
-        return self._b_data_t
+                coh = self.c_over_h
+                one_minus = 1.0 - self.theta
+                g_prev = self.g_t
+            if self.time_invariant:
+                row = coh - one_minus * g_prev[0]
+                self._b_t = np.broadcast_to(
+                    row, (self.n_steps,) + row.shape)
+            else:
+                self._b_t = coh - one_minus * g_prev[:-1]
+        return self._b_t
 
     def b_mat(self, k: int):
         """``B_k`` as a multipliable operand (CSR matrix on the sparse
         engine, dense array otherwise); uses the Jacobian at the
         *previous* sample."""
-        if self.sparse:
-            return self.plan.csr_view(self._b_block()[k - 1])
-        return self.c_over_h - (1.0 - self.theta) * self.g_t[k - 1]
+        b = self._b_block()[k - 1]
+        return self.plan.csr_view(b) if self.sparse else b
 
     def step_solve(self, k: int, rhs: np.ndarray) -> np.ndarray:
         """``A_k^{-1} rhs`` for ``(n,)`` or blocked ``(n, m)`` *rhs*."""
@@ -256,18 +272,38 @@ class OrbitLinearization:
     def monodromy(self) -> np.ndarray:
         """Explicit state-transition matrix over one period.
 
-        Dense engine: the legacy product sweep.  Sparse engine: one
-        blocked identity sweep - O(n) columns through the cached
-        factorizations, for diagnostics/Floquet use and as the
-        fallback when a Krylov closure fails to converge.
+        Dense engine: the legacy product sweep
+        (:meth:`monodromy_and_response`), which shooting uses for every
+        pass that does not close.  Sparse engine: one blocked identity
+        sweep - O(n) columns through the cached factorizations, for
+        diagnostics/Floquet use and as the fallback when a Krylov
+        closure fails to converge.
         """
-        eye = np.eye(self.n)
         if self.sparse:
-            return self.apply_monodromy(eye)
-        z = eye
+            return self.apply_monodromy(np.eye(self.n))
+        return self.monodromy_and_response(0, ())[0]
+
+    def monodromy_and_response(self, m: int, rhos
+                               ) -> tuple[np.ndarray, np.ndarray]:
+        """``(M, P_N)`` from one dense sweep that carries the identity
+        columns beside *m* particular columns.
+
+        *rhos* are the step injections ``rho_k``, ``k = 1 .. n_steps``
+        in order, each ``(n, m)``; ``P_N`` is the one-period response
+        to them from a zero start.  With ``m = 0`` this is the plain
+        monodromy product.  The LPTV dense closure and dense shooting
+        both run this sweep, bit-identical to earlier releases.
+        """
+        n = self.n
+        z = np.zeros((n, n + m))
+        z[:, :n] = np.eye(n)
+        rhos = iter(rhos)
         for k in range(1, self.n_steps + 1):
-            z = self.step_solve(k, self.b_mat(k) @ z)
-        return z
+            rhs = self.b_mat(k) @ z
+            if m:
+                rhs[:, n:] -= next(rhos)
+            z = self.step_solve(k, rhs)
+        return z[:, :n], z[:, n:]
 
     # ------------------------------------------------------------------
     # dense views for the (small-circuit) harmonic engine

@@ -6,7 +6,7 @@ taken *around that orbit*.  Two engines are provided, mirroring practice
 in RF simulators:
 
 * ``shooting`` - Newton on the one-period map ``Phi(x0) - x0`` using the
-  monodromy matrix assembled from the per-step integrator Jacobians
+  monodromy matrix of the per-step integrator maps along the pass
   (SpectreRF's approach, [16] in the paper).  For oscillators the period
   is an extra unknown closed by a phase-anchor condition.
 * ``settle`` - brute-force integration until two consecutive periods
@@ -50,8 +50,17 @@ makes 1k+-node PSS runnable at all; a stalled GMRES falls back to the
 explicit monodromy with a warning.
 
 **Dense** (small circuits, non-CSR backends, or ``matrix_free=False``).
-The explicit monodromy is accumulated during integration and the update
-solved directly - bit-identical to earlier releases.
+The update is solved directly against the explicit monodromy - the
+product of the pass's per-step maps, bit-identical to earlier releases.
+The integration itself builds no linearisation; a pass that does not
+close gets its monodromy from
+:meth:`~repro.analysis.orbit.OrbitLinearization.monodromy` on the grid
+it stepped on, and the pass that closes builds none.  On a
+constant-Jacobian circuit one LU of the step matrix serves a whole
+pass, and one more the pass's linearisation.
+
+Both engines run one loop: integrate a pass, test its closure, and only
+then linearise it; they differ only in how the Newton update is solved.
 
 The converged result shares its factored orbit linearisation through
 :meth:`PssResult.linearization`, so LPTV sensitivities, the harmonic
@@ -66,7 +75,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import AnalysisError, ConvergenceError, MeasurementError
+from ..errors import (AnalysisError, ConvergenceError, MeasurementError,
+                      SingularMatrixError)
 from ..linalg.krylov import GMRES_MAXITER, gmres_blocked, use_matrix_free
 from ..waveform import Waveform, WaveformSet
 from .dcop import NewtonOptions, dc_operating_point
@@ -126,6 +136,15 @@ def _validate(opts: PssOptions, period: "float | None") -> None:
         raise AnalysisError(
             "PssOptions.max_iterations must be >= 1, got "
             f"{opts.max_iterations}")
+    # a tolerance that can never be met would run every shooting pass
+    # and end in a (retryable) ConvergenceError
+    if not opts.tol > 0.0:
+        raise AnalysisError(
+            f"PssOptions.tol must be positive, got {opts.tol!r}")
+    if not opts.krylov_tol > 0.0:
+        raise AnalysisError(
+            f"PssOptions.krylov_tol must be positive, got "
+            f"{opts.krylov_tol!r}")
     if period is not None and not period > 0.0:
         raise AnalysisError(
             f"PSS period must be positive, got {period!r}")
@@ -225,16 +244,23 @@ def integrate_period(compiled: CompiledCircuit, state: ParamState,
     Returns ``(orbit, monodromy)`` where *orbit* has shape
     ``(n_steps + 1, n)``; *monodromy* is ``dPhi/dx0`` or ``None``.
 
-    The monodromy matrix is the product of the per-step linearised maps:
-    for the theta scheme, ``A_k dx_k = B_k dx_{k-1}`` with
-    ``A_k = C/h + theta G_k`` and ``B_k = C/h - (1-theta) G_{k-1}``.
+    The integration builds no linearisation: the refresh assembly after
+    each step computes the residual only.  With *want_monodromy* the
+    monodromy is :func:`_pass_linearization`'s
+    :meth:`~repro.analysis.orbit.OrbitLinearization.monodromy` on the
+    grid the pass stepped on - what shooting builds for a pass that
+    does not close.
 
-    This is the *dense fallback* integrator: the explicit monodromy is
-    structurally dense whatever the MNA sparsity, so it consumes the
+    On a constant-Jacobian circuit (``not compiled.has_nonlinear``) and
+    a factorization-reuse backend one LU of the step matrix serves
+    every Newton iteration of the pass.  Such a backend's one-shot
+    solve is ``factor(a).solve(b)``, so the bits are those of
+    re-factoring the same matrix at every iteration.
+
+    This is the *dense fallback* integrator: it consumes the
     sparse-native parameter state through the dense escape hatch
     (:meth:`~repro.analysis.mna.ParamState.to_dense`).  Large circuits
-    take the matrix-free path instead (:func:`_integrate_period_csr`),
-    which never forms the monodromy.
+    take the matrix-free path instead (:func:`_integrate_period_csr`).
     """
     n = compiled.n
     h = period / n_steps
@@ -246,33 +272,43 @@ def integrate_period(compiled: CompiledCircuit, state: ParamState,
     x_pad = x0_pad.copy()
     orbit[0] = x_pad[:-1]
 
-    mono = np.eye(n) if want_monodromy else None
     theta = np.append(compiled.theta_rows(state, method), 1.0)
-    th_n = theta[:n, None]
     # t0 + k * h, tabulated once for the whole period
     sources = compiled.source_table(state, t0 + h * np.arange(n_steps + 1))
 
-    compiled.assemble(state, x_pad, t0, g_pad, f_pad,
+    backend = compiled.backend
+    one_lu = backend.policy.reuse and not compiled.has_nonlinear
+    compiled.assemble(state, x_pad, t0, g_pad, f_pad, jacobian=one_lu,
                       sources=sources.row(0))
+    lu = None
+    if one_lu:
+        np.multiply(g_pad, theta[:, None], out=j_pad)
+        j_pad += c_over_h
+        try:
+            lu = backend.factor(j_pad[:n, :n])
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(
+                f"singular transient Jacobian at t={t0:.4e} on "
+                f"'{compiled.circuit.name}'") from exc
     f_prev = f_pad.copy()
-    g_prev = g_pad.copy() if want_monodromy else None
     x_prev = x_pad.copy()
 
     for k in range(1, n_steps + 1):
         t_k = t0 + k * h
         src_k = sources.row(k)
         _newton_step(compiled, state, x_pad, x_prev, f_prev, t_k, theta,
-                     c_over_h, g_pad, f_pad, j_pad, newton, src=src_k)
-        compiled.assemble(state, x_pad, t_k, g_pad, f_pad, sources=src_k)
-        if want_monodromy:
-            a_k = c_over_h[:n, :n] + th_n * g_pad[:n, :n]
-            b_k = c_over_h[:n, :n] - (1.0 - th_n) * g_prev[:n, :n]
-            mono = compiled.backend.factor(a_k).solve(b_k @ mono)
-            np.copyto(g_prev, g_pad)
-        np.copyto(f_prev, f_pad)
+                     c_over_h, g_pad, f_pad, j_pad, newton, src=src_k,
+                     lu=lu)
+        # the accepted residual lands straight in f_prev
+        compiled.assemble(state, x_pad, t_k, g_pad, f_prev,
+                          jacobian=False, sources=src_k)
         np.copyto(x_prev, x_pad)
         orbit[k] = x_pad[:-1]
-    return orbit, mono
+    if not want_monodromy:
+        return orbit, None
+    lin = _pass_linearization(compiled, state, orbit, t0, period, method,
+                              matrix_free=False)
+    return orbit, lin.monodromy()
 
 
 def _integrate_period_csr(compiled: CompiledCircuit, state: ParamState,
@@ -296,30 +332,51 @@ def _integrate_period_csr(compiled: CompiledCircuit, state: ParamState,
     return res.states
 
 
-def _shooting_linearization(compiled: CompiledCircuit, state: ParamState,
-                            orbit: np.ndarray, t0: float, period: float,
-                            method: str) -> OrbitLinearization:
-    """Fresh sparse linearisation of the current shooting iterate.
+def _integrate_pass(compiled: CompiledCircuit, state: ParamState,
+                    x_pad: np.ndarray, t0: float, period: float,
+                    opts: PssOptions, mf: bool) -> np.ndarray:
+    """One period's orbit on the engine's integrator
+    (:func:`_integrate_period_csr` or :func:`integrate_period`)."""
+    if mf:
+        return _integrate_period_csr(compiled, state, x_pad, t0, period,
+                                     opts.n_steps, opts.method,
+                                     opts.newton)
+    return integrate_period(compiled, state, x_pad, t0, period,
+                            opts.n_steps, opts.method, opts.newton)[0]
 
-    Built per Newton iteration by design: the transient stepper's
-    modified-Newton loop does *not* hold an exact ``G`` at every
-    accepted state (Jacobian assembly is skipped on reused
-    factorizations), so the exact linearisation must re-assemble along
-    the accepted orbit - and the per-step factors are taken at the
-    *current* iterate, exactly as the dense engine re-factors its
-    monodromy every iteration.
+
+def _pass_linearization(compiled: CompiledCircuit, state: ParamState,
+                        orbit: np.ndarray, t0: float, period: float,
+                        method: str, matrix_free: bool
+                        ) -> OrbitLinearization:
+    """Linearisation of a shooting pass that did not close.
+
+    Built per pass by design: the Newton update needs the maps at the
+    *current* iterate, and the transient stepper's modified-Newton loop
+    does not hold an exact ``G`` at every accepted state.  The dense
+    engine linearises on the grid its integrator stepped on
+    (``t0 + h * arange``), so its :meth:`~repro.analysis.orbit.
+    OrbitLinearization.monodromy` is the product of the per-step maps
+    of that pass; the sparse engine keeps its ``linspace`` grid.  A
+    pass that closes builds none.
     """
     n_steps = orbit.shape[0] - 1
-    t_grid = t0 + np.linspace(0.0, period, n_steps + 1)
+    if matrix_free:
+        t_grid = t0 + np.linspace(0.0, period, n_steps + 1)
+    else:
+        t_grid = t0 + (period / n_steps) * np.arange(n_steps + 1)
     return OrbitLinearization(compiled, state, orbit, t_grid, period,
-                              method, matrix_free=True)
+                              method, matrix_free=matrix_free)
 
 
-def _krylov_or_dense(lin: OrbitLinearization, op, rhs: np.ndarray,
+def _shooting_update(lin: OrbitLinearization, op, rhs: np.ndarray,
                      dense_solve, tol: float, circuit_name: str
                      ) -> np.ndarray:
-    """Solve a shooting update by GMRES; fall back to the explicit
-    monodromy (with a warning) if it stalls."""
+    """Solve a shooting update.  The dense engine solves against the
+    explicit monodromy; the sparse engine runs GMRES on *op* and falls
+    back to the explicit monodromy (with a warning) if it stalls."""
+    if not lin.sparse:
+        return dense_solve(lin.monodromy())
     upd, _, ok = gmres_blocked(op, rhs, tol=tol, maxiter=GMRES_MAXITER)
     if ok:
         return upd
@@ -419,17 +476,9 @@ def pss(compiled: CompiledCircuit, period: float,
         return _pss_settle(compiled, state, period, x_pad, t0, opts, mf)
 
     scale = 1.0
-    orbit = None
     for it in range(opts.max_iterations):
-        if mf:
-            orbit = _integrate_period_csr(
-                compiled, state, x_pad, t0, period, opts.n_steps,
-                opts.method, opts.newton)
-            mono = None
-        else:
-            orbit, mono = integrate_period(
-                compiled, state, x_pad, t0, period, opts.n_steps,
-                opts.method, opts.newton, want_monodromy=True)
+        orbit = _integrate_pass(compiled, state, x_pad, t0, period, opts,
+                                mf)
         res = orbit[-1] - orbit[0]
         scale = max(float(np.max(np.abs(orbit))), 1.0)
         worst = float(np.max(np.abs(res)))
@@ -439,18 +488,12 @@ def pss(compiled: CompiledCircuit, period: float,
                                               opts.n_steps + 1),
                              orbit, opts.method, "shooting",
                              residual=worst, shooting_periods=it + 1)
-        if mf:
-            lin = _shooting_linearization(compiled, state, orbit, t0,
-                                          period, opts.method)
-            delta = _krylov_or_dense(
-                lin, lambda v: lin.apply_monodromy(v) - v, -res,
-                lambda mono: np.linalg.solve(
-                    mono - np.eye(compiled.n), -res),
-                opts.krylov_tol, compiled.circuit.name)
-        else:
-            # explicit dense update (small circuits, bit-identical to
-            # the pre-Krylov engine)
-            delta = np.linalg.solve(mono - np.eye(compiled.n), -res)
+        lin = _pass_linearization(compiled, state, orbit, t0, period,
+                                  opts.method, mf)
+        delta = _shooting_update(
+            lin, lambda v: lin.apply_monodromy(v) - v, -res,
+            lambda mono: np.linalg.solve(mono - np.eye(compiled.n), -res),
+            opts.krylov_tol, compiled.circuit.name)
         x_pad[:-1] = orbit[0] + delta
     raise ConvergenceError(
         f"shooting PSS did not converge on '{compiled.circuit.name}' "
@@ -468,16 +511,9 @@ def _pss_settle(compiled: CompiledCircuit, state: ParamState,
             "PssOptions.settle_max_periods must be >= 1 for the settle "
             f"engine, got {opts.settle_max_periods}")
     prev = x_pad[:-1].copy()
-    orbit = None
     for p in range(opts.settle_max_periods):
-        if mf:
-            orbit = _integrate_period_csr(
-                compiled, state, x_pad, t0 + p * period, period,
-                opts.n_steps, opts.method, opts.newton)
-        else:
-            orbit, _ = integrate_period(
-                compiled, state, x_pad, t0 + p * period, period,
-                opts.n_steps, opts.method, opts.newton)
+        orbit = _integrate_pass(compiled, state, x_pad, t0 + p * period,
+                                period, opts, mf)
         x_pad[:-1] = orbit[-1]
         worst = float(np.max(np.abs(orbit[-1] - prev)))
         scale = max(float(np.max(np.abs(orbit))), 1.0)
@@ -553,15 +589,8 @@ def pss_oscillator(compiled: CompiledCircuit, anchor: str,
     t0 = t_cur
     worst = np.inf
     for it in range(opts.max_iterations):
-        if mf:
-            orbit = _integrate_period_csr(
-                compiled, state, x_pad, t0, period, opts.n_steps,
-                opts.method, opts.newton)
-            mono = None
-        else:
-            orbit, mono = integrate_period(
-                compiled, state, x_pad, t0, period, opts.n_steps,
-                opts.method, opts.newton, want_monodromy=True)
+        orbit = _integrate_pass(compiled, state, x_pad, t0, period, opts,
+                                mf)
         res = orbit[-1] - orbit[0]
         scale = max(float(np.max(np.abs(orbit))), 1.0)
         worst = float(np.max(np.abs(res)))
@@ -575,27 +604,21 @@ def pss_oscillator(compiled: CompiledCircuit, anchor: str,
         h = period / opts.n_steps
         xdot_t = (orbit[-1] - orbit[-2]) / h
         rhs = np.concatenate([-res, [0.0]])
-        if mf:
-            lin = _shooting_linearization(compiled, state, orbit, t0,
-                                          period, opts.method)
-            # the period column is scaled by h (the unknown becomes
-            # dT/h, a per-step voltage-sized quantity): the raw
-            # bordered system mixes O(1) voltages with O(1/h) slopes
-            # and its conditioning defeats GMRES
-            xdh = xdot_t * h
-            op = lin.bordered_op(xdh, a_idx)
-
-            def dense_solve(mono: np.ndarray) -> np.ndarray:
-                jac = _bordered_jacobian(mono, xdh, a_idx)
-                return np.linalg.solve(jac, rhs)
-
-            upd = _krylov_or_dense(lin, op, rhs, dense_solve,
-                                   opts.krylov_tol,
-                                   compiled.circuit.name)
-            upd[n] *= h            # unscale dT/h -> dT
-        else:
-            jac = _bordered_jacobian(mono, xdot_t, a_idx)
-            upd = np.linalg.solve(jac, rhs)
+        # the sparse engine scales the period column by h (the unknown
+        # becomes dT/h, a per-step voltage-sized quantity): the raw
+        # bordered system mixes O(1) voltages with O(1/h) slopes and
+        # its conditioning defeats GMRES.  The dense engine solves the
+        # raw system (a scale of 1.0 is exact).
+        col = h if mf else 1.0
+        xdc = xdot_t * col
+        lin = _pass_linearization(compiled, state, orbit, t0, period,
+                                  opts.method, mf)
+        upd = _shooting_update(
+            lin, lin.bordered_op(xdc, a_idx), rhs,
+            lambda mono: np.linalg.solve(
+                _bordered_jacobian(mono, xdc, a_idx), rhs),
+            opts.krylov_tol, compiled.circuit.name)
+        upd[n] *= col
         dT = float(np.clip(upd[n], -0.2 * period, 0.2 * period))
         x_pad[:-1] = orbit[0] + upd[:n]
         period += dT

@@ -78,7 +78,8 @@ import numpy as np
 from ..circuit.controlled import GateWindow
 from ..circuit.sources import SmoothPulse
 from ..errors import ConvergenceError, SingularMatrixError
-from ..linalg import FactorizationCache, mark_singular_lanes
+from ..linalg import (Factorization, FactorizationCache,
+                      mark_singular_lanes)
 from ..waveform import WaveformSet
 from .dcop import NewtonOptions, dc_operating_point
 from .mna import CompiledCircuit, ParamState
@@ -276,23 +277,36 @@ class _LaneGuard:
 
 def _solve_isolated(solve, jac_builder, rhs: np.ndarray,
                     guard: _LaneGuard | None, t_k: float,
-                    circuit_name: str) -> np.ndarray:
-    """Run *solve* (rhs -> delta), isolating singular lanes on failure."""
-    try:
-        return solve(rhs)
-    except np.linalg.LinAlgError as exc:
-        if guard is None:
-            raise SingularMatrixError(
-                f"singular transient Jacobian at t={t_k:.4e} on "
-                f"'{circuit_name}'") from exc
-        jac = jac_builder()
-        if mark_singular_lanes(jac, guard.failed) == 0:
-            raise SingularMatrixError(
-                f"singular transient Jacobian at t={t_k:.4e} on "
-                f"'{circuit_name}' (no offending lane found)") from exc
-        guard.patch_jac(jac)
-        guard.scrub_rhs(rhs)
-        return solve(rhs)
+                    circuit_name: str,
+                    exc: np.linalg.LinAlgError) -> np.ndarray:
+    """Recover from *exc*, a failed first ``solve(rhs)``: isolate the
+    singular lanes and solve again.  Only the failure path builds the
+    *solve* / *jac_builder* closures, never the common Newton
+    iteration."""
+    if guard is None:
+        raise SingularMatrixError(
+            f"singular transient Jacobian at t={t_k:.4e} on "
+            f"'{circuit_name}'") from exc
+    jac = jac_builder()
+    if mark_singular_lanes(jac, guard.failed) == 0:
+        raise SingularMatrixError(
+            f"singular transient Jacobian at t={t_k:.4e} on "
+            f"'{circuit_name}' (no offending lane found)") from exc
+    guard.patch_jac(jac)
+    guard.scrub_rhs(rhs)
+    return solve(rhs)
+
+
+def _clip_step(delta: np.ndarray, max_step: float) -> None:
+    """Clip a Newton update to ``[-max_step, max_step]`` in place - the
+    bits of ``np.clip`` without its Python-level wrapper."""
+    np.minimum(delta, max_step, out=delta)
+    np.maximum(delta, -max_step, out=delta)
+
+
+def _max_abs(delta: np.ndarray) -> float:
+    """``max|delta|`` through the ufunc reduction ``np.max`` wraps."""
+    return float(np.maximum.reduce(np.abs(delta), axis=None))
 
 
 class _StepSolver:
@@ -932,7 +946,8 @@ def _newton_step(compiled: CompiledCircuit, state: ParamState,
                  f_pad: np.ndarray, j_pad: np.ndarray,
                  newton: NewtonOptions,
                  guard: _LaneGuard | None = None,
-                 src: "np.ndarray | None" = None) -> None:
+                 src: "np.ndarray | None" = None,
+                 lu: "Factorization | None" = None) -> None:
     """One implicit time step solved in place into ``x_pad``.
 
     Full Newton: the Jacobian is rebuilt and factored every iteration
@@ -940,28 +955,40 @@ def _newton_step(compiled: CompiledCircuit, state: ParamState,
     per-equation implicitness vector (padded length ``n+1``); see
     :meth:`CompiledCircuit.theta_rows`.  *src* is the source vector at
     *t_k* when the caller tabulated it.
+
+    *lu* is the factored step matrix of a constant-Jacobian circuit
+    (batchless, no lane guard): every iteration then assembles the
+    residual only and solves against it.  The matrix is the one every
+    iteration would have built, so the LU and the bits are the same.
     """
     n = compiled.n
     backend = compiled.backend
     for _ in range(newton.max_iterations):
-        compiled.assemble(state, x_pad, t_k, g_pad, f_pad, sources=src)
+        compiled.assemble(state, x_pad, t_k, g_pad, f_pad,
+                          jacobian=lu is None, sources=src)
         res = _residual(x_pad, x_prev, f_pad, f_prev, theta, c_over_h)
-        np.multiply(g_pad, theta[..., :, None], out=j_pad)
-        j_pad += c_over_h
-        jac = j_pad[..., :n, :n]
         rhs = res[..., :n]
-        if guard is not None:
-            guard.patch_jac(jac)
-            guard.scrub_rhs(rhs)
-        delta = _solve_isolated(lambda b: backend.solve(jac, b),
-                                lambda: jac, rhs, guard, t_k,
-                                compiled.circuit.name)
-        np.clip(delta, -newton.max_step, newton.max_step, out=delta)
+        if lu is not None:
+            delta = lu.solve(rhs)
+        else:
+            np.multiply(g_pad, theta[..., :, None], out=j_pad)
+            j_pad += c_over_h
+            jac = j_pad[..., :n, :n]
+            if guard is not None:
+                guard.patch_jac(jac)
+                guard.scrub_rhs(rhs)
+            try:
+                delta = backend.solve(jac, rhs)
+            except np.linalg.LinAlgError as exc:
+                delta = _solve_isolated(
+                    lambda b: backend.solve(jac, b), lambda: jac, rhs,
+                    guard, t_k, compiled.circuit.name, exc)
+        _clip_step(delta, newton.max_step)
         if guard is not None:
             guard.absorb_bad_delta(delta, x_pad, x_prev)
         x_pad[..., :n] -= delta
         worst = (guard.worst(delta) if guard is not None
-                 else float(np.max(np.abs(delta))))
+                 else _max_abs(delta))
         if worst <= newton.vntol:
             return
     if guard is not None:
@@ -1012,9 +1039,9 @@ def _newton_step_reuse_csr(compiled: CompiledCircuit, asm, x_pad, x_prev,
             raise SingularMatrixError(
                 f"singular transient Jacobian at t={t_k:.4e} on "
                 f"'{compiled.circuit.name}'") from exc
-        delta.clip(-newton.max_step, newton.max_step, out=delta)
+        _clip_step(delta, newton.max_step)
         x_pad[:n] -= delta
-        if float(np.abs(delta).max()) <= newton.vntol:
+        if _max_abs(delta) <= newton.vntol:
             return
     raise ConvergenceError(
         f"transient Newton failed at t={t_k:.4e} on "
@@ -1063,14 +1090,18 @@ def _newton_step_reuse(compiled: CompiledCircuit, state: ParamState,
         rhs = res[..., :n]
         if guard is not None:
             guard.scrub_rhs(rhs)
-        delta = _solve_isolated(lambda b: cache.solve(b, jac), jac, rhs,
-                                guard, t_k, compiled.circuit.name)
-        np.clip(delta, -newton.max_step, newton.max_step, out=delta)
+        try:
+            delta = cache.solve(rhs, jac)
+        except np.linalg.LinAlgError as exc:
+            delta = _solve_isolated(lambda b: cache.solve(b, jac), jac,
+                                    rhs, guard, t_k,
+                                    compiled.circuit.name, exc)
+        _clip_step(delta, newton.max_step)
         if guard is not None:
             guard.absorb_bad_delta(delta, x_pad, x_prev)
         x_pad[..., :n] -= delta
         worst = (guard.worst(delta) if guard is not None
-                 else float(np.max(np.abs(delta))))
+                 else _max_abs(delta))
         if worst <= newton.vntol:
             return
     if guard is not None:

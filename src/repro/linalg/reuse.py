@@ -21,7 +21,8 @@ def _update_norm(delta: np.ndarray) -> float:
     """Max-abs norm over all lanes, ignoring non-finite entries
     (failed lanes are handled by the caller, not the policy)."""
     mag = np.abs(delta)
-    top = mag.max(initial=0.0)
+    # the ufunc reduction ``ndarray.max`` wraps, without the wrapper
+    top = np.maximum.reduce(mag, axis=None, initial=0.0)
     if np.isfinite(top):
         # max propagates NaN and inf, so every entry is finite
         return float(top)

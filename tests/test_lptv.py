@@ -9,15 +9,21 @@ Ground truths used:
 * the oscillator adjoint vs re-solved oscillator PSS.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.analysis import (compile_circuit, periodic_sensitivities, pss,
                             pss_oscillator)
 from repro.analysis.lptv import PeriodicLinearization
+from repro.analysis.orbit import OrbitLinearization
 from repro.analysis.pss import PssOptions
 from repro.circuit import Circuit, Sine
+from repro.core.analysis import transient_mismatch_analysis
+from repro.core.measures import DcLevel
 from repro.errors import AnalysisError
+from repro.linalg import CachedDenseBackend
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +116,106 @@ class TestDrivenSensitivities:
         sens = periodic_sensitivities(p0)
         with pytest.raises(AnalysisError):
             sens.df_dp()
+
+
+class _CountingBackend(CachedDenseBackend):
+    def __init__(self):
+        super().__init__()
+        self.n_factored = 0
+
+    def factor(self, a):
+        self.n_factored += 1
+        return super().factor(a)
+
+
+def _reference_waveforms(p, injections):
+    """A short copy of the dense sweeps as they were before ``B_k``
+    became one stack and ``rho_k`` one reused buffer: per-step
+    operands, rebuilt at every step."""
+    lin = OrbitLinearization(p.compiled, p.state, p.x, p.t, p.period,
+                             p.method, matrix_free=False)
+    theta, h, n = lin.theta, lin.h, lin.n
+    di = np.stack([inj.di_dp for inj in injections], axis=-1)
+    dq = np.zeros_like(di)
+    for i, inj in enumerate(injections):
+        if inj.dq_dp is not None:
+            dq[:, :, i] = inj.dq_dp
+
+    def b_k(k):
+        return lin.c_over_h - (1.0 - theta) * lin.g_t[k - 1]
+
+    def a_k(k):
+        return p.compiled.backend.factor(lin.c_over_h + theta * lin.g_t[k])
+
+    def rho(k):
+        return (theta * di[k] + (1.0 - theta) * di[k - 1]
+                + (dq[k] - dq[k - 1]) / h)
+
+    z = np.zeros((n, n + di.shape[-1]))
+    z[:, :n] = np.eye(n)
+    for k in range(1, p.n_steps + 1):
+        rhs = b_k(k) @ z
+        rhs[:, n:] -= rho(k)
+        z = a_k(k).solve(rhs)
+    cur = np.linalg.solve(np.eye(n) - z[:, :n], z[:, n:])
+    out = [cur]
+    for k in range(1, p.n_steps + 1):
+        rhs = b_k(k) @ cur
+        rhs -= rho(k)
+        cur = a_k(k).solve(rhs)
+        out.append(cur)
+    return np.stack(out)
+
+
+class TestSharedOperands:
+    """The sweeps build ``B_k`` once per linearisation, write ``rho_k``
+    into one buffer and - on a constant-Jacobian circuit - share one
+    factorization of ``A_k``, without changing a bit."""
+
+    def test_time_invariant_dense_factors_once(self):
+        backend = _CountingBackend()
+        c = compile_circuit(rebuild_rc().circuit, backend=backend)
+        p = pss(c, 1e-6, options=PssOptions(n_steps=64, settle_periods=3))
+        lin = OrbitLinearization(c, p.state, p.x, p.t, p.period, p.method,
+                                 matrix_free=False)
+        assert lin.time_invariant
+        before = backend.n_factored
+        factors = lin.factors()
+        assert backend.n_factored - before == 1
+        assert len(factors) == 64 and all(f is factors[0] for f in factors)
+
+    def test_shared_factor_bits_equal_per_step_factors(self, rc_pss):
+        _, p = rc_pss
+        shared = periodic_sensitivities(dataclasses.replace(p, _lin=None),
+                                        matrix_free=False)
+        per_step = dataclasses.replace(p, _lin=None)
+        lin = per_step.linearization(matrix_free=False)
+        lin.time_invariant = False        # per-step factors and B_k
+        sol = periodic_sensitivities(per_step, matrix_free=False)
+        assert len({id(f) for f in lin.factors()}) == p.n_steps
+        assert np.array_equal(shared.waveforms, sol.waveforms)
+
+    @pytest.mark.parametrize("case", ["rc", "cs_amp"])
+    def test_sweeps_match_per_step_operands(self, case, rc_pss,
+                                            cs_amp_pss):
+        _, p = rc_pss if case == "rc" else cs_amp_pss
+        p = dataclasses.replace(p, _lin=None)
+        injections = p.compiled.mismatch_injections(p.state, p.x)
+        sol = periodic_sensitivities(p, injections, matrix_free=False)
+        assert np.array_equal(sol.waveforms,
+                              _reference_waveforms(p, injections))
+
+
+def test_rc_period_average_sigma_is_zero(rc_lowpass):
+    """The period average of a sine-driven RC low-pass is the source
+    offset for every R and C, so its mismatch sigma is zero in theory:
+    what the engine reports is roundoff."""
+    out = transient_mismatch_analysis(
+        rc_lowpass, [DcLevel("vout", "out")], period=1e-6,
+        pss_options=PssOptions(n_steps=100, settle_periods=2))
+    nominal = out.mean("vout")
+    assert nominal == pytest.approx(0.6, rel=1e-12)
+    assert out.sigma("vout") <= 1e-12 * abs(nominal)
 
 
 class TestLptvReducesToAc:

@@ -6,12 +6,18 @@ import pytest
 
 from repro.analysis import compile_circuit
 from repro.analysis.dcop import NewtonOptions, dc_operating_point
-from repro.analysis.pss import PssOptions, integrate_period, pss
+from repro.analysis.orbit import OrbitLinearization
+from repro.analysis.pss import (PssOptions, integrate_period, pss,
+                                pss_oscillator)
 from repro.analysis.transient import TransientOptions, transient
 from repro.circuit import Circuit, Sine
+from repro.circuit.technology import default_technology
+from repro.circuits.comparator import strongarm_offset_testbench
+from repro.circuits.logic import logic_path_testbench
 from repro.core.analysis import run_transient_mismatch
 from repro.core.measures import DcLevel
-from repro.errors import ConvergenceError
+from repro.errors import RETRYABLE_ERRORS, AnalysisError, ConvergenceError
+from repro.linalg import CachedDenseBackend
 
 
 def rc_circuit(tau=1e-7):
@@ -20,6 +26,19 @@ def rc_circuit(tau=1e-7):
                     wave=Sine(amplitude=0.5, freq=1e6, offset=0.5))
     ckt.add_resistor("R", "in", "out", 1e3)
     ckt.add_capacitor("C", "out", "0", tau / 1e3)
+    return compile_circuit(ckt)
+
+
+def _cs_amp():
+    """Sine-driven common-source stage: a state-dependent Jacobian."""
+    tech = default_technology()
+    ckt = Circuit("cs_amp")
+    ckt.add_vsource("VDD", "vdd", "0", dc=tech.vdd)
+    ckt.add_vsource("VG", "g", "0",
+                    wave=Sine(amplitude=0.25, freq=1e6, offset=0.7))
+    ckt.add_resistor("RL", "vdd", "d", 2e3)
+    ckt.add_mosfet("M1", "d", "g", "0", "0", w=2e-6, l=0.26e-6, tech=tech)
+    ckt.add_capacitor("CL", "d", "0", 20e-15)
     return compile_circuit(ckt)
 
 
@@ -184,3 +203,154 @@ class TestSettleHandOff:
         res = pss(compile_circuit(ckt), 1e-6,
                   options=PssOptions(n_steps=64, settle_periods=1))
         assert res.shooting_periods == 1
+
+
+class TestToleranceValidation:
+    """A tolerance that can never be met is rejected up front, not
+    after every shooting pass ends in a (retryable) ConvergenceError."""
+
+    @pytest.mark.parametrize("field", ["tol", "krylov_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1e-9, float("nan")])
+    def test_pss_rejects(self, field, value):
+        # with tol=0 even this 3-unknown RC ran all 40 passes, and a
+        # supervised queue retried the ConvergenceError
+        opts = PssOptions(n_steps=16, settle_periods=0, **{field: value})
+        with pytest.raises(AnalysisError, match=field) as exc:
+            pss(rc_circuit(), 1e-6, options=opts)
+        assert not isinstance(exc.value, RETRYABLE_ERRORS)
+
+    @pytest.mark.parametrize("field", ["tol", "krylov_tol"])
+    def test_pss_oscillator_rejects(self, field):
+        opts = PssOptions(n_steps=16, **{field: 0.0})
+        with pytest.raises(AnalysisError, match=field):
+            pss_oscillator(rc_circuit(), "out", t_settle=1e-6,
+                           dt_settle=1e-8, options=opts)
+
+
+class _CountingBackend(CachedDenseBackend):
+    """The default small-circuit backend, counting its factorizations."""
+
+    def __init__(self):
+        super().__init__()
+        self.n_factored = 0
+
+    def factor(self, a):
+        self.n_factored += 1
+        return super().factor(a)
+
+
+def _inline_monodromy(compiled, state, orbit, t0, period, method):
+    """The product the dense integrator used to accumulate inline:
+    ``A_k``/``B_k`` from a single-sample assembly at each accepted
+    state, ``M <- factor(A_k).solve(B_k @ M)``."""
+    n = compiled.n
+    n_steps = orbit.shape[0] - 1
+    h = period / n_steps
+    _, g_pad, f_pad = compiled.buffers(())
+    c_over_h = compiled.capacitance(state) / h
+    th_n = np.append(compiled.theta_rows(state, method), 1.0)[:n, None]
+    sources = compiled.source_table(state, t0 + h * np.arange(n_steps + 1))
+    x_pad = compiled.pad(orbit[0])
+    compiled.assemble(state, x_pad, t0, g_pad, f_pad,
+                      sources=sources.row(0))
+    g_prev = g_pad.copy()
+    mono = np.eye(n)
+    for k in range(1, n_steps + 1):
+        x_pad = compiled.pad(orbit[k])
+        compiled.assemble(state, x_pad, t0 + k * h, g_pad, f_pad,
+                          sources=sources.row(k))
+        a_k = c_over_h[:n, :n] + th_n * g_pad[:n, :n]
+        b_k = c_over_h[:n, :n] - (1.0 - th_n) * g_prev[:n, :n]
+        mono = compiled.backend.factor(a_k).solve(b_k @ mono)
+        np.copyto(g_prev, g_pad)
+    return mono
+
+
+def _comparator():
+    tb = strongarm_offset_testbench(default_technology())
+    return compile_circuit(tb.circuit), tb.period
+
+
+def _logic_path():
+    tb = logic_path_testbench(default_technology(), late_input="X")
+    return compile_circuit(tb.circuit), tb.period
+
+
+class TestMonodromyFromLinearization:
+    """Shooting's monodromy is the orbit linearisation's, bit for bit,
+    and it is built only for passes that do not close."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: (rc_circuit(2e-6), 1e-6), _comparator, _logic_path],
+        ids=["rc", "comparator", "logic_path"])
+    def test_matches_the_inline_product(self, build):
+        compiled, period = build()
+        state = compiled.nominal
+        x_pad = compiled.pad(dc_operating_point(compiled, state).x)
+        t0 = 0.5 * period
+        orbit, mono = integrate_period(compiled, state, x_pad, t0, period,
+                                       120, "trap", NEWTON,
+                                       want_monodromy=True)
+        lin = OrbitLinearization(compiled, state, orbit,
+                                 t0 + (period / 120) * np.arange(121),
+                                 period, "trap", matrix_free=False)
+        inline = _inline_monodromy(compiled, state, orbit, t0, period,
+                                   "trap")
+        assert np.array_equal(lin.monodromy(), inline)
+        assert np.array_equal(mono, inline)
+
+    def test_constant_jacobian_pass_factors_once(self):
+        ckt = rc_circuit(2e-6).circuit
+        backend = _CountingBackend()
+        compiled = compile_circuit(ckt, backend=backend)
+        x_pad = compiled.pad(dc_operating_point(compiled).x)
+        before = backend.n_factored
+        orbit, mono = integrate_period(compiled, compiled.nominal, x_pad,
+                                       0.0, 1e-6, 100, "trap", NEWTON)
+        assert mono is None and backend.n_factored - before == 1
+        # the monodromy adds one more: the linearisation's shared LU
+        integrate_period(compiled, compiled.nominal, x_pad, 0.0, 1e-6,
+                         100, "trap", NEWTON, want_monodromy=True)
+        assert backend.n_factored - before == 3
+        # the same pass on the one-shot solve path: the same bits
+        ref = compile_circuit(ckt, backend="cached")
+        ref_orbit, _ = integrate_period(ref, ref.nominal, x_pad, 0.0,
+                                        1e-6, 100, "trap", NEWTON)
+        assert np.array_equal(orbit, ref_orbit)
+
+    @pytest.mark.parametrize("build,k", [
+        (lambda: pss(rc_circuit(2e-6), 1e-6, options=PssOptions(
+            n_steps=100, settle_periods=2)), 2),
+        (lambda: pss(_cs_amp(), 1e-6, options=PssOptions(
+            n_steps=128, settle_periods=0)), 2),
+    ], ids=["rc", "cs_amp"])
+    def test_k_passes_build_k_minus_one_monodromies(self, monkeypatch,
+                                                     build, k):
+        built = []
+        original = OrbitLinearization.monodromy
+
+        def counted(self):
+            built.append(self)
+            return original(self)
+
+        monkeypatch.setattr(OrbitLinearization, "monodromy", counted)
+        res = build()
+        assert res.shooting_periods == k
+        assert len(built) == k - 1
+
+    def test_rc_solve_factors_once_per_stage(self):
+        """DC point, settle, two shooting passes, the unclosed pass's
+        monodromy and the LPTV sweeps of a linear RC: one LU each, not
+        one per Newton iteration and step (702 before)."""
+        ckt = Circuit("rc")
+        ckt.add_vsource("VS", "in", "0",
+                        wave=Sine(amplitude=0.3, freq=1e6, offset=0.6))
+        ckt.add_resistor("R", "in", "out", 1e3, sigma_rel=0.05)
+        ckt.add_capacitor("C", "out", "0", 2e-9, sigma_rel=0.02)
+        backend = _CountingBackend()
+        compiled = compile_circuit(ckt, backend=backend)
+        res = pss(compiled, 1e-6,
+                  options=PssOptions(n_steps=100, settle_periods=2))
+        assert res.shooting_periods == 2
+        run_transient_mismatch(compiled, [DcLevel("out", "out")], res)
+        assert backend.n_factored == 6
