@@ -4,9 +4,10 @@ The job supervision layer (:class:`~repro.service.jobs.RetryPolicy`)
 must be free when nothing fails and correct when everything does.  This
 benchmark measures both halves on a transient Monte-Carlo run:
 
-* **clean vs supervised** - the identical serial run with and without a
-  retry policy (no faults injected).  Supervision on the clean path is
-  one extra frame per shard; the acceptance gate is <= 5% overhead
+* **clean vs supervised** - the identical serial run with
+  ``retry=None`` (one attempt) and with a three-attempt retry policy
+  (no faults injected).  Both take the same path; the acceptance gate
+  is <= 5% overhead
   (plus a small absolute allowance for timer noise on sub-second runs).
 * **chaos** - the same workload through a pooled
   :class:`~repro.service.jobs.JobQueue` under an injected fault storm
@@ -108,7 +109,7 @@ def test_chaos_recovery(results_dir):
         f"chaos recovery (transient MC, n = {n}, "
         f"{len(spans)} shards of {chunk})",
         f"{'path':<22s} {'wall [s]':>10s}  notes",
-        f"{'clean serial':<22s} {t_clean:>10.3f}  no supervision",
+        f"{'clean serial':<22s} {t_clean:>10.3f}  one attempt",
         f"{'supervised serial':<22s} {t_sup:>10.3f}  "
         f"retry policy armed, no faults ({overhead * 100:+.1f}%)",
         f"{'chaos pooled (2 wkr)':<22s} {t_chaos:>10.3f}  "

@@ -38,7 +38,7 @@ from ..stats import SampleStats, summarize_samples
 from ..waveform import WaveformSet
 from .analysis import _as_compiled, check_uniform_keywords
 from .measures import Measure
-from .workers import shard_runner, worker_pool
+from .workers import shard_runner
 
 
 @dataclass
@@ -56,7 +56,7 @@ class MonteCarloResult:
     n_failed: int = 0
     failed_metrics: dict[str, int] = field(default_factory=dict)
     #: Structured :class:`~repro.errors.FailureRecord` values for spans
-    #: a supervised run degraded (empty on clean/unsupervised runs).
+    #: the retry policy degraded (empty unless ``retry.degrade``).
     failures: list = field(default_factory=list)
 
     def sigma(self, metric: str) -> float:
@@ -120,18 +120,15 @@ def sample_mismatch(compiled: CompiledCircuit, n: int,
 
 
 def _resolve_variations(compiled, param_covariance, variations):
-    """Lower a declarative :class:`~repro.variation.VariationSpec`
-    (live instance or tagged payload) onto the compiled circuit's
-    declaration order.  The spec is lowered *once* here, so the shard
-    planner and every worker see the identical covariance matrix and
-    the bit-identical-merge contract is untouched."""
+    """Lower a live :class:`~repro.variation.VariationSpec` onto the
+    compiled circuit's declaration order.  The spec is lowered *once*
+    here, so the shard planner and every worker see the identical
+    covariance matrix and the bit-identical-merge contract is
+    untouched."""
     if variations is None:
         return param_covariance
     check_uniform_keywords(param_covariance=param_covariance,
                            variations=variations)
-    if isinstance(variations, dict):
-        from ..service.serialize import variation_spec
-        variations = variation_spec(variations)
     return variations.covariance(compiled)
 
 
@@ -273,24 +270,25 @@ def monte_carlo_transient(circuit, measures: list[Measure], n: int,
         in chunk order, so ``samples``/``n_failed`` are bit-for-bit
         identical to the serial run at the same *chunk_size* - with and
         without *adaptive* (each chunk's step sequence depends only on
-        that chunk's lanes).  ``None``/1 keeps the serial in-process
-        loop.
+        that chunk's lanes).  ``None``/1 runs the chunks in this
+        process.  Measures travel by pickle, so a custom measure
+        works on every placement.
     adaptive, rtol, atol, dt_min, dt_max:
         LTE-controlled adaptive stepping per chunk (see
         :class:`~repro.analysis.transient.TransientOptions`).  The
         lanes of one chunk share a single step sequence (the controller
         takes the worst lane), so a chunk remains one stacked solve.
     retry:
-        A :class:`~repro.service.jobs.RetryPolicy` putting every shard
-        under supervision: retryable failures retry with backoff
-        (plus deadlines and pool-crash recovery on parallel runs), and
-        a shard that exhausts its attempts merges NaN-frozen with its
-        lanes counted in ``n_failed`` and a
-        :class:`~repro.errors.FailureRecord` appended to ``failures``,
-        instead of aborting the run.  Unaffected shards stay
-        bit-identical to the unsupervised run.
+        The :class:`~repro.service.jobs.RetryPolicy` of every shard
+        (``None``: one attempt, the first failure raises).  Retryable
+        failures - worker crashes included - retry with backoff (plus
+        deadlines on parallel runs), and with ``degrade`` a shard that
+        exhausts its attempts merges NaN-frozen with its lanes counted
+        in ``n_failed`` and a :class:`~repro.errors.FailureRecord`
+        appended to ``failures``, instead of aborting the run.
+        Unaffected shards stay bit-identical to a fault-free run.
     variations:
-        Declarative :class:`~repro.variation.VariationSpec` as an
+        A live :class:`~repro.variation.VariationSpec` as an
         alternative to *param_covariance* (mutually exclusive); lowered
         onto the circuit's declaration order up front, so samples are
         bit-identical to the equivalent hand-built matrix.
@@ -299,8 +297,7 @@ def monte_carlo_transient(circuit, measures: list[Measure], n: int,
     -------
     MonteCarloResult
     """
-    from ..service.shards import (mc_transient_shards,
-                                  merge_shard_results, run_shard)
+    from ..service.shards import mc_transient_shards, merge_shard_results
     compiled = _as_compiled(circuit, backend=backend)
     param_covariance = _resolve_variations(compiled, param_covariance,
                                            variations)
@@ -318,7 +315,7 @@ def monte_carlo_transient(circuit, measures: list[Measure], n: int,
         extra_record=extra_record, backend=backend, adaptive=adaptive,
         rtol=rtol, atol=atol, dt_min=dt_min, dt_max=dt_max)
 
-    results = _run_specs(specs, compiled, n_workers, retry, run_shard)
+    results = _run_specs(specs, compiled, n_workers, retry)
     merged = merge_shard_results(results)
 
     stats, failed_metrics = summarize_samples(merged.samples)
@@ -330,31 +327,16 @@ def monte_carlo_transient(circuit, measures: list[Measure], n: int,
         failures=list(merged.failures))
 
 
-def _run_specs(specs, compiled, n_workers: int | None, retry,
-               run_shard) -> list:
-    """Execute shard *specs* - serial or pooled, supervised when a
-    retry policy is given, or by the context's
-    :data:`~repro.core.workers.shard_runner` - returning results in
-    spec (= merge) order."""
+def _run_specs(specs, compiled, n_workers: int | None, retry) -> list:
+    """Execute shard *specs* with *compiled* under *retry* - by the
+    context's :data:`~repro.core.workers.shard_runner` when one is
+    set, else by :func:`~repro.service.jobs.run_shards` - returning
+    results in spec (= merge) order."""
     runner = shard_runner.get()
     if runner is not None:
         return runner(specs, compiled, retry)
-    parallel = n_workers is not None and n_workers > 1 and len(specs) > 1
-    if retry is not None:
-        from ..service.jobs import JobQueue, run_supervised_shard
-        if parallel:
-            with JobQueue(n_workers=n_workers, retry=retry) as queue:
-                jobs = [queue.submit_shard(spec) for spec in specs]
-                return [job.result() for job in jobs]
-        return [run_supervised_shard(spec, retry, compiled=compiled)
-                for spec in specs]
-    if parallel:
-        with worker_pool(n_workers) as pool:
-            futures = [pool.submit(run_shard, spec, compiled)
-                       for spec in specs]
-            # merge in submission (= serial) order
-            return [fut.result() for fut in futures]
-    return [run_shard(spec, compiled) for spec in specs]
+    from ..service.jobs import run_shards
+    return run_shards(specs, compiled, n_workers, retry)
 
 
 def _dc_chunk(circuit, outputs: dict[str, "str | tuple[str, str]"],
@@ -391,15 +373,15 @@ def monte_carlo_dc(circuit, outputs: dict[str, str | tuple[str, str]],
     ``ceil(n / n_workers)`` split, and a serial run with that same
     *chunk_size* reproduces the parallel samples exactly.
 
-    *retry* supervises the shards exactly as in
-    :func:`monte_carlo_transient`: degraded spans merge as NaN, are
-    counted in ``n_failed`` and reported through ``failures``, and the
-    statistics are taken over the surviving finite lanes.  *variations*
-    (a :class:`~repro.variation.VariationSpec`, mutually exclusive with
+    *n_workers* and *retry* run the shards exactly as in
+    :func:`monte_carlo_transient` (``retry=None``: one attempt):
+    degraded spans merge as NaN, are counted in ``n_failed`` and
+    reported through ``failures``, and the statistics are taken over
+    the surviving finite lanes.  *variations* (a live
+    :class:`~repro.variation.VariationSpec`, mutually exclusive with
     *param_covariance*) lowers to the equivalent covariance up front.
     """
-    from ..service.shards import (mc_dc_shards, merge_shard_results,
-                                  run_shard)
+    from ..service.shards import mc_dc_shards, merge_shard_results
     compiled = _as_compiled(circuit, backend=backend)
     param_covariance = _resolve_variations(compiled, param_covariance,
                                            variations)
@@ -415,7 +397,7 @@ def monte_carlo_dc(circuit, outputs: dict[str, str | tuple[str, str]],
                          sigma_scale=sigma_scale,
                          param_covariance=param_covariance,
                          backend=backend)
-    results = _run_specs(specs, compiled, n_workers, retry, run_shard)
+    results = _run_specs(specs, compiled, n_workers, retry)
     merged = merge_shard_results(results)
     stats, failed_metrics = summarize_samples(merged.samples)
     return MonteCarloResult(

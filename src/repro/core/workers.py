@@ -1,8 +1,9 @@
 """Process pools whose workers die with the process that started them.
 
-Every worker pool in the package - the Monte-Carlo free functions'
-``n_workers=`` fan-out and :class:`~repro.service.jobs.JobQueue` - is
-built by :func:`worker_pool`.  Its workers run :func:`_watch_owner`
+Every worker pool in the package - those of
+:class:`~repro.service.jobs.JobQueue`, which also runs the Monte-Carlo
+free functions' ``n_workers=`` fan-out - is built by
+:func:`worker_pool`.  Its workers run :func:`_watch_owner`
 as their :class:`~concurrent.futures.ProcessPoolExecutor` initializer:
 a daemon thread that exits the worker as soon as the pool's owner
 exits.  An owner that dies without shutting its pool down (SIGKILL,
@@ -37,7 +38,7 @@ WATCH_INTERVAL_S = 0.2
 
 #: ``(specs, compiled, retry) -> results`` (spec order) when set: how
 #: the Monte-Carlo free functions execute their shards in this context,
-#: in place of their own ``n_workers=`` pool.
+#: in place of :func:`~repro.service.jobs.run_shards`.
 shard_runner: ContextVar = ContextVar("repro_shard_runner", default=None)
 
 

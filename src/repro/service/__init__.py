@@ -16,18 +16,21 @@ top-level ``README.md``):
   serializable Monte-Carlo shard protocol whose merge is bit-identical
   to the in-process run.
 
-Supervision rides on top: :class:`RetryPolicy` puts queue submissions
-under deadlines, retry with exponential backoff, pool-crash recovery
-and deterministic degradation (NaN-frozen spans with structured
-:class:`~repro.errors.FailureRecord` reporting), and
+Every queue submission and Monte-Carlo shard runs under one
+:class:`RetryPolicy` - ``retry=None`` is one attempt - which sets its
+deadlines, retries with exponential backoff and deterministic
+degradation (NaN-frozen spans with structured
+:class:`~repro.errors.FailureRecord` reporting); a crashed pool worker
+fails only its in-flight jobs and the pool respawns.
 :mod:`repro.service.faults` injects reproducible faults at the
 execution sites to prove all of it.
 
 The dependency direction is one-way: this package imports the layers
 below it, never the reverse (``repro.circuit`` / ``repro.analysis`` /
-``repro.core`` must not import ``repro.service`` - CI enforces it, with
-the Monte-Carlo shard path in ``repro.core.montecarlo`` the one named
-exclusion).
+``repro.core`` must not import ``repro.service`` - CI enforces it).
+One file still does: ``repro.core.montecarlo`` runs its shards through
+:mod:`repro.service.shards` and :mod:`repro.service.jobs`, and the
+lint allows it those two modules and no other.
 """
 
 from ..errors import DrainingError, FailureRecord, TransportError
@@ -36,7 +39,7 @@ from .client import (RemoteJob, RemoteSession, ScatterResult,
 from .engines import (AnalysisEngine, engine_for, register_engine,
                       registered_kinds, unregister_engine)
 from .faults import FaultPlan, FaultRule
-from .jobs import Job, JobQueue, RetryPolicy, run_supervised_shard
+from .jobs import Job, JobQueue, RetryPolicy
 from .net import AnalysisServer, TenantConfig, serve
 from .resilience import CircuitBreaker, ScatterPolicy, WorkerPool
 from .requests import (REQUEST_FORMAT_VERSION, AnalysisRequest,
@@ -53,7 +56,7 @@ __all__ = [
     "AnalysisSession", "default_session",
     "AnalysisEngine", "register_engine", "unregister_engine",
     "engine_for", "registered_kinds",
-    "Job", "JobQueue", "RetryPolicy", "run_supervised_shard",
+    "Job", "JobQueue", "RetryPolicy",
     "FaultPlan", "FaultRule", "FailureRecord",
     "ShardSpec", "ShardResult", "SHARD_PROTOCOL_VERSION",
     "MergedShards", "degraded_shard_result",

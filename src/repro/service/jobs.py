@@ -28,8 +28,10 @@ once per job.  Workers exit when the process that started them dies
 
 Supervision
 -----------
-Pass ``retry=RetryPolicy(...)`` to put every submission under
-supervision:
+Every submission runs under a :class:`RetryPolicy` - the queue's
+``retry=``, or the one a Monte-Carlo request carries for its shards;
+``None`` is :data:`ONE_ATTEMPT`.  Inline jobs run through
+:func:`run_with_retry`, pooled ones under one ``_Supervised`` each:
 
 * each attempt gets a wall-clock **deadline** (pooled queues only -
   inline execution cannot be preempted); an overrun attempt is
@@ -39,10 +41,11 @@ supervision:
 * failed attempts **retry with exponential backoff**, but only for
   errors a retry can plausibly fix (:data:`~repro.errors.
   RETRYABLE_ERRORS`) - malformed requests fail immediately;
-* a **worker crash** (``BrokenProcessPool``) respawns the executor
-  exactly once per breakage (pool-epoch guarded, however many jobs
-  were in flight) and re-dispatches each surviving job; re-execution
-  is safe because shards are generative
+* a **worker crash** (``BrokenProcessPool``) fails only the jobs in
+  flight, as :class:`~repro.errors.WorkerCrashError` (retried while
+  attempts remain), and respawns the executor exactly once per
+  breakage (pool-epoch guarded, however many jobs were in flight);
+  re-execution is safe because shards are generative
   (:class:`~repro.service.shards.ShardSpec` redraws from the seed), so
   the bit-identical merge guarantee survives recovery;
 * a shard that exhausts its attempts **degrades deterministically**
@@ -53,10 +56,10 @@ supervision:
 Deadlines are measured from dispatch, so time spent queued behind busy
 workers counts; size them with headroom over the per-shard runtime.
 Fault injection for all of these paths lives in
-:mod:`repro.service.faults`; the hooks sit in :func:`_run_request` /
-:func:`_run_shard` (the worker entry points) and fire on both sides of
-the process boundary: every dispatch carries the submitter's active
-plan to the worker.
+:mod:`repro.service.faults`; the hooks sit in :func:`execute_shard`
+and :func:`_run_request` and fire on both sides of the process
+boundary: every dispatch carries the submitter's active plan to the
+worker.
 """
 
 from __future__ import annotations
@@ -80,7 +83,8 @@ from .shards import (ShardResult, ShardSpec, degraded_shard_result,
 @dataclass(frozen=True)
 class RetryPolicy:
     """Supervision parameters of one :class:`JobQueue` (or one
-    supervised Monte-Carlo run).
+    Monte-Carlo run); ``retry=None`` everywhere means
+    :data:`ONE_ATTEMPT`.
 
     ``delay(k)`` after the *k*-th failed attempt is
     ``base_delay * backoff**(k-1)`` seconds - classic exponential
@@ -122,6 +126,10 @@ class RetryPolicy:
         return cls(**data)
 
 
+#: The policy of ``retry=None``: one attempt, and a failure raises.
+ONE_ATTEMPT = RetryPolicy(max_attempts=1, degrade=False)
+
+
 class Job:
     """Handle on one submitted request."""
 
@@ -140,8 +148,8 @@ class Job:
 
     @property
     def failed_attempts(self) -> int:
-        """Attempts the supervisor has seen fail so far (0 when the
-        job is unsupervised or succeeded first try)."""
+        """Attempts the supervisor has seen fail so far (0 for inline
+        jobs, and for pooled ones that succeeded first try)."""
         return (self._supervisor.attempts
                 if self._supervisor is not None else 0)
 
@@ -189,17 +197,16 @@ def execute_shard(spec: ShardSpec, attempt: int = 0,
     return run_shard(spec, compiled)
 
 
-def _run_shard(spec_dict: dict, attempt: int = 0,
-               plan: str | None = None, compiled=None) -> dict:
+def _run_shard(spec: ShardSpec, attempt: int = 0,
+               plan: str | None = None, compiled=None) -> ShardResult:
     adopt_plan(plan)
-    spec = ShardSpec.from_dict(spec_dict)
     if compiled is None:
         compiled = compiled_for_shard(spec, _worker_session())
-    return execute_shard(spec, attempt, compiled).to_dict()
+    return execute_shard(spec, attempt, compiled)
 
 
 # ---------------------------------------------------------------------------
-# inline supervision (shared with the Monte-Carlo engines)
+# inline supervision
 # ---------------------------------------------------------------------------
 def run_with_retry(policy: RetryPolicy, attempt_fn, degrade_fn):
     """Synchronous retry loop: *attempt_fn(attempt)* until success,
@@ -223,24 +230,6 @@ def run_with_retry(policy: RetryPolicy, attempt_fn, degrade_fn):
     raise last
 
 
-def run_supervised_shard(spec: ShardSpec, policy: RetryPolicy,
-                         compiled=None) -> ShardResult:
-    """Execute one shard under *policy*, in the calling process.
-
-    This is the inline form of :meth:`JobQueue.submit_shard`
-    supervision: retry with backoff on retryable errors, degrade to a
-    NaN-frozen span on exhaustion (``policy.degrade``).  Deadlines are
-    not enforced - a synchronous attempt cannot be preempted.
-    """
-    degrade_fn = None
-    if policy.degrade:
-        def degrade_fn(exc, attempts):
-            return degraded_shard_result(spec, exc, attempts)
-    return run_with_retry(
-        policy, lambda attempt: execute_shard(spec, attempt, compiled),
-        degrade_fn)
-
-
 # ---------------------------------------------------------------------------
 # pooled supervision
 # ---------------------------------------------------------------------------
@@ -256,7 +245,7 @@ class _Supervised:
     content-addressed (:meth:`ShardSpec.workload_key`).
     """
 
-    def __init__(self, queue: "JobQueue", fn, payload: dict, decode,
+    def __init__(self, queue: "JobQueue", fn, payload, decode,
                  policy: RetryPolicy, degrade_fn=None):
         self.queue = queue
         self.fn = fn
@@ -421,10 +410,11 @@ class JobQueue:
         integer (at least 1) starts a pool of that many worker
         processes now.
     retry:
-        A :class:`RetryPolicy` putting every submission under
-        supervision (deadlines, retry with backoff, pool-crash
-        recovery, shard degradation - see the module docstring).
-        ``None`` (default) keeps the unsupervised fail-fast behaviour.
+        The :class:`RetryPolicy` of every submission (deadlines, retry
+        with backoff, shard degradation - see the module docstring).
+        ``None`` (default) is :data:`ONE_ATTEMPT`: a failure raises,
+        and a crashed worker fails only its in-flight jobs while the
+        pool respawns.
 
     Use as a context manager, or call :meth:`shutdown`.
     """
@@ -436,7 +426,7 @@ class JobQueue:
             session = AnalysisSession()
         self.session = session
         self.n_workers = n_workers
-        self.retry = retry
+        self.retry = ONE_ATTEMPT if retry is None else retry
         if n_workers is not None and n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self._inline = n_workers is None
@@ -446,16 +436,27 @@ class JobQueue:
         self._pool = None if self._inline else worker_pool(n_workers)
 
     # -- pool plumbing -------------------------------------------------
-    def _submit_raw(self, fn, payload: dict,
+    def _submit_raw(self, fn, payload,
                     attempt: int) -> tuple[Future, int]:
+        """Submit one attempt; returns its future and the pool epoch.
+        A pool that broke while idle is respawned first: no attempt
+        ran on it, so none is charged."""
+        for last_try in (False, True):
+            with self._pool_lock:
+                pool = self._pool
+                epoch = self._pool_epoch
+            if pool is None:
+                raise RuntimeError("JobQueue is shut down")
+            try:
+                inner = pool.submit(fn, payload, attempt, plan_text())
+                break
+            except BrokenProcessPool:
+                if last_try:
+                    raise
+                self._respawn_pool(epoch)
         with self._pool_lock:
-            pool = self._pool
-            epoch = self._pool_epoch
-            if pool is not None:
-                self._dispatched += 1
-        if pool is None:
-            raise RuntimeError("JobQueue is shut down")
-        return pool.submit(fn, payload, attempt, plan_text()), epoch
+            self._dispatched += 1
+        return inner, epoch
 
     def _respawn_pool(self, seen_epoch: int) -> None:
         """Replace a broken executor, exactly once per breakage.
@@ -509,7 +510,8 @@ class JobQueue:
         key = request.key()
         hit = self.session.cached(key)
         if hit is not None:
-            return Job(request, _inline_future(None, lambda _: hit, None))
+            return Job(request, _inline_future(
+                self.retry, lambda _: hit, None))
         if _runs_in_front(request):
             def run_in_front() -> AnalysisResult:
                 token = shard_runner.set(self._run_shards)
@@ -530,39 +532,38 @@ class JobQueue:
         :mod:`repro.service.shards`); shards are never memoized."""
         return self._submit_shard(spec, self.retry)
 
-    def _submit_shard(self, spec: ShardSpec, policy: RetryPolicy | None,
+    def _submit_shard(self, spec: ShardSpec, policy: RetryPolicy,
                       compiled=None) -> Job:
         degrade_fn = None
-        if policy is not None and policy.degrade:
+        if policy.degrade:
             def degrade_fn(exc, attempts):
                 return degraded_shard_result(spec, exc, attempts)
         if self._inline:
             def attempt_fn(attempt: int) -> ShardResult:
                 return execute_shard(
-                    spec, attempt, compiled_for_shard(spec, self.session))
+                    spec, attempt,
+                    compiled if compiled is not None
+                    else compiled_for_shard(spec, self.session))
             return Job(spec, _inline_future(policy, attempt_fn,
                                             degrade_fn))
         fn = (_run_shard if compiled is None
               else functools.partial(_run_shard, compiled=compiled))
-        return self._dispatch(spec, fn, spec.to_dict(),
-                              ShardResult.from_dict, policy, degrade_fn)
+        return self._dispatch(spec, fn, spec, lambda result: result,
+                              policy, degrade_fn)
 
     def _run_shards(self, specs, compiled, retry) -> list:
-        """The :data:`~repro.core.workers.shard_runner` of a fan-out
-        request run in this process: its shards, with its compile, go
-        to the workers under the request's policy (else the queue's);
-        results in spec (= merge) order."""
-        policy = retry if retry is not None else self.retry
+        """Run *specs* with *compiled* under *retry* (else the queue's
+        policy); results in spec (= merge) order.  The
+        :data:`~repro.core.workers.shard_runner` of a fan-out request
+        run in this process, and the body of :func:`run_shards`."""
+        policy = self.retry if retry is None else retry
         jobs = [self._submit_shard(spec, policy, compiled)
                 for spec in specs]
         return [job.result() for job in jobs]
 
-    def _dispatch(self, item, fn, payload: dict, decode,
-                  policy: RetryPolicy | None, degrade_fn=None) -> Job:
-        """Send one job to the pool, supervised when a policy is set."""
-        if policy is None:
-            inner, _ = self._submit_raw(fn, payload, 0)
-            return Job(item, _chain(inner, decode))
+    def _dispatch(self, item, fn, payload, decode, policy: RetryPolicy,
+                  degrade_fn=None) -> Job:
+        """Send one job to the pool under its own supervisor."""
         sup = _Supervised(self, fn, payload, decode, policy, degrade_fn)
         return Job(item, sup.future, supervisor=sup)
 
@@ -632,38 +633,28 @@ def _in_thread(fn) -> Future:
     return future
 
 
-def _inline_future(policy: RetryPolicy | None, attempt_fn,
+def _inline_future(policy: RetryPolicy, attempt_fn,
                    degrade_fn) -> Future:
-    """Execute now (optionally under a retry policy); deliver through
-    a resolved future so inline and pooled jobs share an interface."""
+    """Execute now under *policy*; deliver through a resolved future
+    so inline and pooled jobs share an interface."""
     future: Future = Future()
     try:
-        if policy is None:
-            future.set_result(attempt_fn(0))
-        else:
-            future.set_result(
-                run_with_retry(policy, attempt_fn, degrade_fn))
+        future.set_result(run_with_retry(policy, attempt_fn, degrade_fn))
     except Exception as exc:  # propagate through the future
         future.set_exception(exc)
     return future
 
 
-def _chain(inner: Future, decode) -> Future:
-    """An outer future resolving to ``decode(inner.result())``."""
-    outer: Future = Future()
+def run_shards(specs, compiled, n_workers: int | None = None,
+               retry: RetryPolicy | None = None) -> list:
+    """Execute Monte-Carlo shard *specs* with the caller's *compiled*
+    circuit, under *retry* (``None``: :data:`ONE_ATTEMPT`), returning
+    results in spec (= merge) order.
 
-    def _done(fut: Future) -> None:
-        if fut.cancelled():
-            outer.cancel()
-            return
-        exc = fut.exception()
-        if exc is None:
-            try:
-                outer.set_result(decode(fut.result()))
-                return
-            except Exception as dexc:
-                exc = dexc
-        outer.set_exception(exc)
-
-    inner.add_done_callback(_done)
-    return outer
+    The shards run on a private pool of *n_workers* processes when
+    that is more than one and there is more than one shard, else
+    inline; either way through :meth:`JobQueue._run_shards`, the path
+    a daemon's fan-out requests take."""
+    pooled = n_workers is not None and n_workers > 1 and len(specs) > 1
+    with JobQueue(n_workers=n_workers if pooled else None) as queue:
+        return queue._run_shards(specs, compiled, retry)

@@ -75,10 +75,11 @@ results carry), with the HTTP status mapped from the exception
 hierarchy - see :func:`status_for` - and the registered kinds listed on
 unknown-kind errors.  Supervision is server-side: construct the server
 with ``retry=RetryPolicy(...)`` and transient solver faults retry (or
-degrade, for shards) exactly as they do on an in-process supervised
-queue, surfacing as ``failures`` on a ``200`` rather than as a 5xx.
-The policy's deadlines apply too, and a crashed engine process is
-respawned.
+degrade, for shards) exactly as they do on an in-process queue,
+surfacing as ``failures`` on a ``200`` rather than as a 5xx.  The
+policy's deadlines apply too.  Under any policy, the default one
+attempt included, a crashed engine process fails only the jobs in
+flight on it (``WorkerCrashError``, a 502) and the pool respawns.
 """
 
 from __future__ import annotations
@@ -616,8 +617,9 @@ def _main(argv: list | None = None) -> int:
                         help="0 binds an ephemeral port (announced on "
                              "stdout)")
     parser.add_argument("--retry-attempts", type=int, default=0,
-                        help="arm server-side shard supervision with "
-                             "this retry budget (0: unsupervised)")
+                        help="attempts per engine job and shard, with "
+                             "shard degradation (0: one attempt, no "
+                             "degradation)")
     args = parser.parse_args(argv)
     retry = (RetryPolicy(max_attempts=args.retry_attempts)
              if args.retry_attempts > 0 else None)

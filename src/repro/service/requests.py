@@ -285,7 +285,7 @@ class AnalysisResult:
     runtime_seconds: float = 0.0
     from_cache: bool = False
     #: Structured :class:`~repro.errors.FailureRecord` values for every
-    #: degraded span of a supervised run (empty on clean runs);
+    #: span its retry policy degraded (empty on clean runs);
     #: round-trips through :meth:`to_dict`.
     failures: list = field(default_factory=list)
     detail: object = field(default=None, repr=False, compare=False)

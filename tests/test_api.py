@@ -117,28 +117,54 @@ class TestLayering:
         assert "no-scipy-stats" in names
         assert found == []
 
-    def test_domain_rule_covers_core_but_montecarlo(self):
+    def test_domain_rule_covers_all_of_core(self):
         rule = next(r for r in _layering_checker().RULES
                     if r.name == "domain-no-service")
         assert "src/repro/core" in rule.paths
-        assert rule.exclude == ("src/repro/core/montecarlo.py",)
+        assert [rel for rel, _ in rule.allow] \
+            == ["src/repro/core/montecarlo.py"]
         core = ROOT / "src" / "repro" / "core"
         scanned = {p for p in rule.files(ROOT) if p.parent == core}
-        assert scanned == set(core.glob("*.py")) - {core / "montecarlo.py"}
+        assert scanned == set(core.glob("*.py"))
+
+    def _core_with(self, tmp_path, name, line):
+        """A copy of ``repro/core`` under *tmp_path* with *line* added
+        to module *name* inside a function."""
+        core = tmp_path / "src" / "repro" / "core"
+        core.mkdir(parents=True)
+        for path in (ROOT / "src" / "repro" / "core").glob("*.py"):
+            source = path.read_text()
+            if path.name == name:
+                source += "\n\ndef f():\n" + line
+            (core / path.name).write_text(source)
 
     def test_domain_rule_flags_a_service_import_in_core(self, tmp_path):
         rule = next(r for r in _layering_checker().RULES
                     if r.name == "domain-no-service")
-        core = tmp_path / "src" / "repro" / "core"
-        core.mkdir(parents=True)
-        line = "    from ..service.session import default_session\n"
-        for name in ("analysis.py", "montecarlo.py"):
-            source = (ROOT / "src" / "repro" / "core" / name).read_text()
-            (core / name).write_text(source + "\n\ndef f():\n" + line)
+        self._core_with(tmp_path, "analysis.py",
+                        "    from ..service.session import default_session\n")
         found = rule.violations(tmp_path)
         assert len(found) == 1
         assert found[0].startswith("src/repro/core/analysis.py:")
         assert "default_session" in found[0]
+
+    @pytest.mark.parametrize("line", [
+        "    from ..service.serialize import variation_spec\n",
+        "    from repro.service.session import default_session\n",
+        "    from ..service import jobs\n",
+        "    import repro.service.jobs\n",
+    ])
+    def test_domain_rule_flags_a_third_service_module_in_montecarlo(
+            self, tmp_path, line):
+        # montecarlo.py may import repro.service.shards and
+        # repro.service.jobs, and nothing else from the service
+        rule = next(r for r in _layering_checker().RULES
+                    if r.name == "domain-no-service")
+        self._core_with(tmp_path, "montecarlo.py", line)
+        found = rule.violations(tmp_path)
+        assert len(found) == 1
+        assert found[0].startswith("src/repro/core/montecarlo.py:")
+        assert line.strip() in found[0]
 
     @pytest.mark.parametrize("line,caught", [
         ("import scipy.stats", True),

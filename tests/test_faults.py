@@ -18,13 +18,16 @@ timing-sensitive scenarios (deadlines, hangs) stay fast and robust.
 
 import os
 import pickle
+import signal
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro.circuit import Circuit
-from repro.core import monte_carlo_dc
+from repro.circuit import Circuit, Sine
+from repro.core import monte_carlo_dc, monte_carlo_transient
+from repro.core.measures import Measure
 from repro.errors import (RETRYABLE_ERRORS, AnalysisError,
                           ConvergenceError, FailureRecord,
                           JobTimeoutError, SingularMatrixError,
@@ -32,8 +35,7 @@ from repro.errors import (RETRYABLE_ERRORS, AnalysisError,
 from repro.service import (AnalysisRequest, AnalysisResult, FaultPlan,
                            FaultRule, JobQueue, RetryPolicy, ShardResult,
                            from_jsonable, mc_dc_shards,
-                           merge_shard_results, run_supervised_shard,
-                           to_jsonable)
+                           merge_shard_results, to_jsonable)
 from repro.service.faults import FAULTS_ENV, maybe_inject
 from repro.service.jobs import run_with_retry
 from repro.service.resilience import ScatterPolicy
@@ -59,6 +61,38 @@ def clean():
 
 
 FAST = RetryPolicy(max_attempts=3, base_delay=0.0)
+
+
+@dataclass
+class PeakLevel(Measure):
+    """A measure the serialization registry does not know: it travels
+    by pickle only (module-level, so pool workers can unpickle it)."""
+
+    name: str
+    node: str
+
+    def measure_waveset(self, ws) -> float:
+        return ws[self.node].max()
+
+    def required_nodes(self) -> list[str]:
+        return [self.node]
+
+
+def _custom_mc(**placement):
+    ckt = Circuit("rc")
+    ckt.add_vsource("VS", "in", "0",
+                    wave=Sine(amplitude=0.3, freq=1e6, offset=0.6))
+    ckt.add_resistor("R", "in", "out", 1e3, sigma_rel=0.05)
+    ckt.add_capacitor("C", "out", "0", 1e-9, sigma_rel=0.02)
+    return monte_carlo_transient(ckt, [PeakLevel("peak", "out")], n=8,
+                                 t_stop=2e-6, dt=2e-8, chunk_size=4,
+                                 seed=3, **placement)
+
+
+#: Every way a Monte-Carlo run can place its shards.
+PLACEMENTS = {"serial": {}, "serial+retry": {"retry": FAST},
+              "pool": {"n_workers": 2},
+              "pool+retry": {"n_workers": 2, "retry": FAST}}
 
 
 class TestFaultPlan:
@@ -205,13 +239,14 @@ class TestInlineSupervision:
         # statistics come from the surviving finite lanes
         assert np.isfinite(sup.stats["vout"].std)
 
-    def test_run_supervised_shard_degrades(self):
+    def test_inline_queue_shard_degrades(self):
         spec = _specs()[0]
         plan = FaultPlan(rules=[FaultRule(site="run_shard",
                                           kind="convergence")])
         with plan.active():
-            result = run_supervised_shard(
-                spec, RetryPolicy(max_attempts=2, base_delay=0.0))
+            with JobQueue(retry=RetryPolicy(max_attempts=2,
+                                            base_delay=0.0)) as queue:
+                result = queue.submit_shard(spec).result()
         assert np.isnan(result.samples["vout"]).all()
         assert result.n_failed == spec.n_lanes
         assert result.failures[0].attempts == 2
@@ -340,6 +375,28 @@ class TestPooledSupervision:
                               clean.samples["vout"])
         assert sup.failures == []
 
+    def test_one_attempt_crash_fails_in_flight_job_and_respawns(self,
+                                                                clean):
+        # retry=None is one attempt under the same supervisor: a killed
+        # worker fails the job it held with WorkerCrashError (never a
+        # raw BrokenProcessPool), the pool respawns once, and the next
+        # submission runs on the new pool
+        spec = _specs()[0]
+        hang = FaultPlan(rules=[FaultRule(site="run_shard", kind="hang",
+                                          hang_seconds=30.0)])
+        with JobQueue(n_workers=2) as queue:
+            with hang.active():
+                job = queue.submit_shard(spec)
+            for pid in queue.pool_stats()["pids"]:
+                os.kill(pid, signal.SIGKILL)
+            with pytest.raises(WorkerCrashError):
+                job.result(timeout=60)
+            assert job.failed_attempts == 1
+            result = queue.submit_shard(spec).result(timeout=60)
+            assert queue.pool_stats()["epoch"] == 1
+        assert np.array_equal(result.samples["vout"],
+                              clean.samples["vout"][:spec.stop])
+
     def test_shutdown_cancels_queued_futures(self):
         # a failing map() unwinds through __exit__; cancel_futures=True
         # is what keeps the teardown from blocking on queued work
@@ -352,6 +409,32 @@ class TestPooledSupervision:
                     jobs = [queue.submit_shard(s) for s in specs]
                     for job in jobs:
                         job.result(timeout=60)
+
+
+class TestPlacements:
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return _custom_mc().samples["peak"]
+
+    @pytest.mark.parametrize("placement", list(PLACEMENTS))
+    def test_custom_measure_on_every_placement(self, placement,
+                                               reference):
+        kwargs = PLACEMENTS[placement]
+        assert np.array_equal(_custom_mc(**kwargs).samples["peak"],
+                              reference)
+        # the run_shard fault site fires on every placement: one
+        # attempt raises, a policy heals bit-identical
+        plan = FaultPlan(rules=[FaultRule(site="run_shard",
+                                          kind="convergence", start=4,
+                                          fail_attempts=1)])
+        with plan.active():
+            if "retry" not in kwargs:
+                with pytest.raises(ConvergenceError):
+                    _custom_mc(**kwargs)
+                return
+            healed = _custom_mc(**kwargs)
+        assert np.array_equal(healed.samples["peak"], reference)
+        assert healed.n_failed == 0 and healed.failures == []
 
 
 class TestRequestPath:

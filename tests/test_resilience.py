@@ -42,7 +42,8 @@ from repro.core.montecarlo import monte_carlo_transient
 from repro.core.workers import WATCH_INTERVAL_S, worker_pids, worker_pool
 from repro.errors import (ConvergenceError, DrainingError, FailureRecord,
                           ReproError, TransportError)
-from repro.service import (AnalysisRequest, AnalysisServer, FaultPlan,
+from repro.service import (AnalysisRequest, AnalysisServer,
+                           AnalysisSession, FaultPlan,
                            FaultRule, RemoteSession, RetryPolicy,
                            from_jsonable, mc_transient_shards,
                            merge_shard_results,
@@ -645,3 +646,36 @@ class TestOrphanedWorkers:
             pids = worker_pids(pool)
             assert pids and all(_alive(pid) for pid in pids)
             assert pool.submit(abs, -1).result(timeout=30) == 1
+
+
+def _reaped_within(pids, seconds: float) -> list:
+    """The *pids* whose process entry still exists after waiting up to
+    *seconds*: a pool reaps its dead workers only after marking itself
+    broken, so a reaped worker's pool knows it broke."""
+    deadline = time.monotonic() + seconds
+    while True:
+        left = [pid for pid in pids if os.path.exists(f"/proc/{pid}")]
+        if not left or time.monotonic() > deadline:
+            return left
+        time.sleep(0.05)
+
+
+class TestEngineCrash:
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
+    def test_default_daemon_answers_after_its_engines_die(self):
+        """A daemon without a retry policy whose engine processes all
+        die (the OOM killer, say) respawns its pool for the next miss
+        and answers it with a 200, not a BrokenProcessPool 500."""
+        request = AnalysisRequest.dc_mismatch(_rc(2e3), {"vdc": "out"})
+        with AnalysisServer() as server:
+            client = RemoteSession(server.url)
+            client.run(AnalysisRequest.dc_mismatch(_rc(), {"vdc": "out"}))
+            pids = client.server_stats()["pool"]["pids"]
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            assert _reaped_within(pids, 10.0) == []
+            result = client.run(request)
+            pool = client.server_stats()["pool"]
+        assert result.summary == AnalysisSession().run(request).summary
+        assert pool["epoch"] == 1
+        assert pool["pids"] and set(pool["pids"]).isdisjoint(pids)
