@@ -5,11 +5,13 @@ every endpoint is healthy and correct when they are not.  This
 benchmark measures both halves on a scattered transient Monte-Carlo
 run over real loopback daemons:
 
-* **static vs pooled** - the identical scatter through the static
-  round-robin path and through a ``WorkerPool`` (breakers armed, no
-  faults).  The pool's bookkeeping is a lock and a couple of counters
-  per shard; the acceptance gate is <= 5% overhead (plus a small
-  absolute allowance for timer noise on sub-second runs).
+* **static vs pooled** - the identical scatter through a static
+  round-robin baseline kept in this file (one thread per endpoint,
+  each shard sent once, no supervision) and through a ``WorkerPool``
+  (breakers armed, no faults).  The pool's bookkeeping is a lock and a
+  couple of counters per shard; the acceptance gate is <= 5% overhead
+  (plus a small absolute allowance for timer noise on sub-second
+  runs).
 * **storm** - three real daemon *processes*: one SIGKILLed between the
   health probe and the scatter (the pool must discover the corpse
   through dispatch failures and fail over), one draining (tagged 503s
@@ -28,6 +30,7 @@ import os
 import signal
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +41,7 @@ from repro.core import monte_carlo_transient
 from repro.core.measures import DcLevel
 from repro.service import (RemoteSession, ScatterPolicy, WorkerPool,
                            mc_transient_shards, merge_shard_results,
-                           scatter_monte_carlo_transient, scatter_shards)
+                           scatter_monte_carlo_transient)
 
 T_STOP = 3e-6
 DT = 2e-8
@@ -60,6 +63,16 @@ def _specs(n, chunk):
     return mc_transient_shards(_rc_mc(), MEAS, n, T_STOP, DT,
                                window=WINDOW, seed=SEED,
                                chunk_size=chunk)
+
+
+def _scatter_static(sessions, specs):
+    """The unsupervised baseline: one thread per endpoint, shard *i*
+    sent once to endpoint *i* mod N; results in spec order."""
+    with ThreadPoolExecutor(max_workers=len(sessions)) as threads:
+        futures = [threads.submit(sessions[i % len(sessions)].run_shard,
+                                  spec)
+                   for i, spec in enumerate(specs)]
+        return [f.result() for f in futures]
 
 
 def _spawn_daemon():
@@ -91,11 +104,11 @@ def test_scatter_chaos(results_dir):
         # -- clean-path overhead: static round-robin vs pool (best of
         # 2; same daemons, same shards, warm caches on both sides) ----
         sessions = [RemoteSession(u) for u in urls]
-        scatter_shards(sessions, specs)  # warm the daemons' memos
+        _scatter_static(sessions, specs)  # warm the daemons' memos
         t_static = t_pool = float("inf")
         for _ in range(2):
             with WallClock() as w:
-                static = scatter_shards(sessions, specs)
+                static = _scatter_static(sessions, specs)
             t_static = min(t_static, w.seconds)
             with WorkerPool(urls, policy=ScatterPolicy()) as pool:
                 with WallClock() as w:

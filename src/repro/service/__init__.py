@@ -34,14 +34,15 @@ lint allows it those two modules and no other.
 """
 
 from ..errors import DrainingError, FailureRecord, TransportError
-from .client import (RemoteJob, RemoteSession, ScatterResult,
-                     scatter_monte_carlo_transient, scatter_shards)
+from .client import RemoteJob, RemoteSession
 from .engines import (AnalysisEngine, engine_for, register_engine,
                       registered_kinds, unregister_engine)
 from .faults import FaultPlan, FaultRule
 from .jobs import Job, JobQueue, RetryPolicy
 from .net import AnalysisServer, TenantConfig, serve
-from .resilience import CircuitBreaker, ScatterPolicy, WorkerPool
+from .resilience import (CircuitBreaker, ScatterPolicy, ScatterResult,
+                         WorkerPool, scatter_monte_carlo_transient,
+                         scatter_shards)
 from .requests import (REQUEST_FORMAT_VERSION, AnalysisRequest,
                        AnalysisResult)
 from .serialize import (circuit_from_dict, circuit_to_dict, from_jsonable,

@@ -11,14 +11,11 @@ reconstructed into the *same* exception classes the in-process call
 would have raised, solver context and all, so error handling is also
 transport-independent.
 
-Cross-host Monte-Carlo rides on the shard protocol:
-:func:`scatter_shards` fans planned :class:`~repro.service.shards.
-ShardSpec` payloads across N worker daemons and
-:func:`scatter_monte_carlo_transient` wraps the full plan -> scatter ->
-span-ordered merge pipeline, producing samples bit-identical to the
-in-process :func:`~repro.core.montecarlo.monte_carlo_transient` run at
-equal ``chunk_size`` (the workers redraw the same seeded joint
-sample set and slice their spans - see :mod:`repro.service.shards`).
+This module is the transport only.  Cross-host Monte-Carlo - sending
+shards to N daemons and merging them - lives with the worker pool that
+supervises it, in :mod:`repro.service.resilience`; that module calls
+:meth:`RemoteSession.run_shard` and tags failures with
+:func:`annotate_shard_failure`.
 """
 
 from __future__ import annotations
@@ -28,19 +25,15 @@ import json
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 from .. import errors as _errors
 from ..errors import (AnalysisError, JobTimeoutError, ReproError,
                       SolverError, TransportError)
-from ..stats import summarize_samples
 from .faults import maybe_inject
 from .requests import (REQUEST_FORMAT_VERSION, AnalysisRequest,
                        AnalysisResult)
 from .serialize import from_jsonable
-from .shards import (SHARD_PROTOCOL_VERSION, ShardResult, ShardSpec,
-                     mc_transient_shards, merge_shard_results)
+from .shards import SHARD_PROTOCOL_VERSION, ShardResult, ShardSpec
 
 
 def _rebuild_error(record) -> Exception:
@@ -274,7 +267,7 @@ class RemoteJob:
 
 
 # ---------------------------------------------------------------------------
-# cross-host Monte-Carlo fan-out
+# helpers of the cross-host scatter (repro.service.resilience)
 # ---------------------------------------------------------------------------
 def _as_sessions(workers) -> list[RemoteSession]:
     out = [w if isinstance(w, RemoteSession) else RemoteSession(w)
@@ -300,117 +293,3 @@ def annotate_shard_failure(exc: BaseException, spec: ShardSpec,
     exc.shard_span = (spec.start, spec.stop)
     exc.endpoint = endpoint
     return exc
-
-
-def _run_static(session: RemoteSession,
-                spec: ShardSpec) -> ShardResult:
-    try:
-        return session.run_shard(spec)
-    except Exception as exc:
-        raise annotate_shard_failure(exc, spec, session.base_url)
-
-
-def scatter_shards(workers, specs: list[ShardSpec],
-                   policy=None) -> list[ShardResult]:
-    """Execute *specs* across *workers*, concurrently; results return
-    in spec order, ready for
-    :func:`~repro.service.shards.merge_shard_results`.
-
-    *workers* may be URLs / :class:`RemoteSession` objects (static
-    round-robin over the set) or a
-    :class:`~repro.service.resilience.WorkerPool` (dynamic dispatch
-    with failover, breakers and drain avoidance).  Passing *policy* (a
-    :class:`~repro.service.resilience.ScatterPolicy`) with plain
-    workers wraps them in a temporary pool for this call.
-
-    On a terminal shard failure the outstanding not-yet-started shards
-    are cancelled and the error propagates annotated with the failing
-    span and endpoint.
-    """
-    from .resilience import WorkerPool
-    if isinstance(workers, WorkerPool):
-        return workers.scatter(specs)
-    if policy is not None:
-        with WorkerPool(workers, policy=policy) as pool:
-            return pool.scatter(specs)
-    sessions = _as_sessions(workers)
-    with ThreadPoolExecutor(max_workers=len(sessions)) as pool:
-        futures = [pool.submit(_run_static,
-                               sessions[i % len(sessions)], spec)
-                   for i, spec in enumerate(specs)]
-        try:
-            return [f.result() for f in futures]
-        except BaseException:
-            for f in futures:
-                f.cancel()
-            raise
-
-
-@dataclass
-class ScatterResult:
-    """A scattered Monte-Carlo run, merged: the same sample/statistics
-    surface as :class:`~repro.core.montecarlo.MonteCarloResult` (the
-    samples are bit-identical to the in-process run; the live deltas
-    stay on the workers)."""
-
-    n: int
-    samples: dict
-    stats: dict
-    n_failed: int = 0
-    failures: list = field(default_factory=list)
-    runtime_seconds: float = 0.0
-
-    def sigma(self, metric: str) -> float:
-        return self.stats[metric].std
-
-    def mean(self, metric: str) -> float:
-        return self.stats[metric].mean
-
-    def summary(self) -> dict:
-        """The :class:`~repro.service.requests.AnalysisResult` summary
-        shape of this run (what ``POST /run`` of the whole workload
-        would report)."""
-        return {"metrics": {name: {"mean": float(st.mean),
-                                   "sigma": float(st.std),
-                                   "std_ci_low": float(st.std_ci_low),
-                                   "std_ci_high": float(st.std_ci_high)}
-                            for name, st in self.stats.items()},
-                "n": self.n, "n_failed": self.n_failed}
-
-
-def scatter_monte_carlo_transient(workers, circuit, measures, n: int,
-                                  t_stop: float, dt: float,
-                                  chunk_size: int = 250, policy=None,
-                                  **kwargs) -> ScatterResult:
-    """One coordinator, N worker daemons: plan the shard set
-    (:func:`~repro.service.shards.mc_transient_shards`), scatter it,
-    merge span-ordered.
-
-    Accepts the planner's keywords (``window``, ``seed``,
-    ``sigma_scale``, ``param_covariance``, ``variations``, ``method``,
-    ``backend``, ...) plus *workers*/*policy* as in
-    :func:`scatter_shards`.  Statistics are computed over the finite
-    merged samples exactly as :func:`~repro.core.montecarlo.
-    monte_carlo_transient` computes them, so at equal *chunk_size* the
-    whole result - samples and statistics - matches the in-process run
-    bit for bit.  A run whose *every* lane was lost to transport
-    failures raises one :class:`~repro.errors.TransportError`
-    summarizing the loss (statistics over zero samples mean nothing);
-    partial transport loss degrades like any other lane failure.
-    """
-    t_begin = time.perf_counter()
-    specs = mc_transient_shards(circuit, measures, n, t_stop, dt,
-                                chunk_size=chunk_size, **kwargs)
-    merged = merge_shard_results(
-        scatter_shards(workers, specs, policy=policy))
-    if merged.n_failed >= n and merged.failures and all(
-            f.site == "transport" for f in merged.failures):
-        raise TransportError(
-            f"all {n} lanes lost to transport failures across "
-            f"{len(specs)} shards; first: "
-            f"{merged.failures[0].message}")
-    stats, _ = summarize_samples(merged.samples)
-    return ScatterResult(n=n, samples=merged.samples, stats=stats,
-                         n_failed=merged.n_failed,
-                         failures=list(merged.failures),
-                         runtime_seconds=time.perf_counter() - t_begin)

@@ -383,7 +383,9 @@ def _retry_policy(options: dict):
     return RetryPolicy.from_dict(spec)
 
 
-def _mc_summary(detail, ctx) -> dict:
+def mc_summary(detail, ctx=None) -> dict:
+    """The summary of a Monte-Carlo run - an engine's, or a merged
+    :class:`~repro.service.resilience.ScatterResult`."""
     return {
         "metrics": {name: {"mean": float(st.mean),
                            "sigma": float(st.std),
@@ -676,7 +678,7 @@ register_engine(AnalysisEngine(
     kind="mc_transient",
     canonicalize=_canon_mc_transient,
     run=_run_mc_transient,
-    summarize=_mc_summary,
+    summarize=mc_summary,
     payload="measures",
     fan_out=True,
     description="transient Monte-Carlo over batched lanes"))
@@ -685,7 +687,7 @@ register_engine(AnalysisEngine(
     kind="mc_dc",
     canonicalize=_canon_mc_dc,
     run=_run_mc_dc,
-    summarize=_mc_summary,
+    summarize=mc_summary,
     payload="outputs",
     fan_out=True,
     description="DC Monte-Carlo (dcmatch baseline)"))

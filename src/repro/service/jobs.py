@@ -9,11 +9,11 @@ requested, or across a process pool
 Either way a request is looked up in the session's result memo first
 (:meth:`AnalysisSession.cached <repro.service.session.AnalysisSession.
 cached>`): a hit is served in the submitting process and never waits
-for a worker.  A pooled miss runs in a worker process, which returns
-the *serialized* result (:meth:`AnalysisResult.to_dict`); the rich
-``detail`` object holds live factorizations and is deliberately not
-shipped back.  The submitting process memoizes that summary-only
-result (``detail is None``) in its session
+for a worker.  A pooled miss goes to a worker process by pickle, with
+its content key, and comes back as the summary-only result
+(``detail is None``): the rich ``detail`` object holds live
+factorizations and is deliberately not shipped back.  The submitting
+process memoizes that result in its session
 (:meth:`~repro.service.session.AnalysisSession.memoize`), so a repeat
 returns ``from_cache=True`` with no second dispatch.  A composite kind
 (``sweep``) runs in the submitting process and sends each of its cases
@@ -69,7 +69,7 @@ import threading
 import time
 from concurrent.futures import CancelledError, Future
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..core.workers import shard_runner, worker_pids, worker_pool
 from ..errors import RETRYABLE_ERRORS, JobTimeoutError, WorkerCrashError
@@ -166,15 +166,13 @@ def _worker_session():
     return _WORKER_SESSION
 
 
-def _run_request(request_dict: dict, attempt: int = 0,
-                 plan: str | None = None) -> dict:
+def _run_request(request: AnalysisRequest, key: str, attempt: int = 0,
+                 plan: str | None = None) -> AnalysisResult:
     adopt_plan(plan)
-    request = AnalysisRequest.from_dict(request_dict)
-    key = request.key()
     maybe_inject("run_request", key=key, attempt=attempt)
     # the submitting process memoizes the result; the worker keeps
     # only compiles and orbits
-    return execute(_worker_session(), request, key).to_dict()
+    return replace(execute(_worker_session(), request, key), detail=None)
 
 
 def compiled_for_shard(spec: ShardSpec, session):
@@ -522,10 +520,10 @@ class JobQueue:
                     shard_runner.reset(token)
             return Job(request, _in_thread(run_in_front))
 
-        def decode(raw: dict) -> AnalysisResult:
-            return self.session.memoize(key, AnalysisResult.from_dict(raw))
-        return self._dispatch(request, _run_request, request.to_dict(),
-                              decode, self.retry)
+        # the key rides as the payload: _run_request(request, key, ...)
+        return self._dispatch(
+            request, functools.partial(_run_request, request), key,
+            lambda result: self.session.memoize(key, result), self.retry)
 
     def submit_shard(self, spec: ShardSpec) -> Job:
         """Queue one Monte-Carlo shard (see

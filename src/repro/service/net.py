@@ -34,7 +34,7 @@ Endpoints
     Execute one :class:`ShardSpec`; returns ``ShardResult.to_dict()``.
     This is the cross-host fan-out surface: a coordinator plans shards
     with :func:`~repro.service.shards.mc_transient_shards`, scatters
-    them over N daemons (:func:`~repro.service.client.scatter_shards`)
+    them over N daemons (:func:`~repro.service.resilience.scatter_shards`)
     and merges bit-identically via
     :func:`~repro.service.shards.merge_shard_results`.
 ``POST /jobs``

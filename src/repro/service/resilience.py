@@ -17,6 +17,7 @@ draining for a rolling restart:
 * :class:`ScatterPolicy` - the client-side supervision parameters:
   per-shard attempt budget with exponential backoff, breaker
   thresholds, optional hedged dispatch, degrade-vs-raise.
+  ``policy=None`` everywhere means :data:`ONE_ATTEMPT`.
 * :class:`WorkerPool` - N endpoints behind one ``scatter``: shards are
   dispatched dynamically to the least-loaded healthy endpoint (not
   round-robin, so a lost endpoint's share redistributes), a shard whose
@@ -31,6 +32,10 @@ draining for a rolling restart:
   latency percentile onto a second endpoint; the first result wins and
   the straggler is discarded before the merge (results are taken once
   per span, so a late loser can never double-merge).
+* :func:`scatter_shards` / :func:`scatter_monte_carlo_transient` -
+  cross-host Monte-Carlo through the caller's pool, or a temporary one
+  over plain endpoints, so every shard sent over HTTP runs under a
+  pool's per-shard supervision.
 
 Because every shard redraws its samples from the seed, none of this
 perturbs the numbers: a scatter that survived a killed daemon, a
@@ -49,12 +54,15 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import wait as futures_wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..errors import DrainingError, TransportError
-from .client import RemoteSession, annotate_shard_failure
+from ..stats import summarize_samples
+from .client import RemoteSession, _as_sessions, annotate_shard_failure
+from .engines import mc_summary
 from .jobs import RetryPolicy
-from .shards import ShardResult, ShardSpec, degraded_shard_result
+from .shards import (ShardResult, ShardSpec, degraded_shard_result,
+                     mc_transient_shards, merge_shard_results)
 
 #: Circuit-breaker states (see :class:`CircuitBreaker`).
 BREAKER_CLOSED = "closed"
@@ -150,6 +158,11 @@ class ScatterPolicy:
     @classmethod
     def from_dict(cls, data: dict) -> "ScatterPolicy":
         return cls(**data)
+
+
+#: The policy of ``policy=None``: each shard is sent once, and a
+#: failure raises.
+ONE_ATTEMPT = ScatterPolicy(max_attempts=1, degrade=False)
 
 
 class CircuitBreaker:
@@ -270,7 +283,6 @@ class WorkerPool:
 
     def __init__(self, workers, policy: ScatterPolicy | None = None,
                  probe_interval: float | None = None):
-        from .client import _as_sessions
         self.policy = policy if policy is not None else ScatterPolicy()
         self._endpoints = [_Endpoint(s, self.policy)
                            for s in _as_sessions(workers)]
@@ -428,7 +440,7 @@ class WorkerPool:
                         f"no healthy endpoint for shard "
                         f"[{spec.start}, {spec.stop}) (all breakers "
                         f"open or draining)")
-                self._sleep(policy.delay(attempts))
+                self._backoff(attempts)
                 continue
             if ep.url not in tried:
                 tried.append(ep.url)
@@ -443,7 +455,7 @@ class WorkerPool:
                     raise annotate_shard_failure(exc, spec, ep.url)
                 last_exc, last_ep = exc, ep
                 attempts += 1
-                self._sleep(policy.delay(attempts))
+                self._backoff(attempts)
         if policy.degrade:
             return degraded_shard_result(
                 spec, self._exhausted(spec, last_exc, tried), attempts,
@@ -451,17 +463,22 @@ class WorkerPool:
         raise self._exhausted(spec, last_exc, tried)
 
     def _exhausted(self, spec: ShardSpec, last_exc, tried) -> TransportError:
+        """Out of attempts: tagged like a terminal failure, chained
+        to the last error."""
         where = ", ".join(tried) if tried else "no endpoint reachable"
-        return TransportError(
+        exc = TransportError(
             f"shard [{spec.start}, {spec.stop}) exhausted "
             f"{self.policy.max_attempts} attempts across the pool "
             f"({where}); last error: {last_exc}",
             endpoint=tried[-1] if tried else None)
+        exc.shard_span = (spec.start, spec.stop)
+        exc.__cause__ = last_exc
+        return exc
 
-    @staticmethod
-    def _sleep(seconds: float) -> None:
-        if seconds > 0.0:
-            time.sleep(seconds)
+    def _backoff(self, failed: int) -> None:
+        """Sleep before a re-dispatch; none follows the last attempt."""
+        if failed < self.policy.max_attempts:
+            time.sleep(self.policy.delay(failed))
 
     def scatter(self, specs: list[ShardSpec]) -> list[ShardResult]:
         """Execute *specs* across the pool; results return in spec
@@ -535,3 +552,99 @@ class WorkerPool:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+# ---------------------------------------------------------------------------
+# cross-host Monte-Carlo
+# ---------------------------------------------------------------------------
+def scatter_shards(workers, specs: list[ShardSpec],
+                   policy: ScatterPolicy | None = None
+                   ) -> list[ShardResult]:
+    """Execute *specs* across *workers*, concurrently; results return
+    in spec order, ready for
+    :func:`~repro.service.shards.merge_shard_results`.
+
+    *workers* is a :class:`WorkerPool`, which scatters under its own
+    policy (passing *policy* too is a :class:`ValueError`), or URLs /
+    :class:`~repro.service.client.RemoteSession` objects, scattered
+    through a temporary pool under *policy*; ``None`` is
+    :data:`ONE_ATTEMPT`, so each shard goes once to the least-loaded
+    endpoint and the first failure raises.
+
+    A terminal shard failure cancels the not-yet-started shards and
+    propagates - a workload error as itself, an exhausted shard as a
+    :class:`~repro.errors.TransportError` chained to the last error -
+    carrying ``shard_span`` and ``endpoint``.
+    """
+    if isinstance(workers, WorkerPool):
+        if policy is not None:
+            raise ValueError("a WorkerPool scatters under its own "
+                             "policy; set it on the pool, not here")
+        return workers.scatter(specs)
+    with WorkerPool(workers, policy=policy or ONE_ATTEMPT) as pool:
+        return pool.scatter(specs)
+
+
+@dataclass
+class ScatterResult:
+    """A scattered Monte-Carlo run, merged: the same sample/statistics
+    surface as :class:`~repro.core.montecarlo.MonteCarloResult` (the
+    samples are bit-identical to the in-process run; the live deltas
+    stay on the workers)."""
+
+    n: int
+    samples: dict
+    stats: dict
+    n_failed: int = 0
+    failures: list = field(default_factory=list)
+    runtime_seconds: float = 0.0
+
+    def sigma(self, metric: str) -> float:
+        return self.stats[metric].std
+
+    def mean(self, metric: str) -> float:
+        return self.stats[metric].mean
+
+    def summary(self) -> dict:
+        """The :class:`~repro.service.requests.AnalysisResult` summary
+        shape of this run (what ``POST /run`` of the whole workload
+        would report)."""
+        return mc_summary(self)
+
+
+def scatter_monte_carlo_transient(workers, circuit, measures, n: int,
+                                  t_stop: float, dt: float,
+                                  chunk_size: int = 250, policy=None,
+                                  **kwargs) -> ScatterResult:
+    """One coordinator, N worker daemons: plan the shard set
+    (:func:`~repro.service.shards.mc_transient_shards`), scatter it,
+    merge span-ordered.
+
+    Accepts the planner's keywords (``window``, ``seed``,
+    ``sigma_scale``, ``param_covariance``, ``variations``, ``method``,
+    ``backend``, ...) plus *workers*/*policy* as in
+    :func:`scatter_shards`.  Statistics are computed over the finite
+    merged samples exactly as :func:`~repro.core.montecarlo.
+    monte_carlo_transient` computes them, so at equal *chunk_size* the
+    whole result - samples and statistics - matches the in-process run
+    bit for bit.  A run whose *every* lane was lost to transport
+    failures raises one :class:`~repro.errors.TransportError`
+    summarizing the loss (statistics over zero samples mean nothing);
+    partial transport loss degrades like any other lane failure.
+    """
+    t_begin = time.perf_counter()
+    specs = mc_transient_shards(circuit, measures, n, t_stop, dt,
+                                chunk_size=chunk_size, **kwargs)
+    merged = merge_shard_results(
+        scatter_shards(workers, specs, policy=policy))
+    if merged.n_failed >= n and merged.failures and all(
+            f.site == "transport" for f in merged.failures):
+        raise TransportError(
+            f"all {n} lanes lost to transport failures across "
+            f"{len(specs)} shards; first: "
+            f"{merged.failures[0].message}")
+    stats, _ = summarize_samples(merged.samples)
+    return ScatterResult(n=n, samples=merged.samples, stats=stats,
+                         n_failed=merged.n_failed,
+                         failures=list(merged.failures),
+                         runtime_seconds=time.perf_counter() - t_begin)

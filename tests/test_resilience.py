@@ -366,8 +366,8 @@ class TestWorkerPool:
 
     def test_terminal_shard_failure_names_span_and_endpoint(self):
         """A workload failure (not infrastructure) propagates out of
-        the pool annotated with which span died where - and out of the
-        static scatter path identically."""
+        the pool annotated with which span died where - and out of a
+        plain scatter (a temporary one-attempt pool) identically."""
         plan = FaultPlan(rules=[FaultRule(site="run_shard",
                                           kind="convergence", start=4)])
         with AnalysisServer() as server:  # unsupervised: faults raise
@@ -375,9 +375,9 @@ class TestWorkerPool:
                 with WorkerPool([server.url], policy=FAST) as pool:
                     with pytest.raises(ConvergenceError) as via_pool:
                         pool.scatter(_specs())
-                with pytest.raises(ConvergenceError) as via_static:
+                with pytest.raises(ConvergenceError) as via_plain:
                     scatter_shards([server.url], _specs())
-        for info in (via_pool, via_static):
+        for info in (via_pool, via_plain):
             assert f"[shard [4, 8) on {server.url}]" in str(info.value)
             assert info.value.shard_span == (4, 8)
             assert info.value.endpoint == server.url
@@ -412,6 +412,59 @@ class TestWorkerPool:
     def test_pool_requires_an_endpoint(self):
         with pytest.raises(ValueError):
             WorkerPool([])
+
+
+# ---------------------------------------------------------------------------
+# plain scatters: policy=None is a one-attempt pool
+# ---------------------------------------------------------------------------
+class TestPlainScatter:
+    def test_plain_scatter_keeps_every_engine_busy(self):
+        """A default daemon runs two engine processes; a plain scatter
+        keeps both busy, so two shards that each hang 1.5 s in an
+        engine finish together rather than one after the other."""
+        hang = 1.5
+        plan = FaultPlan(rules=[FaultRule(site="run_shard", kind="hang",
+                                          hang_seconds=hang)])
+        with AnalysisServer() as server:
+            with plan.active():
+                t0 = time.monotonic()
+                results = scatter_shards([server.url], _specs())
+                elapsed = time.monotonic() - t0
+        assert np.array_equal(merge_shard_results(results).samples["vout"],
+                              _local().samples["vout"])
+        assert elapsed < 1.6 * hang  # one at a time takes >= 2 * hang
+
+    @pytest.mark.parametrize("scatter", [
+        lambda pool, policy: scatter_shards(pool, _specs(),
+                                            policy=policy),
+        lambda pool, policy: scatter_monte_carlo_transient(
+            pool, _rc(), MEAS, 8, 2e-6, 2e-8, seed=3, chunk_size=4,
+            policy=policy),
+    ], ids=["scatter_shards", "scatter_monte_carlo_transient"])
+    def test_policy_with_a_pool_is_rejected(self, scatter):
+        """A pool scatters under its own policy; a second one passed
+        alongside it is an error, not silently ignored."""
+        with WorkerPool([RemoteSession(_dead_url(), timeout=1.0)],
+                        policy=FAST) as pool:
+            with pytest.raises(ValueError, match="own policy"):
+                scatter(pool, ScatterPolicy(max_attempts=1,
+                                            degrade=False))
+            assert pool.stats()["endpoints"][0]["dispatched"] == 0
+
+    def test_exhausted_plain_scatter_names_span_endpoint_and_cause(self):
+        """An infrastructure failure of a plain scatter raises the
+        pool's exhaustion error, tagged like a terminal failure and
+        chained to the error the endpoint gave."""
+        url = _dead_url()
+        with pytest.raises(TransportError,
+                           match=r"shard \[0, 4\) exhausted 1 attempts"
+                           ) as info:
+            scatter_shards([url], _specs(n=4, chunk=4))
+        assert info.value.shard_span == (0, 4)
+        assert info.value.endpoint == url
+        cause = info.value.__cause__
+        assert isinstance(cause, TransportError) and cause.endpoint == url
+        assert isinstance(cause.__cause__, urllib.error.URLError)
 
 
 # ---------------------------------------------------------------------------
