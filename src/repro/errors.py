@@ -112,11 +112,14 @@ class WorkerCrashError(ReproError):
 class TransportError(ReproError):
     """Raised by the network client (:mod:`repro.service.client`) when a
     call never produced an HTTP response: connection refused/reset, DNS
-    failure, socket timeout - the daemon may not even have seen the
-    request.  Wraps the raw :class:`urllib.error.URLError` /
-    :class:`OSError`, naming the endpoint and method so a multi-daemon
-    scatter can say *which* worker dropped.  Maps to HTTP 502 should a
-    relay ever re-serve it."""
+    failure, socket timeout, a daemon that closed - the daemon may not
+    even have seen the request.  A kept-alive connection the daemon
+    closed between two calls is first replayed once on a fresh one;
+    this error is what remains (a timeout is never replayed).  Chained
+    to a :class:`urllib.error.URLError` whose ``reason`` is the socket
+    error, naming the endpoint and method so a multi-daemon scatter can
+    say *which* worker dropped.  Maps to HTTP 502 should a relay ever
+    re-serve it."""
 
     def __init__(self, message: str, endpoint: str | None = None,
                  method: str | None = None):

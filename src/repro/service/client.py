@@ -1,4 +1,4 @@
-"""Client of the analysis daemon (stdlib :mod:`urllib` only).
+"""Client of the analysis daemon (stdlib :mod:`http.client` only).
 
 :class:`RemoteSession` mirrors the in-process
 :class:`~repro.service.session.AnalysisSession` surface - ``run(request)
@@ -16,15 +16,32 @@ shards to N daemons and merging them - lives with the worker pool that
 supervises it, in :mod:`repro.service.resilience`; that module calls
 :meth:`RemoteSession.run_shard` and tags failures with
 :func:`annotate_shard_failure`.
+
+Connections
+-----------
+A session keeps a free list of idle HTTP/1.1 keep-alive connections to
+its daemon.  A call takes an idle connection or opens one, and puts it
+back only after reading the whole response, so concurrent callers (the
+threads and hedges of a :class:`~repro.service.resilience.WorkerPool`)
+each hold their own, and a run of sequential calls pays one TCP
+connect.  The daemon may close an idle connection between two calls
+(it restarted, or was closed); a *reused* connection that fails before
+a status line arrives - disconnected, reset, broken pipe - is replayed
+once on a fresh connection.  That is safe because ``/run``, ``/shard``
+and ``/jobs`` are content-addressed: running a request twice gives the
+same answer.  A fresh connection's failure, and any socket timeout, is
+never replayed: it raises :class:`~repro.errors.TransportError`,
+chained to a :class:`urllib.error.URLError`.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 import urllib.error
-import urllib.request
+import urllib.parse
 
 from .. import errors as _errors
 from ..errors import (AnalysisError, JobTimeoutError, ReproError,
@@ -48,6 +65,16 @@ def _rebuild_error(record) -> Exception:
                    residual=record.residual,
                    theta_fingerprint=record.theta_fingerprint)
     return cls(record.message)
+
+
+def _as_url_error(err: BaseException) -> urllib.error.URLError:
+    """*err* as the :class:`urllib.error.URLError` a
+    :class:`~repro.errors.TransportError` is chained to."""
+    if isinstance(err, urllib.error.URLError):
+        return err
+    wrapped = urllib.error.URLError(err)
+    wrapped.__cause__ = err
+    return wrapped
 
 
 def _raise_wire_error(payload: dict, status: int) -> None:
@@ -83,6 +110,9 @@ class RemoteSession:
         Per-call socket timeout [s].  Analysis runs synchronously
         inside ``POST /run``, so size this over the expected solve
         time (or use :meth:`submit` and poll).
+
+    The session holds keep-alive connections (see the module
+    docstring): use it as a context manager, or call :meth:`close`.
     """
 
     def __init__(self, base_url: str, token: str | None = None,
@@ -90,18 +120,28 @@ class RemoteSession:
         self.base_url = base_url.rstrip("/")
         self.token = token
         self.timeout = timeout
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"not an http(s) URL: {base_url!r}")
+        self._connection_class = (http.client.HTTPSConnection
+                                  if url.scheme == "https"
+                                  else http.client.HTTPConnection)
+        self._host, self._port, self._prefix = (url.hostname, url.port,
+                                                url.path)
+        self._idle: list[http.client.HTTPConnection] = []
+        self._closed = False
+        self._lock = threading.Lock()
+        self._negotiate_lock = threading.Lock()
         self._negotiated = False
 
     # -- transport -----------------------------------------------------
     def _call(self, method: str, path: str, payload=None,
               attempt: int = 0) -> dict:
-        data = (json.dumps(payload).encode("utf-8")
+        body = (json.dumps(payload).encode("utf-8")
                 if payload is not None else None)
-        req = urllib.request.Request(self.base_url + path, data=data,
-                                     method=method)
-        req.add_header("Content-Type", "application/json")
+        headers = {"Content-Type": "application/json"}
         if self.token:
-            req.add_header("Authorization", f"Bearer {self.token}")
+            headers["Authorization"] = f"Bearer {self.token}"
         try:
             # the transport fault site sits before the socket is
             # touched; the key names the endpoint so a plan can drop
@@ -109,38 +149,106 @@ class RemoteSession:
             maybe_inject("transport",
                          key=f"{self.base_url} {method} {path}",
                          attempt=attempt)
-            with urllib.request.urlopen(req,
-                                        timeout=self.timeout) as resp:
-                return json.loads(resp.read().decode("utf-8"))
-        except urllib.error.HTTPError as err:
-            body = err.read().decode("utf-8", errors="replace")
-            try:
-                wire = json.loads(body)
-            except json.JSONDecodeError:
-                wire = {"raw": body}
-            _raise_wire_error(wire, err.code)
+            status, raw = self._exchange(method, self._prefix + path,
+                                         body, headers)
         except (OSError, http.client.HTTPException) as err:
-            # URLError, ConnectionError, socket.timeout, a connection
-            # torn down mid-response: no HTTP reply ever arrived.
-            # (HTTPError subclasses URLError, so it must be caught
-            # above, not here.)
+            # refused, reset, timed out, torn down mid-response: no
+            # HTTP reply ever arrived
             raise TransportError(
                 f"{method} {self.base_url}{path} got no HTTP response "
                 f"({type(err).__name__}: {err})",
-                endpoint=self.base_url, method=method) from err
+                endpoint=self.base_url,
+                method=method) from _as_url_error(err)
+        if not 200 <= status < 300:
+            text = raw.decode("utf-8", errors="replace")
+            try:
+                wire = json.loads(text)
+            except json.JSONDecodeError:
+                wire = {"raw": text}
+            _raise_wire_error(wire, status)
+        return json.loads(raw.decode("utf-8"))
+
+    def _exchange(self, method: str, target: str, body: bytes | None,
+                  headers: dict) -> tuple[int, bytes]:
+        """One request and its whole response on a connection of the
+        free list: ``(status, body)``."""
+        conn, reused = self._checkout()
+        try:
+            while True:
+                try:
+                    conn.request(method, target, body=body,
+                                 headers=headers)
+                    response = conn.getresponse()
+                    break
+                except ConnectionError:
+                    # no status line: the daemon closed this idle
+                    # connection before it read the request (it was
+                    # closed or restarted) - one replay, fresh
+                    if not reused:
+                        raise
+                    conn.close()
+                    conn, reused = self._connection(), False
+            raw = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            self._checkin(conn)
+        return response.status, raw
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """A fresh connection; it connects on its first request."""
+        return self._connection_class(self._host, self._port,
+                                      timeout=self.timeout)
+
+    def _checkout(self) -> tuple[http.client.HTTPConnection, bool]:
+        """An idle connection (``reused=True``) or a fresh one."""
+        with self._lock:
+            if self._idle:
+                return self._idle.pop(), True
+        return self._connection(), False
+
+    def _checkin(self, conn: http.client.HTTPConnection) -> None:
+        with self._lock:
+            if not self._closed:
+                self._idle.append(conn)
+                return
+        conn.close()
+
+    def close(self) -> None:
+        """Close the idle connections; one in use closes when its call
+        ends.  Calls made afterwards still work, each on a connection
+        of its own that it closes."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def __enter__(self) -> "RemoteSession":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _negotiate(self) -> None:
-        """Refuse to talk across wire-format versions (once, lazily)."""
+        """Refuse to talk across wire-format versions (once, lazily:
+        concurrent first calls wait on one ``GET /health``)."""
         if self._negotiated:
             return
-        theirs = self.health().get("versions", {})
-        ours = {"request_format": REQUEST_FORMAT_VERSION,
-                "shard_protocol": SHARD_PROTOCOL_VERSION}
-        if theirs != ours:
-            raise AnalysisError(
-                f"wire version mismatch: daemon at {self.base_url} "
-                f"speaks {theirs}, this client speaks {ours}")
-        self._negotiated = True
+        with self._negotiate_lock:
+            if self._negotiated:
+                return
+            theirs = self.health().get("versions", {})
+            ours = {"request_format": REQUEST_FORMAT_VERSION,
+                    "shard_protocol": SHARD_PROTOCOL_VERSION}
+            if theirs != ours:
+                raise AnalysisError(
+                    f"wire version mismatch: daemon at {self.base_url} "
+                    f"speaks {theirs}, this client speaks {ours}")
+            self._negotiated = True
 
     # -- daemon surface ------------------------------------------------
     def health(self) -> dict:
@@ -267,16 +375,8 @@ class RemoteJob:
 
 
 # ---------------------------------------------------------------------------
-# helpers of the cross-host scatter (repro.service.resilience)
+# helper of the cross-host scatter (repro.service.resilience)
 # ---------------------------------------------------------------------------
-def _as_sessions(workers) -> list[RemoteSession]:
-    out = [w if isinstance(w, RemoteSession) else RemoteSession(w)
-           for w in workers]
-    if not out:
-        raise ValueError("need at least one worker daemon")
-    return out
-
-
 def annotate_shard_failure(exc: BaseException, spec: ShardSpec,
                            endpoint: str) -> BaseException:
     """Tag a terminal shard failure with *which* span died on *which*

@@ -25,8 +25,9 @@ Endpoints
     facade ``API_VERSION`` and the registered kinds.  Unauthenticated.
 ``GET /stats``
     Session store counters, the engine pool (``workers``, ``pids``,
-    ``dispatched``, respawn ``epoch``), per-tenant quota counters and
-    the asynchronous job count.
+    ``dispatched``, respawn ``epoch``), per-tenant quota counters, the
+    asynchronous job count and the HTTP ``connections`` (``open`` now,
+    ``accepted`` in all).
 ``POST /run``
     Execute one :class:`AnalysisRequest` synchronously; returns the
     ``AnalysisResult.to_dict()`` summary.
@@ -53,6 +54,22 @@ Endpoints
     ``GET /health`` reports ``draining: true`` so load balancers and
     :class:`~repro.service.resilience.WorkerPool` probes route around
     the daemon instead of tripping its circuit breaker.
+
+Connections
+-----------
+The daemon speaks HTTP/1.1 keep-alive: one handler thread serves every
+request of one connection, so a client that keeps its connection
+(:class:`~repro.service.client.RemoteSession` does) pays no connect and
+no thread start per request.  Each response leaves in one write, on a
+socket with ``TCP_NODELAY``: headers and body sent apart would hold the
+body back until the client's delayed ACK of the headers (~40 ms).  A
+request body an endpoint does not read (an error answered early) is
+read off the socket before the reply, or - past ``max_body_bytes`` -
+the connection closes after it, so the next request on the connection
+is never parsed out of a stale body.  :meth:`AnalysisServer.close`
+shuts every open connection down: a client holding one gets a
+:class:`~repro.errors.TransportError`, never an answer from a closed
+daemon.
 
 Tenancy
 -------
@@ -85,6 +102,8 @@ flight on it (``WorkerCrashError``, a 502) and the pool respawns.
 from __future__ import annotations
 
 import json
+import socket
+import sys
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future
@@ -435,14 +454,57 @@ class ServiceApp:
 # HTTP plumbing
 # ---------------------------------------------------------------------------
 class _HttpServer(ThreadingHTTPServer):
+    """One handler thread per connection; the open connections are
+    tracked so :meth:`close_connections` can hang them up (the mixin
+    does not track its daemon threads)."""
+
     daemon_threads = True
     allow_reuse_address = True
     app: ServiceApp  # attached by AnalysisServer
+
+    def __init__(self, *args, **kwargs):
+        self._conn_lock = threading.Lock()
+        self._open: set[socket.socket] = set()
+        self._accepted = 0
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._conn_lock:
+            self._open.add(request)
+            self._accepted += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._conn_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        # a connection the client dropped or close() hung up is no
+        # daemon fault; anything else keeps the stock traceback
+        if not isinstance(sys.exc_info()[1], OSError):
+            super().handle_error(request, client_address)
+
+    def connection_stats(self) -> dict:
+        with self._conn_lock:
+            return {"open": len(self._open), "accepted": self._accepted}
+
+    def close_connections(self) -> None:
+        """Shut every open connection down: a handler waiting for its
+        next request reads EOF, one still working fails its write."""
+        with self._conn_lock:
+            for sock in self._open:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:  # the client got there first
+                    pass
 
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-analysis"
+    #: TCP_NODELAY: a keep-alive reply must not wait on Nagle
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
     @property
@@ -458,24 +520,56 @@ class _Handler(BaseHTTPRequestHandler):
             return auth[len("Bearer "):].strip()
         return self.headers.get("X-Repro-Token")
 
+    def _declared_length(self) -> int:
+        """Bytes of request body on the socket.  A body this handler
+        cannot frame (chunked, or a malformed length) closes the
+        connection after the reply."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0 or "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+            return 0
+        return length
+
     def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._unread
         if length > self.app.max_body_bytes:
             raise _HttpError(413, f"request body of {length} bytes "
                                   f"exceeds the "
                                   f"{self.app.max_body_bytes} byte limit")
+        self._unread = 0
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise AnalysisError("expected a JSON request body")
         return json.loads(raw.decode("utf-8"))
 
+    def _skip_body(self) -> None:
+        """Read off a body no endpoint read, so the next request on
+        this connection starts where the client sent it; one past
+        ``max_body_bytes`` closes the connection instead."""
+        if self._unread > self.app.max_body_bytes:
+            self.close_connection = True
+        elif self._unread:
+            self.rfile.read(self._unread)
+        self._unread = 0
+
     def _send(self, status: int, payload: dict) -> None:
+        self._skip_body()
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        head = [f"{self.protocol_version} {status} "
+                f"{self.responses[status][0]}",
+                f"Server: {self.version_string()}",
+                f"Date: {self.date_time_string()}",
+                "Content-Type: application/json",
+                f"Content-Length: {len(body)}"]
+        if self.close_connection:
+            head.append("Connection: close")
+        # one write: headers and body sent apart would hold the body
+        # behind the client's delayed ACK of the headers
+        self.wfile.write("\r\n".join(head).encode("latin-1")
+                         + b"\r\n\r\n" + body)
 
     # -- routing -------------------------------------------------------
     def do_GET(self) -> None:
@@ -486,20 +580,18 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _route(self, method: str) -> None:
         path = self.path.split("?", 1)[0]
+        self._unread = self._declared_length()
         try:
             if method == "GET" and path == "/health":
                 self._send(200, self.app.health())
                 return
             tenant = self.app.authenticate(self._token())
             if method == "GET" and path == "/stats":
-                self._send(200, self.app.stats())
+                self._send(200, {**self.app.stats(),
+                                 "connections":
+                                 self.server.connection_stats()})
             elif method == "POST" and path == "/admin/drain":
-                # body optional (and ignored) - but drain it from the
-                # socket so HTTP/1.1 keep-alive stays framed
-                length = int(self.headers.get("Content-Length") or 0)
-                if length:
-                    self.rfile.read(min(length, self.app.max_body_bytes))
-                self._send(200, self.app.drain())
+                self._send(200, self.app.drain())  # body ignored
             elif method == "POST" and path == "/run":
                 self._send(200, self.app.run(tenant, self._body()))
             elif method == "POST" and path == "/shard":
@@ -563,8 +655,15 @@ class AnalysisServer:
         """Serve on the calling thread (the daemon entry point)."""
         self._httpd.serve_forever()
 
+    def connection_stats(self) -> dict:
+        """HTTP connections: ``open`` now, ``accepted`` in all."""
+        return self._httpd.connection_stats()
+
     def close(self) -> None:
+        """Stop accepting, hang up every open connection, then stop
+        the engine pool."""
         self._httpd.shutdown()
+        self._httpd.close_connections()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 from ..errors import DrainingError, TransportError
 from ..stats import summarize_samples
-from .client import RemoteSession, _as_sessions, annotate_shard_failure
+from .client import RemoteSession, annotate_shard_failure
 from .engines import mc_summary
 from .jobs import RetryPolicy
 from .shards import (ShardResult, ShardSpec, degraded_shard_result,
@@ -267,7 +267,8 @@ class WorkerPool:
     ----------
     workers:
         Endpoint URLs or :class:`~repro.service.client.RemoteSession`
-        objects.
+        objects.  Sessions the pool builds from URLs close with it;
+        sessions passed in stay the caller's.
     policy:
         A :class:`ScatterPolicy`; default :class:`ScatterPolicy()`.
     probe_interval:
@@ -284,8 +285,16 @@ class WorkerPool:
     def __init__(self, workers, policy: ScatterPolicy | None = None,
                  probe_interval: float | None = None):
         self.policy = policy if policy is not None else ScatterPolicy()
-        self._endpoints = [_Endpoint(s, self.policy)
-                           for s in _as_sessions(workers)]
+        #: Sessions this pool built from URLs, closed with it.
+        self._owned: list[RemoteSession] = []
+        self._endpoints = []
+        for worker in workers:
+            if not isinstance(worker, RemoteSession):
+                worker = RemoteSession(worker)
+                self._owned.append(worker)
+            self._endpoints.append(_Endpoint(worker, self.policy))
+        if not self._endpoints:
+            raise ValueError("need at least one worker daemon")
         self._lock = threading.Lock()
         self._rr = 0
         self._latencies: deque = deque(maxlen=128)
@@ -546,6 +555,8 @@ class WorkerPool:
             self._probe_thread = None
         self._coord.shutdown(wait=False, cancel_futures=True)
         self._calls.shutdown(wait=False, cancel_futures=True)
+        for session in self._owned:
+            session.close()
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -13,11 +13,17 @@ test are the PR's contract:
   the shared session memo, pending-job quotas;
 * one tagged error schema (:class:`FailureRecord` payloads) with HTTP
   statuses mapped from the exception hierarchy - and injected faults
-  degrading into ``failures`` on a 200, not into 5xx.
+  degrading into ``failures`` on a 200, not into 5xx;
+* keep-alive: a session's sequential calls share one connection, a
+  memo hit on it costs no delayed-ACK stall, an unread request body
+  never bleeds into the next request, a closed daemon is a
+  ``TransportError`` and a restarted one a single reconnect.
 """
 
+import http.client
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -31,12 +37,12 @@ from repro.core.montecarlo import monte_carlo_transient
 from repro.errors import (AnalysisError, AuthenticationError,
                           ConvergenceError, FailureRecord,
                           JobTimeoutError, QuotaExceededError, ReproError,
-                          WorkerCrashError)
+                          TransportError, WorkerCrashError)
 from repro.service import (AnalysisRequest, AnalysisServer,
                            AnalysisSession, FaultPlan, FaultRule,
                            RemoteSession, RetryPolicy, TenantConfig,
                            mc_transient_shards, merge_shard_results,
-                           registered_kinds, run_shard,
+                           WorkerPool, registered_kinds, run_shard,
                            scatter_monte_carlo_transient, scatter_shards)
 from repro.service.net import error_payload, status_for, wire_versions
 
@@ -550,3 +556,205 @@ class TestFaultedDaemon:
             with plan.active():
                 with pytest.raises(ConvergenceError):
                     RemoteSession(server.url).run_shard(spec)
+
+
+# ---------------------------------------------------------------------------
+# keep-alive connections and the daemon's lifecycle
+# ---------------------------------------------------------------------------
+def _port(url):
+    return int(url.rsplit(":", 1)[1])
+
+
+def _eight_shards():
+    return mc_transient_shards(_rc(), MEAS, 8, 2e-6, 2e-8, chunk_size=1,
+                               seed=3)
+
+
+def _wait_for(predicate, seconds=5.0):
+    """Poll *predicate* until it holds or *seconds* pass; its value."""
+    deadline = time.monotonic() + seconds
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return predicate()
+
+
+class TestKeepAlive:
+    def test_sequential_runs_share_one_connection(self):
+        """Negotiation and every call after it ride one keep-alive
+        connection, counted by the daemon."""
+        with AnalysisServer() as server:
+            with RemoteSession(server.url) as client:
+                for r1 in (1e3, 2e3, 1e3, 2e3, 1e3):
+                    client.run(_dc_request(r1))
+                stats = server.connection_stats()
+        assert stats == {"open": 1, "accepted": 1}
+
+    def test_keep_alive_hit_has_no_delayed_ack_stall(self):
+        """A memo hit on a reused connection costs about a millisecond;
+        headers and body sent in two writes without TCP_NODELAY would
+        wait ~40 ms on the client's delayed ACK."""
+        request = _dc_request()
+        with AnalysisServer() as server:
+            with RemoteSession(server.url) as client:
+                client.run(request)
+                walls = []
+                for _ in range(15):
+                    t0 = time.perf_counter()
+                    assert client.run(request).from_cache
+                    walls.append(time.perf_counter() - t0)
+        assert sorted(walls)[len(walls) // 2] < 0.020
+
+    def test_stats_count_connections(self):
+        with AnalysisServer() as server:
+            with RemoteSession(server.url) as client:
+                client.health()
+                stats = client.server_stats()
+        assert stats["connections"] == {"open": 1, "accepted": 1}
+
+    @pytest.mark.parametrize("method, path, status", [
+        ("POST", "/nope", 404),
+        ("POST", "/run", 401),
+        ("GET", "/stats", 200),
+        ("POST", "/admin/drain", 200),
+    ], ids=["404", "401", "get-with-body", "drain"])
+    def test_unread_body_keeps_the_connection_framed(self, method, path,
+                                                     status):
+        """A body no endpoint reads is read off the socket, so the next
+        request on the same connection is answered, not misparsed (a
+        drained daemon answers it with its tagged 503)."""
+        body = json.dumps(_dc_request().to_dict()).encode()
+        with AnalysisServer(tenants=TENANTS) as server:
+            conn = http.client.HTTPConnection("127.0.0.1",
+                                              _port(server.url),
+                                              timeout=30)
+            try:
+                token = ({} if status == 401
+                         else {"Authorization": "Bearer tok-a"})
+                conn.request(method, path, body=body, headers=token)
+                reply = conn.getresponse()
+                reply.read()
+                assert reply.status == status
+                assert not reply.will_close
+                conn.request("POST", "/run", body=body,
+                             headers={"Authorization": "Bearer tok-a"})
+                second = conn.getresponse()
+                payload = json.loads(second.read())
+            finally:
+                conn.close()
+            stats = server.connection_stats()
+        assert stats["accepted"] == 1
+        if path == "/admin/drain":
+            assert second.status == 503
+            assert payload["error"]["error"] == "DrainingError"
+            return
+        assert second.status == 200
+        assert payload["summary"]["metrics"] == AnalysisSession().run(
+            _dc_request()).summary["metrics"]
+
+    def test_oversized_body_closes_the_connection(self):
+        """A body past ``max_body_bytes`` is not read: the 413 says
+        ``Connection: close`` and the client reconnects cleanly."""
+        body = json.dumps(_dc_request().to_dict()).encode()
+        with AnalysisServer(max_body_bytes=len(body) - 1) as server:
+            conn = http.client.HTTPConnection("127.0.0.1",
+                                              _port(server.url),
+                                              timeout=30)
+            try:
+                conn.request("POST", "/run", body=body + b" " * 64)
+                reply = conn.getresponse()
+                reply.read()
+                conn.request("GET", "/health")  # reconnects
+                again = conn.getresponse()
+                again.read()
+            finally:
+                conn.close()
+            accepted = server.connection_stats()["accepted"]
+        assert reply.status == 413 and reply.will_close
+        assert again.status == 200
+        assert accepted == 2
+
+    def test_closed_daemon_is_a_transport_error(self):
+        """A session whose keep-alive connection is live gets a
+        TransportError from a closed daemon - not a memo hit from a
+        handler thread that outlived it, nor a 500 from its stopped
+        engine pool."""
+        request = _dc_request()
+        server = AnalysisServer().start()
+        try:
+            client = RemoteSession(server.url)
+            client.run(request)  # memoized, connection idle and live
+        finally:
+            server.close()
+        with pytest.raises(TransportError) as info:
+            client.run(request)
+        assert info.value.endpoint == server.url
+        assert isinstance(info.value.__cause__, urllib.error.URLError)
+
+    def test_reused_connection_to_restarted_daemon_reconnects(self):
+        """A daemon restarted on the same port closed the session's
+        idle connection; the call replays once on a fresh one."""
+        request = _dc_request()
+        with AnalysisServer() as first:
+            url = first.url
+            client = RemoteSession(url)
+            client.run(request)
+        with AnalysisServer(port=_port(url)) as second:
+            result = client.run(request)
+            accepted = second.connection_stats()["accepted"]
+        assert not result.from_cache  # the new daemon computed it
+        assert result.summary["metrics"] == AnalysisSession().run(
+            request).summary["metrics"]
+        assert accepted == 1
+
+    def test_timeout_on_reused_connection_is_not_replayed(self):
+        """A socket timeout may mean the daemon is still working on the
+        request: it raises at once, and the daemon saw one request."""
+        calls = []
+        with AnalysisServer() as server:
+            run = server.app.run
+
+            def slow_run(tenant, payload):
+                calls.append(payload)
+                time.sleep(1.0)
+                return run(tenant, payload)
+
+            server.app.run = slow_run
+            client = RemoteSession(server.url, timeout=0.3)
+            client.health()  # the /run below reuses this connection
+            with pytest.raises(TransportError) as info:
+                client.run(_dc_request())
+            seen = len(calls)
+        assert seen == 1
+        assert isinstance(info.value.__cause__, urllib.error.URLError)
+
+    def test_plain_scatter_negotiates_once(self):
+        """Concurrent first calls on one session share one
+        ``GET /health``."""
+        with AnalysisServer() as server:
+            health = server.app.health
+            probes = []
+            server.app.health = lambda: probes.append(1) or health()
+            scatter_shards([server.url], _eight_shards())
+        assert len(probes) == 1
+
+    def test_plain_scatter_closes_its_connections(self):
+        """The temporary pool of a plain scatter closes the sessions it
+        built, so the daemon's open-connection count returns to 0."""
+        with AnalysisServer() as server:
+            results = scatter_shards([server.url], _eight_shards())
+            assert _wait_for(
+                lambda: server.connection_stats()["open"] == 0)
+            accepted = server.connection_stats()["accepted"]
+        assert len(results) == 8
+        assert accepted >= 1
+
+    def test_pool_closes_the_sessions_it_built(self):
+        """A closed pool's URL-built sessions hold no connection, even
+        while the pool object itself is still referenced."""
+        with AnalysisServer() as server:
+            pool = WorkerPool([server.url])
+            with pool:
+                pool.scatter(_eight_shards())
+            assert _wait_for(
+                lambda: server.connection_stats()["open"] == 0)
+            assert pool.stats()["endpoints"][0]["dispatched"] == 8
