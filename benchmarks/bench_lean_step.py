@@ -6,10 +6,14 @@ Newton iteration times the iteration count.  On the ~16-unknown logic
 path that cost is mostly per-call overhead: device evaluation, source
 evaluation and the LAPACK wrappers.  This benchmark publishes:
 
-* microseconds per call of the four kernels of one iteration on the
-  logic path's nominal state, at orbit operating points: ``assemble``
-  with and without the Jacobian, ``factor`` and ``solve`` through the
-  circuit's backend (median of several rounds);
+* microseconds per call of the kernels of one iteration on the logic
+  path's nominal state, at orbit operating points: ``assemble`` with
+  and without the Jacobian (each with the per-run scratch a Newton
+  loop owns), the step residual, ``factor`` and ``solve`` through the
+  circuit's backend, and one whole modified-Newton iteration of the
+  settle - residual-only assembly, residual, a solve on the cached
+  factorization, the clipped update and its norm (median of several
+  rounds);
 * microseconds per batched ``assemble`` call, with and without the
   Jacobian, on a 100-lane Monte-Carlo state (one lane chunk of the
   Table II MC-200 baseline) at the same operating points;
@@ -27,10 +31,14 @@ import time
 import numpy as np
 
 from repro.analysis import compile_circuit, pss
+from repro.analysis.dcop import NewtonOptions
 from repro.analysis.pss import PssOptions
+from repro.analysis.transient import (_NewtonWork, _newton_step_reuse,
+                                      _residual)
 from repro.circuits import logic_path_testbench
 from repro.core.analysis import run_transient_mismatch
 from repro.core.measures import EdgeDelay
+from repro.linalg import FactorizationCache
 
 from conftest import publish
 
@@ -90,7 +98,8 @@ def test_lean_step(tech, results_dir):
     x_pads = [kern.pad(x) for x in orbit.x[:: N_STEPS // 16]]
     t_pts = orbit.t[:: N_STEPS // 16]
     _, g_pad, f_pad = kern.buffers(())
-    c_over_h = kern.capacitance(state)[:n, :n] / (tb.period / N_STEPS)
+    c_over_h_pad = kern.capacitance(state) / (tb.period / N_STEPS)
+    c_over_h = c_over_h_pad[:n, :n]
     steps = []
     for x_pad, t in zip(x_pads, t_pts):
         kern.assemble(state, x_pad, float(t), g_pad, f_pad)
@@ -101,10 +110,43 @@ def test_lean_step(tech, results_dir):
     # sources come from a grid table, as in the fixed-grid loops
     table = kern.source_table(state, t_pts)
     pts = range(len(x_pads))
+    # the per-run buffers a transient's step solver owns
+    work = _NewtonWork(kern, state, ())
 
     def assemble(i, jacobian):
         kern.assemble(state, x_pads[i], float(t_pts[i]), g_pad, f_pad,
-                      jacobian=jacobian, sources=table.row(i))
+                      jacobian=jacobian, sources=table.row(i),
+                      scratch=work.scratch)
+
+    # the step residual between consecutive orbit points
+    theta = np.append(kern.theta_rows(state, "trap"), 1.0)
+    one_minus = 1.0 - theta
+    f_pts = []
+    for i in pts:
+        assemble(i, False)
+        f_pts.append(f_pad.copy())
+
+    def residual(i):
+        j = i - 1
+        _residual(x_pads[i], x_pads[j], f_pts[i], f_pts[j], theta,
+                  one_minus, c_over_h_pad, work)
+
+    # one modified-Newton iteration of the settle: the cache holds the
+    # step matrix's factorization and, for a constant-Jacobian cache,
+    # never re-factors; an infinite tolerance accepts after one pass
+    cache = FactorizationCache(backend, jac_constant=True)
+    cache.solve(rhs, lambda: steps[0])
+    one_pass = NewtonOptions(max_iterations=1, vntol=np.inf,
+                             max_step=1.0)
+    x_it = np.empty_like(x_pads[0])
+
+    def newton_iteration(i):
+        j = i - 1
+        np.copyto(x_it, x_pads[i])
+        _newton_step_reuse(kern, state, x_it, x_pads[j], f_pts[j],
+                           float(t_pts[i]), theta, one_minus,
+                           c_over_h_pad, g_pad, f_pad, cache, one_pass,
+                           work, src=table.row(i))
 
     # one Monte-Carlo chunk: per-lane threshold deltas, every lane at
     # the same orbit point, lane-shared sources from a grid table
@@ -125,8 +167,10 @@ def test_lean_step(tech, results_dir):
         "assemble_jacobian": _us_per_call(lambda i: assemble(i, True), pts),
         "assemble_residual": _us_per_call(lambda i: assemble(i, False),
                                           pts),
+        "residual": _us_per_call(residual, pts),
         "factor": _us_per_call(backend.factor, steps),
         "solve": _us_per_call(lambda f: f.solve(rhs), factors),
+        "newton_iteration": _us_per_call(newton_iteration, pts),
         f"assemble_jacobian_{MC_LANES}_lanes": _us_per_call(
             lambda i: assemble_lanes(i, True), pts),
         f"assemble_residual_{MC_LANES}_lanes": _us_per_call(

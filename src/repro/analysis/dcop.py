@@ -104,11 +104,12 @@ def newton_solve(compiled: CompiledCircuit, state: ParamState,
     else:
         _, g_pad, f_pad = compiled.buffers(batch)
         jac = g_pad[..., :n, :n]
+        scratch = None if state.batched else compiled.scratch(batch)
 
         def assemble(jacobian: bool) -> None:
             compiled.assemble(state, x_pad, t, g_pad, f_pad,
                               source_scale=source_scale, gmin=gmin,
-                              jacobian=jacobian)
+                              jacobian=jacobian, scratch=scratch)
 
         def jac_fresh():
             # cache re-factor: assemble at the current iterate

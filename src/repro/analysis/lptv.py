@@ -230,10 +230,7 @@ class PeriodicLinearization:
         m = di.shape[-1]
         d = np.empty((n_steps + 1, n, m))
         d[0] = dx0
-        cur = dx0
-        for k, rho in enumerate(self._rho_sweep(di, dq), start=1):
-            cur = self.lin.step_map(k, cur, rho)
-            d[k] = cur
+        self.lin.sweep(dx0, self._rho_sweep(di, dq), store=d)
         return SensitivitySolution(pss=self.pss, injections=list(injections),
                                    waveforms=d, dT_dp=dT_dp)
 
@@ -279,9 +276,7 @@ class PeriodicLinearization:
         m = di.shape[-1]
 
         # pass 1: particular solution only - the monodromy never rides
-        p = np.zeros((n, m))
-        for k, rho in enumerate(self._rho_sweep(di, dq), start=1):
-            p = lin.step_map(k, p, rho)
+        p = lin.sweep(np.zeros((n, m)), self._rho_sweep(di, dq))
 
         if self.pss.is_oscillator:
             a_idx = self.pss.anchor_index

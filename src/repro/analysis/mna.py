@@ -34,7 +34,12 @@ cached 1-D positions into the flattened buffers (numpy's fast
 ``np.add.at`` path), in the same accumulation order.  On a
 ``wants_csr`` backend, batchless runs go further and assemble natively
 on the circuit's sparsity pattern (:class:`CsrAssembler`), never
-materialising a dense ``(n+1)^2`` buffer.
+materialising a dense ``(n+1)^2`` buffer.  A batchless state's
+device values land in an :class:`AssemblyScratch` that the Newton
+loop owns for its run - never the compiled circuit or the state,
+which session caches share across threads - and the fused EKV
+kernel's constant factors come from the state
+(:meth:`ParamState.mos_constants`), computed once.
 
 **Sparse-native parameter states.**  :meth:`CompiledCircuit.make_state`
 builds the linear G/C templates as value arrays over the circuit's
@@ -63,7 +68,8 @@ import numpy as np
 from ..circuit.controlled import Vccs, Vcvs
 from ..circuit.elements import (MismatchDecl, NoiseDecl, ParamKey,
                                 PsdShape)
-from ..circuit.mosfet import Mosfet, ekv_ids, ekv_ids_fused
+from ..circuit.mosfet import (EkvWork, MosConstants, MosEval, Mosfet,
+                              ekv_ids, ekv_ids_fused)
 from ..circuit.netlist import GROUND_NAMES, Circuit
 from ..circuit.passives import Capacitor, Inductor, Resistor
 from ..circuit.sources import CurrentSource, VoltageSource
@@ -102,7 +108,9 @@ class ParamState:
     shape ``(n+1)^2`` exists until a dense-path consumer explicitly
     calls the :meth:`to_dense` escape hatch.
 
-    ``mos``, ``vccs`` hold per-group effective parameter arrays.
+    ``mos``, ``vccs`` hold per-group effective parameter arrays;
+    :meth:`mos_constants` derives the fused EKV kernel's constant
+    factors from them once.
     ``source_values`` maps source names to overriding values (scalar or
     per-batch array) - used for example by the comparator bisection lanes.
     Overrides are consumed into a cached static source vector on the
@@ -135,8 +143,17 @@ class ParamState:
     #: evaluated time point.
     src_cache: "tuple[float, np.ndarray] | None" = field(
         default=None, repr=False, compare=False)
+    #: The circuit's per-device slope factors ``n`` and length-scaled
+    #: ``lambda_eff`` (inputs of :meth:`mos_constants`).
+    mos_n: np.ndarray = field(default_factory=lambda: np.zeros(0),
+                              repr=False, compare=False)
+    mos_lam: np.ndarray = field(default_factory=lambda: np.zeros(0),
+                                repr=False, compare=False)
     #: Lazily densified ``(g_lin, c_lin)`` pair (:meth:`to_dense`).
     _dense: "tuple[np.ndarray, np.ndarray] | None" = field(
+        default=None, repr=False, compare=False)
+    #: Lazily built fused-kernel constants (:meth:`mos_constants`).
+    _consts: "MosConstants | None" = field(
         default=None, repr=False, compare=False)
 
     @property
@@ -164,11 +181,23 @@ class ParamState:
             self._dense = (g, c)
         return self._dense
 
+    def mos_constants(self) -> MosConstants:
+        """The per-device constant factors of
+        :func:`~repro.circuit.mosfet.ekv_ids_fused` for this
+        (batchless) state - read-only, built lazily on first call and
+        cached like :meth:`to_dense`, so a Newton loop stops
+        recomputing them on every device evaluation."""
+        if self._consts is None:
+            self._consts = MosConstants.of(self.mos["beta"], self.mos_n,
+                                           self.mos_lam)
+        return self._consts
+
     def clear_caches(self) -> "ParamState":
         """Drop the derived per-state caches (densified templates and
         source vectors); the sparse templates themselves survive.
         Returns ``self``."""
         self._dense = None
+        self._consts = None
         self.src_static = None
         self.src_cache = None
         return self
@@ -403,6 +432,12 @@ class CompiledCircuit:
         self._mos_beta = np.array([e.beta for e in m])
         self._mos_n = np.array([e.params.n for e in m])
         self._mos_lam = np.array([e.lam_eff for e in m])
+        #: terminal gather of the fused kernel, rows (s, d, g, b, b, b)
+        #: (:class:`~repro.circuit.mosfet.EkvWork`), and its polarity
+        self._mos_tidx = np.ascontiguousarray(
+            self._mos_idx[:, [2, 0, 1, 3, 3, 3]].T)
+        self._mos_tsign = np.ascontiguousarray(
+            np.broadcast_to(self._mos_sign, self._mos_tidx.shape))
         if m:
             # flattened (row, col) pairs for the 8 Jacobian stamps and the
             # 2 residual stamps of each device, padded system of width n+1
@@ -583,7 +618,8 @@ class CompiledCircuit:
         return ParamState(batch_shape=inferred, g_data=g_data,
                           c_data=c_data, plan=self.csr_plan,
                           n1=self.n + 1, mos=mos, vccs_gm=vccs_gm,
-                          source_values=source_values)
+                          source_values=source_values,
+                          mos_n=self._mos_n, mos_lam=self._mos_lam)
 
     @property
     def has_nonlinear(self) -> bool:
@@ -624,7 +660,8 @@ class CompiledCircuit:
                  g_pad: np.ndarray, f_pad: np.ndarray,
                  source_scale: float = 1.0, gmin: float = 0.0,
                  jacobian: bool = True,
-                 sources: "np.ndarray | None" = None) -> None:
+                 sources: "np.ndarray | None" = None,
+                 scratch: "AssemblyScratch | None" = None) -> None:
         """Evaluate ``f = i(x, t)`` and ``G = di/dx`` into padded buffers.
 
         ``x_pad`` has shape ``(*batch, n+1)`` with the last entry 0;
@@ -647,6 +684,11 @@ class CompiledCircuit:
         *x_pad* - a block of orbit samples - when *sources* holds the
         matching rows (:meth:`~repro.analysis.stamps.SourceTable.
         rows`); gates are then evaluated per row.
+
+        *scratch* holds the device-stamp buffers of a batchless state
+        (:meth:`scratch`, sized for *x_pad*'s batch); a Newton loop
+        passes the one it owns for the run, other callers get a fresh
+        one.  Batched states ignore it.
         """
         batch = f_pad.shape[:-1]
         # dense-path consumers densify the sparse template once per
@@ -666,7 +708,7 @@ class CompiledCircuit:
         gflat = g_pad.reshape(batch + (-1,)) if jacobian else None
         if self.mosfets:
             self._add_mosfets(state, x_pad, f_pad, jacobian,
-                              gflat, self._mos_gflat, batch)
+                              gflat, self._mos_gflat, batch, scratch)
         if self.nl_vccs:
             self._add_nl_vccs(state, x_pad, t, f_pad, jacobian,
                               gflat, self._nlv_plan.g_idx, batch)
@@ -694,43 +736,85 @@ class CompiledCircuit:
         :meth:`assemble` as *sources*."""
         return SourceTable(self._src_plan, state, t_grid)
 
+    def scratch(self, batch_shape: tuple[int, ...] = ()
+                ) -> "AssemblyScratch":
+        """Fresh device-stamp buffers for batchless assembly at
+        *batch_shape* (:class:`AssemblyScratch`)."""
+        return AssemblyScratch(len(self.mosfets), batch_shape)
+
+    def _mos_fused(self, state: ParamState, x_pad: np.ndarray,
+                   w: EkvWork, derivatives: bool) -> np.ndarray:
+        """Fused EKV evaluation of a batchless state over all devices,
+        into *w*: returns ``ids``; with *derivatives* the terminal
+        derivatives land in ``w.g``.  One gather of all four
+        terminals, whatever the batch of *x_pad* (a block of orbit
+        samples is one call)."""
+        np.multiply(x_pad.take(self._mos_tidx, axis=-1), self._mos_tsign,
+                    out=w.v)
+        return ekv_ids_fused(w, state.mos["vt0"], state.mos_constants(),
+                             derivatives)
+
     def _mos_eval(self, state: ParamState, x_pad: np.ndarray,
-                  derivatives: bool = True):
+                  derivatives: bool = True) -> MosEval:
         """Vectorised EKV evaluation over all devices (and batch).
 
         Batched states keep the reference :func:`~repro.circuit.mosfet.
         ekv_ids` (Monte-Carlo samples are bit-pinned to it); batchless
-        states take the fused kernel, within 1e-14 of it, whatever the
-        batch of *x_pad* (a block of orbit samples is one call).
+        states take the fused kernel, within 1e-14 of it, into fresh
+        buffers; the results are copied out, so the buffers go as soon
+        as the call returns (a whole orbit is one call here).
         """
-        # one gather of all four terminals: (..., 4, ndev)
-        v = self._mos_sign * x_pad[..., self._mos_idx.T]
-        kernel = ekv_ids if state.batched else ekv_ids_fused
-        return kernel(v[..., 0, :], v[..., 1, :], v[..., 2, :],
-                      v[..., 3, :], state.mos["vt0"], state.mos["beta"],
-                      self._mos_n, self._mos_lam, derivatives=derivatives)
+        if state.batched:
+            # one gather of all four terminals: (..., 4, ndev)
+            v = self._mos_sign * x_pad[..., self._mos_idx.T]
+            return ekv_ids(v[..., 0, :], v[..., 1, :], v[..., 2, :],
+                           v[..., 3, :], state.mos["vt0"],
+                           state.mos["beta"], self._mos_n, self._mos_lam,
+                           derivatives=derivatives)
+        w = EkvWork(x_pad.shape[:-1] + (len(self.mosfets),))
+        ids = self._mos_fused(state, x_pad, w, derivatives).copy()
+        if not derivatives:
+            return MosEval(ids=ids, g_d=None, g_g=None, g_s=None, g_b=None)
+        g = w.g.copy()
+        return MosEval(ids=ids, g_d=g[..., 0, :], g_g=g[..., 1, :],
+                       g_s=g[..., 2, :], g_b=g[..., 3, :])
 
     def _add_mosfets(self, state: ParamState, x_pad: np.ndarray,
                      f_pad: np.ndarray, jacobian: bool,
                      gflat: "np.ndarray | None", gidx: np.ndarray,
-                     batch: tuple[int, ...]) -> None:
+                     batch: tuple[int, ...],
+                     scratch: "AssemblyScratch | None" = None) -> None:
         """Scatter all MOSFET stamps at once.
 
         *gflat* is the flat Jacobian target: the reshaped dense padded
         buffer (with *gidx* the precomputed flat positions) or a CSR
-        data array (with *gidx* the plan-mapped slots).
+        data array (with *gidx* the plan-mapped slots).  A batchless
+        state evaluates into *scratch* (fresh buffers when ``None``)
+        and writes the ``+-ids`` and ``+-g`` stamp values straight into
+        it; batched states build them from the reference kernel.
         """
-        ev = self._mos_eval(state, x_pad, derivatives=jacobian)
-        ids_phys = self._mos_sign * ev.ids
-        # every model output has the full (*batch, ndev) shape
-        fvals = np.concatenate((ids_phys, -ids_phys), axis=-1)
-        self._scatter(f_pad, self._mos_frows, fvals, batch, "mos_f")
-        if not jacobian:
+        if state.batched:
+            ev = self._mos_eval(state, x_pad, derivatives=jacobian)
+            ids_phys = self._mos_sign * ev.ids
+            # every model output has the full (*batch, ndev) shape
+            fvals = np.concatenate((ids_phys, -ids_phys), axis=-1)
+            self._scatter(f_pad, self._mos_frows, fvals, batch, "mos_f")
+            if jacobian:
+                g4 = np.concatenate((ev.g_d, ev.g_g, ev.g_s, ev.g_b),
+                                    axis=-1)
+                gvals = np.concatenate((g4, -g4), axis=-1)
+                self._scatter(gflat, gidx, gvals, batch, "mos_g")
             return
 
-        g4 = np.concatenate((ev.g_d, ev.g_g, ev.g_s, ev.g_b), axis=-1)
-        gvals = np.concatenate((g4, -g4), axis=-1)
-        self._scatter(gflat, gidx, gvals, batch, "mos_g")
+        scr = scratch if scratch is not None else self.scratch(batch)
+        ids = self._mos_fused(state, x_pad, scr.ekv, jacobian)
+        np.multiply(ids, self._mos_sign, out=scr.f_pos)
+        np.negative(scr.f_pos, out=scr.f_neg)
+        self._scatter(f_pad, self._mos_frows, scr.f_flat, batch, "mos_f")
+        if not jacobian:
+            return
+        np.negative(scr.g_pos, out=scr.g_neg)
+        self._scatter(gflat, gidx, scr.g_flat, batch, "mos_g")
 
     def _add_nl_vccs(self, state: ParamState, x_pad: np.ndarray, t: float,
                      f_pad: np.ndarray, jacobian: bool,
@@ -1033,6 +1117,33 @@ class CompiledCircuit:
                 f"nodes={self.n_nodes}, mosfets={len(self.mosfets)})")
 
 
+class AssemblyScratch:
+    """Device-stamp buffers of batchless assembly at one batch shape.
+
+    Holds the gathered terminal voltages, the fused kernel's work
+    buffers (:class:`~repro.circuit.mosfet.EkvWork`) and the ``+-ids``
+    / ``+-g`` stamp values, each laid out per sample in the stamp order
+    of the scatter.  A Newton loop owns one for its run - the transient
+    step solver, a DC solve, the dense PSS integrator, each
+    :class:`CsrAssembler` - never a compiled circuit or a parameter
+    state, which session caches share across threads.
+    """
+
+    def __init__(self, ndev: int, batch_shape: tuple[int, ...] = ()):
+        batch = tuple(batch_shape)
+        fvals = np.empty(batch + (2, ndev))
+        gvals = np.empty(batch + (8, ndev))
+        #: rows (+ids, -ids) and (+g, -g): the stamp order of
+        #: ``_mos_frows`` / ``_mos_gflat``, per sample
+        self.f_pos, self.f_neg = fvals[..., 0, :], fvals[..., 1, :]
+        self.g_pos, self.g_neg = gvals[..., :4, :], gvals[..., 4:, :]
+        #: the kernel writes its derivative rows straight into g_pos
+        self.ekv = EkvWork(batch + (ndev,), g_out=self.g_pos)
+        #: the stamp values as the scatter takes them, ``(*batch, k)``
+        self.f_flat = fvals.reshape(batch + (-1,))
+        self.g_flat = gvals.reshape(batch + (-1,))
+
+
 class CsrAssembler:
     """Native-CSR assembly workspace for one batchless run.
 
@@ -1067,6 +1178,8 @@ class CsrAssembler:
         self.c_lin_data = state.c_data
         #: Scratch for the assembled Jacobian values.
         self.g_data = self.g_lin_data.copy()
+        #: Device-stamp buffers of this run.
+        self.scratch = compiled.scratch()
         # keyed by id(theta) *and* holding the key array alive, so a
         # freed theta whose address is reused can never alias a stale
         # entry
@@ -1096,7 +1209,7 @@ class CsrAssembler:
         gflat = self.g_data if jacobian else None
         if c.mosfets:
             c._add_mosfets(self.state, x_pad, f_pad, jacobian,
-                           gflat, c._mos_gpos, ())
+                           gflat, c._mos_gpos, (), self.scratch)
         if c.nl_vccs:
             c._add_nl_vccs(self.state, x_pad, t, f_pad, jacobian,
                            gflat, c._nlv_gpos, ())

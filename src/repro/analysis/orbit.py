@@ -214,35 +214,42 @@ class OrbitLinearization:
                 self._b_t = coh - one_minus * g_prev[:-1]
         return self._b_t
 
-    def b_mat(self, k: int):
-        """``B_k`` as a multipliable operand (CSR matrix on the sparse
-        engine, dense array otherwise); uses the Jacobian at the
-        *previous* sample."""
-        b = self._b_block()[k - 1]
-        return self.plan.csr_view(b) if self.sparse else b
+    def sweep(self, v: np.ndarray, rhos=None,
+              store: "np.ndarray | None" = None) -> np.ndarray:
+        """Carry *v* through one period of the recurrence
+        ``v_k = A_k^{-1} (B_k v_{k-1} - rho_k)``, ``k = 1 .. n_steps``,
+        and return ``v_N``.
 
-    def step_solve(self, k: int, rhs: np.ndarray) -> np.ndarray:
-        """``A_k^{-1} rhs`` for ``(n,)`` or blocked ``(n, m)`` *rhs*."""
-        return self.factors()[k - 1].solve(rhs)
-
-    def step_map(self, k: int, v: np.ndarray,
-                 rho: "np.ndarray | None" = None) -> np.ndarray:
-        """One step of the homogeneous/particular recurrence:
-        ``A_k^{-1} (B_k v - rho)``."""
-        rhs = self.b_mat(k) @ v
-        if rho is not None:
-            rhs -= rho
-        return self.step_solve(k, rhs)
+        *v* may be ``(n,)`` or a blocked ``(n, m)``; the step
+        injections ``rho_k`` come from the iterable *rhos* in order
+        (zero without it), and with *store* every ``v_k`` is also
+        written to ``store[k]``.  The ``B_k`` block and the
+        factorizations are looked up once per sweep, and on the dense
+        engine every ``B_k v`` lands in one reused buffer; each product
+        and solve keeps its operands, so the bits are those of one
+        step at a time.
+        """
+        facs, b_t = self.factors(), self._b_block()
+        rhos = iter(rhos) if rhos is not None else None
+        buf = None if self.sparse else np.empty(np.shape(v))
+        for k in range(1, self.n_steps + 1):
+            if self.sparse:
+                rhs = self.plan.csr_view(b_t[k - 1]) @ v
+            else:
+                rhs = np.matmul(b_t[k - 1], v, out=buf)
+            if rhos is not None:
+                rhs -= next(rhos)
+            v = facs[k - 1].solve(rhs)
+            if store is not None:
+                store[k] = v
+        return v
 
     def apply_monodromy(self, v: np.ndarray) -> np.ndarray:
         """``M v = dPhi/dx0 . v`` - one block-triangular sweep of the
         cached per-step solves; *v* may be ``(n,)`` or a blocked
         ``(n, m)``.  This is the matrix-free operator the Krylov
         shooting update and the LPTV periodicity closure consume."""
-        z = v
-        for k in range(1, self.n_steps + 1):
-            z = self.step_map(k, z)
-        return z
+        return self.sweep(v)
 
     def bordered_op(self, xdh: np.ndarray, a_idx: int,
                     sign: float = 1.0):
@@ -295,14 +302,17 @@ class OrbitLinearization:
         both run this sweep, bit-identical to earlier releases.
         """
         n = self.n
+        facs, b_t = self.factors(), self._b_block()
         z = np.zeros((n, n + m))
         z[:, :n] = np.eye(n)
+        rhs = np.empty_like(z)
+        particular = rhs[:, n:]
         rhos = iter(rhos)
         for k in range(1, self.n_steps + 1):
-            rhs = self.b_mat(k) @ z
+            np.matmul(b_t[k - 1], z, out=rhs)
             if m:
-                rhs[:, n:] -= next(rhos)
-            z = self.step_solve(k, rhs)
+                particular -= next(rhos)
+            z = facs[k - 1].solve(rhs)
         return z[:, :n], z[:, n:]
 
     # ------------------------------------------------------------------

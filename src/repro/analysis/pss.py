@@ -82,7 +82,8 @@ from ..waveform import Waveform, WaveformSet
 from .dcop import NewtonOptions, dc_operating_point
 from .mna import CompiledCircuit, ParamState
 from .orbit import OrbitLinearization
-from .transient import TransientOptions, _newton_step, transient
+from .transient import (TransientOptions, _newton_step, _NewtonWork,
+                        transient)
 
 
 @dataclass
@@ -273,13 +274,15 @@ def integrate_period(compiled: CompiledCircuit, state: ParamState,
     orbit[0] = x_pad[:-1]
 
     theta = np.append(compiled.theta_rows(state, method), 1.0)
+    one_minus = 1.0 - theta
+    work = _NewtonWork(compiled, state, ())
     # t0 + k * h, tabulated once for the whole period
     sources = compiled.source_table(state, t0 + h * np.arange(n_steps + 1))
 
     backend = compiled.backend
     one_lu = backend.policy.reuse and not compiled.has_nonlinear
     compiled.assemble(state, x_pad, t0, g_pad, f_pad, jacobian=one_lu,
-                      sources=sources.row(0))
+                      sources=sources.row(0), scratch=work.scratch)
     lu = None
     if one_lu:
         np.multiply(g_pad, theta[:, None], out=j_pad)
@@ -297,11 +300,12 @@ def integrate_period(compiled: CompiledCircuit, state: ParamState,
         t_k = t0 + k * h
         src_k = sources.row(k)
         _newton_step(compiled, state, x_pad, x_prev, f_prev, t_k, theta,
-                     c_over_h, g_pad, f_pad, j_pad, newton, src=src_k,
-                     lu=lu)
+                     one_minus, c_over_h, g_pad, f_pad, j_pad, newton, work,
+                     src=src_k, lu=lu)
         # the accepted residual lands straight in f_prev
         compiled.assemble(state, x_pad, t_k, g_pad, f_prev,
-                          jacobian=False, sources=src_k)
+                          jacobian=False, sources=src_k,
+                          scratch=work.scratch)
         np.copyto(x_prev, x_pad)
         orbit[k] = x_pad[:-1]
     if not want_monodromy:

@@ -309,6 +309,35 @@ def _max_abs(delta: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(delta), axis=None))
 
 
+class _NewtonWork:
+    """Per-run buffers of one Newton loop.
+
+    Holds the device-stamp scratch of batchless assembly
+    (:class:`~repro.analysis.mna.AssemblyScratch`; batched states keep
+    the reference path and need none), the step residual's operands
+    (:func:`_residual`) and, with *dense_jac*, the Jacobian block a
+    dense modified-Newton re-factor builds.  Each run allocates its
+    own: compiled circuits and parameter states are shared across
+    threads by the session caches, a run is not.
+    """
+
+    def __init__(self, compiled: CompiledCircuit, state: ParamState,
+                 batch_shape: tuple[int, ...], dense_jac: bool = False):
+        n = compiled.n
+        self.scratch = (None if state.batched
+                        else compiled.scratch(batch_shape))
+        self.dx = np.empty(batch_shape + (n + 1,))
+        #: ``dx[..., None]``, the mat-vec's operand: a trailing-axis
+        #: view keeps the matrix product a gemm (a gemv rounds apart)
+        self.dx_col = self.dx[..., None]
+        self.res_col = np.empty(batch_shape + (n + 1, 1))
+        self.res = self.res_col[..., 0]
+        #: the Newton right-hand side, ``res[..., :n]``
+        self.rhs = self.res[..., :n]
+        self.tmp = np.empty(batch_shape + (n + 1,))
+        self.jac = np.empty(batch_shape + (n, n)) if dense_jac else None
+
+
 class _StepSolver:
     """One implicit time step, behind the linear-solver-backend seam.
 
@@ -328,9 +357,12 @@ class _StepSolver:
         self.opts = opts
         self.batch_shape = batch_shape
         n = compiled.n
-        self._thetas = {False: (theta_trap, theta_trap.tobytes()),
-                        True: (theta_be, theta_be.tobytes())}
-        self.theta = theta_trap
+        # (theta, 1 - theta, content fingerprint) of both schemes,
+        # computed once per run; set_step selects one
+        self._thetas = {
+            be: (theta, 1.0 - theta, theta.tobytes())
+            for be, theta in ((False, theta_trap), (True, theta_be))}
+        self.theta, self.one_minus, _ = self._thetas[False]
 
         reuse = compiled.backend.policy.reuse
         self.cache = (FactorizationCache(
@@ -360,6 +392,9 @@ class _StepSolver:
             self._c_mat = compiled.capacitance(state)
             self.c_over_h = np.empty_like(self._c_mat)
         self.h: float | None = None
+        self.work = _NewtonWork(
+            compiled, state, batch_shape,
+            dense_jac=self.cache is not None and not self.use_csr)
 
     def set_step(self, be_step: bool, h: float) -> None:
         """Select the scheme and step size for the next :meth:`step`.
@@ -371,8 +406,7 @@ class _StepSolver:
         changed step matrix - and an unchanged one is never re-factored
         just because a theta array was rebuilt.
         """
-        theta, fingerprint = self._thetas[be_step]
-        self.theta = theta
+        self.theta, self.one_minus, fingerprint = self._thetas[be_step]
         h = float(h)
         if h != self.h:
             if self.use_csr:
@@ -392,7 +426,8 @@ class _StepSolver:
                               sources=src)
         else:
             self.compiled.assemble(self.state, x_pad, t, self.g_pad,
-                                   self.f_pad, jacobian=False, sources=src)
+                                   self.f_pad, jacobian=False, sources=src,
+                                   scratch=self.work.scratch)
 
     def step(self, x_pad: np.ndarray, x_prev: np.ndarray,
              f_prev: np.ndarray, t_k: float,
@@ -406,21 +441,24 @@ class _StepSolver:
             if self.use_csr:
                 _newton_step_reuse_csr(self.compiled, self.asm, x_pad,
                                        x_prev, f_prev, t_k, self.theta,
-                                       self.coh_data, self.f_pad,
-                                       self.cache, self.opts.newton, src)
+                                       self.one_minus, self.coh_data,
+                                       self.f_pad, self.cache,
+                                       self.opts.newton, self.work, src)
             else:
                 _newton_step_reuse(self.compiled, self.state, x_pad,
                                    x_prev, f_prev, t_k, self.theta,
-                                   self.c_over_h, self.g_pad, self.f_pad,
-                                   self.cache, self.opts.newton, guard,
+                                   self.one_minus, self.c_over_h,
+                                   self.g_pad, self.f_pad, self.cache,
+                                   self.opts.newton, self.work, guard,
                                    src)
             # the reuse loop accepts with f_pad already assembled at the
             # accepted state - no refresh assembly needed
         else:
             _newton_step(self.compiled, self.state, x_pad, x_prev,
-                         f_prev, t_k, self.theta, self.c_over_h,
-                         self.g_pad, self.f_pad, self.j_pad,
-                         self.opts.newton, guard=guard, src=src)
+                         f_prev, t_k, self.theta, self.one_minus,
+                         self.c_over_h, self.g_pad, self.f_pad,
+                         self.j_pad, self.opts.newton, self.work,
+                         guard=guard, src=src)
             # refresh f_pad at the accepted point for the next trap
             # step (residual only - the Jacobian is rebuilt next step)
             self.residual_only(x_pad, t_k, src)
@@ -931,20 +969,29 @@ def _adaptive_loop(compiled: CompiledCircuit, state: ParamState,
                      sig_store, x_pad, None, n_acc, n_rej)
 
 
-def _residual(x_pad, x_prev, f_pad, f_prev, theta, c_over_h):
-    dx = x_pad - x_prev
-    res = np.matmul(c_over_h, dx[..., None])[..., 0]
-    res += theta * f_pad
-    res += (1.0 - theta) * f_prev
+def _residual(x_pad, x_prev, f_pad, f_prev, theta, one_minus, c_over_h,
+              work: _NewtonWork) -> np.ndarray:
+    """The step residual ``C/h (x - x_prev) + theta f + (1 - theta)
+    f_prev`` into ``work.res`` (returned); *one_minus* is ``1 -
+    theta``.  Every operation keeps its operands, its order and - for
+    the mat-vec - its operand shapes, so the bits are those of the
+    expression evaluated into temporaries."""
+    np.subtract(x_pad, x_prev, out=work.dx)
+    np.matmul(c_over_h, work.dx_col, out=work.res_col)
+    res, tmp = work.res, work.tmp
+    np.multiply(theta, f_pad, out=tmp)
+    res += tmp
+    np.multiply(one_minus, f_prev, out=tmp)
+    res += tmp
     return res
 
 
 def _newton_step(compiled: CompiledCircuit, state: ParamState,
                  x_pad: np.ndarray, x_prev: np.ndarray,
                  f_prev: np.ndarray, t_k: float, theta: np.ndarray,
-                 c_over_h: np.ndarray, g_pad: np.ndarray,
-                 f_pad: np.ndarray, j_pad: np.ndarray,
-                 newton: NewtonOptions,
+                 one_minus: np.ndarray, c_over_h: np.ndarray,
+                 g_pad: np.ndarray, f_pad: np.ndarray, j_pad: np.ndarray,
+                 newton: NewtonOptions, work: _NewtonWork,
                  guard: _LaneGuard | None = None,
                  src: "np.ndarray | None" = None,
                  lu: "Factorization | None" = None) -> None:
@@ -952,9 +999,10 @@ def _newton_step(compiled: CompiledCircuit, state: ParamState,
 
     Full Newton: the Jacobian is rebuilt and factored every iteration
     (the backend still provides the solver).  *theta* is the
-    per-equation implicitness vector (padded length ``n+1``); see
-    :meth:`CompiledCircuit.theta_rows`.  *src* is the source vector at
-    *t_k* when the caller tabulated it.
+    per-equation implicitness vector (padded length ``n+1``; see
+    :meth:`CompiledCircuit.theta_rows`) and *one_minus* is ``1 -
+    theta``.  *work* holds the run's buffers (:class:`_NewtonWork`).
+    *src* is the source vector at *t_k* when the caller tabulated it.
 
     *lu* is the factored step matrix of a constant-Jacobian circuit
     (batchless, no lane guard): every iteration then assembles the
@@ -963,11 +1011,13 @@ def _newton_step(compiled: CompiledCircuit, state: ParamState,
     """
     n = compiled.n
     backend = compiled.backend
+    rhs = work.rhs
     for _ in range(newton.max_iterations):
         compiled.assemble(state, x_pad, t_k, g_pad, f_pad,
-                          jacobian=lu is None, sources=src)
-        res = _residual(x_pad, x_prev, f_pad, f_prev, theta, c_over_h)
-        rhs = res[..., :n]
+                          jacobian=lu is None, sources=src,
+                          scratch=work.scratch)
+        _residual(x_pad, x_prev, f_pad, f_prev, theta, one_minus,
+                  c_over_h, work)
         if lu is not None:
             delta = lu.solve(rhs)
         else:
@@ -1004,9 +1054,9 @@ def _newton_step(compiled: CompiledCircuit, state: ParamState,
 
 def _newton_step_reuse_csr(compiled: CompiledCircuit, asm, x_pad, x_prev,
                            f_prev, t_k: float, theta: np.ndarray,
-                           coh_data, f_pad: np.ndarray,
-                           cache: FactorizationCache,
-                           newton: NewtonOptions,
+                           one_minus: np.ndarray, coh_data,
+                           f_pad: np.ndarray, cache: FactorizationCache,
+                           newton: NewtonOptions, work: _NewtonWork,
                            src: "np.ndarray | None" = None) -> None:
     """One implicit time step on the native-CSR assembly path.
 
@@ -1019,8 +1069,7 @@ def _newton_step_reuse_csr(compiled: CompiledCircuit, asm, x_pad, x_prev,
     so no lane guard is threaded through.
     """
     n = compiled.n
-    thn = theta[:n]
-    one_minus = 1.0 - thn
+    thn, omn = theta[:n], one_minus[:n]
 
     def jac():
         asm.assemble(x_pad, t_k, f_pad, sources=src)
@@ -1028,11 +1077,15 @@ def _newton_step_reuse_csr(compiled: CompiledCircuit, asm, x_pad, x_prev,
 
     cache.new_sequence()
     plan = asm.plan
+    dx, rhs, tmp = work.dx[:n], work.rhs, work.tmp[:n]
     for _ in range(newton.max_iterations):
         asm.assemble(x_pad, t_k, f_pad, jacobian=False, sources=src)
-        rhs = plan.matvec(coh_data, x_pad[:n] - x_prev[:n])
-        rhs += thn * f_pad[:n]
-        rhs += one_minus * f_prev[:n]
+        np.subtract(x_pad[:n], x_prev[:n], out=dx)
+        plan.matvec(coh_data, dx, rhs)
+        np.multiply(thn, f_pad[:n], out=tmp)
+        rhs += tmp
+        np.multiply(omn, f_prev[:n], out=tmp)
+        rhs += tmp
         try:
             delta = cache.solve(rhs, jac)
         except np.linalg.LinAlgError as exc:
@@ -1052,9 +1105,10 @@ def _newton_step_reuse_csr(compiled: CompiledCircuit, asm, x_pad, x_prev,
 def _newton_step_reuse(compiled: CompiledCircuit, state: ParamState,
                        x_pad: np.ndarray, x_prev: np.ndarray,
                        f_prev: np.ndarray, t_k: float, theta: np.ndarray,
-                       c_over_h: np.ndarray, g_pad: np.ndarray,
-                       f_pad: np.ndarray, cache: FactorizationCache,
-                       newton: NewtonOptions,
+                       one_minus: np.ndarray, c_over_h: np.ndarray,
+                       g_pad: np.ndarray, f_pad: np.ndarray,
+                       cache: FactorizationCache, newton: NewtonOptions,
+                       work: _NewtonWork,
                        guard: _LaneGuard | None = None,
                        src: "np.ndarray | None" = None) -> None:
     """One implicit time step with modified-Newton factorization reuse.
@@ -1072,22 +1126,27 @@ def _newton_step_reuse(compiled: CompiledCircuit, state: ParamState,
       the single largest cost of batched Monte-Carlo transients.
     """
     n = compiled.n
+    scratch, j_buf = work.scratch, work.jac
 
     def jac() -> np.ndarray:
         # only called when the cache re-factors: one full assembly
-        # (with device derivatives) at the current iterate
-        compiled.assemble(state, x_pad, t_k, g_pad, f_pad, sources=src)
-        j = theta[:n, None] * g_pad[..., :n, :n] + c_over_h[..., :n, :n]
+        # (with device derivatives) at the current iterate; every
+        # factorization copies its operand, so the buffer is reusable
+        compiled.assemble(state, x_pad, t_k, g_pad, f_pad, sources=src,
+                          scratch=scratch)
+        np.multiply(theta[:n, None], g_pad[..., :n, :n], out=j_buf)
+        np.add(j_buf, c_over_h[..., :n, :n], out=j_buf)
         if guard is not None:
-            guard.patch_jac(j)
-        return j
+            guard.patch_jac(j_buf)
+        return j_buf
 
     cache.new_sequence()
+    rhs = work.rhs
     for _ in range(newton.max_iterations):
         compiled.assemble(state, x_pad, t_k, g_pad, f_pad, jacobian=False,
-                          sources=src)
-        res = _residual(x_pad, x_prev, f_pad, f_prev, theta, c_over_h)
-        rhs = res[..., :n]
+                          sources=src, scratch=scratch)
+        _residual(x_pad, x_prev, f_pad, f_prev, theta, one_minus,
+                  c_over_h, work)
         if guard is not None:
             guard.scrub_rhs(rhs)
         try:

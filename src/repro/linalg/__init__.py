@@ -65,8 +65,15 @@ time-varying source over the whole grid once
 per-point evaluation); MOSFETs go through the fused EKV kernel
 (:func:`~repro.circuit.mosfet.ekv_ids_fused`, within 1e-14 of the
 reference :func:`~repro.circuit.mosfet.ekv_ids`); and dense factors
-are bare LAPACK calls.  Batched Monte-Carlo lanes keep the per-point
-sources and the reference kernel, so their samples stay bit-identical.
+are bare LAPACK calls.  Each Newton loop also owns its buffers for the
+run - the device-stamp scratch
+(:class:`~repro.analysis.mna.AssemblyScratch`) and the step residual -
+and the kernel takes its constant factors from the state
+(:meth:`~repro.analysis.mna.ParamState.mos_constants`), so an
+iteration allocates nothing and recomputes no constant; every
+operation keeps its operands and order, so the bits are unchanged.
+Batched Monte-Carlo lanes keep the per-point sources and the
+reference kernel, so their samples stay bit-identical.
 
 **Native CSR assembly** (:class:`~repro.linalg.sparsity.CsrPlan` +
 :class:`~repro.analysis.mna.CsrAssembler`).  A backend that sets

@@ -10,6 +10,7 @@ makes unnecessary.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -21,11 +22,13 @@ def _update_norm(delta: np.ndarray) -> float:
     """Max-abs norm over all lanes, ignoring non-finite entries
     (failed lanes are handled by the caller, not the policy)."""
     mag = np.abs(delta)
-    # the ufunc reduction ``ndarray.max`` wraps, without the wrapper
-    top = np.maximum.reduce(mag, axis=None, initial=0.0)
-    if np.isfinite(top):
+    # the ufunc reduction ``ndarray.max`` wraps, without the wrapper;
+    # a Python float, so the finiteness test is ``math.isfinite``, not
+    # a ufunc dispatch on a numpy scalar
+    top = float(np.maximum.reduce(mag, axis=None, initial=0.0))
+    if math.isfinite(top):
         # max propagates NaN and inf, so every entry is finite
-        return float(top)
+        return top
     return float(mag[np.isfinite(mag)].max(initial=0.0))
 
 

@@ -69,7 +69,11 @@ the connection closes after it, so the next request on the connection
 is never parsed out of a stale body.  :meth:`AnalysisServer.close`
 shuts every open connection down: a client holding one gets a
 :class:`~repro.errors.TransportError`, never an answer from a closed
-daemon.
+daemon.  A connection that sits idle for :data:`IDLE_TIMEOUT_S` is
+closed by the daemon, so a client that never closes its session, or
+vanishes without a FIN, does not hold a handler thread forever; a
+:class:`~repro.service.client.RemoteSession` whose idle connection was
+closed this way replays its next request once on a fresh one.
 
 Tenancy
 -------
@@ -120,6 +124,13 @@ from .requests import REQUEST_FORMAT_VERSION, AnalysisRequest
 from .serialize import to_jsonable
 from .session import AnalysisSession
 from .shards import SHARD_PROTOCOL_VERSION, ShardSpec
+
+#: Seconds a keep-alive connection may wait for its next request before
+#: the daemon closes it and frees its handler thread.  Far above the
+#: pauses of a client that is still using its connection (a closed-loop
+#: client's think time, a benchmark's gap between segments), so only an
+#: abandoned connection ever meets it.
+IDLE_TIMEOUT_S = 30.0
 
 
 def wire_versions() -> dict:
@@ -505,6 +516,14 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-analysis"
     #: TCP_NODELAY: a keep-alive reply must not wait on Nagle
     disable_nagle_algorithm = True
+
+    @property
+    def timeout(self) -> float:
+        """Socket timeout of the connection (read by
+        :meth:`~socketserver.StreamRequestHandler.setup`): a connection
+        idle for :data:`IDLE_TIMEOUT_S` times out waiting for its next
+        request line and is closed."""
+        return IDLE_TIMEOUT_S
 
     # -- plumbing ------------------------------------------------------
     @property

@@ -8,7 +8,8 @@ parameter state's batch shape:
   per-point :meth:`~repro.analysis.stamps.SourcePlan.combined`;
 * the fused EKV kernel (:func:`~repro.circuit.mosfet.ekv_ids_fused`),
   within 1e-14 of the reference :func:`~repro.circuit.mosfet.ekv_ids`
-  that batched Monte-Carlo lanes keep;
+  that batched Monte-Carlo lanes keep, evaluated in place with the
+  state's constants (:class:`~repro.circuit.mosfet.MosConstants`);
 * bare LAPACK ``dgetrf`` / ``dgetrs`` in
   :class:`~repro.linalg.backends.DenseLuFactorization`, bit-identical
   to ``scipy.linalg.lu_factor`` / ``lu_solve``.
@@ -25,12 +26,27 @@ bit, and each shortcut is pinned here against what it replaced:
 * the blocked orbit Jacobian stack, and the LPTV sigma on it, against
   the one-sample-per-call loop.
 
-The end-to-end pin is the logic-path sigma of Table II.
+The batch-of-one iteration then lost its allocations without changing
+a bit: per-state kernel constants, device and residual values written
+into per-run buffers.  Residual-only and Jacobian assembly,
+``_residual`` and ``_update_norm`` are each pinned with
+``np.array_equal`` to a frozen copy of the composition they replaced,
+on the logic path, the comparator, the ring oscillator, the 5T OTA and
+RC.
+
+The end-to-end pins are the logic-path sigma and nominal of Table II,
+the comparator's sigma(vos) and the oscillator's sigma(f), each equal
+to the value before the per-run buffers; the logic proposed call's
+assembly and factorization counts; and two threads on one
+session-cached compiled circuit against a serial run.
 """
 
 from __future__ import annotations
 
 import gc
+import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -43,16 +59,21 @@ from repro.analysis.mna import _BIDX_CACHE_MAX, CompiledCircuit
 from repro.analysis.orbit import ORBIT_BLOCK, OrbitLinearization
 from repro.analysis.pss import PssOptions
 from repro.analysis.stamps import SourceTable
+from repro.analysis.transient import _NewtonWork, _residual
+from repro.api import transient_mismatch_analysis
 from repro.circuit import Circuit, Sine
-from repro.circuit.mosfet import ekv_ids, ekv_ids_fused
+from repro.circuit.mosfet import (EkvWork, MosConstants, ekv_ids,
+                                  ekv_ids_fused)
 from repro.circuit.sources import Pwl
-from repro.circuits import (logic_path_testbench, ring_oscillator,
-                            strongarm_offset_testbench)
+from repro.circuits import (five_transistor_ota, logic_path_testbench,
+                            ring_oscillator, strongarm_offset_testbench)
 from repro.constants import PHI_T
 from repro.core.analysis import run_transient_mismatch
-from repro.core.measures import DcLevel, EdgeDelay
+from repro.core.measures import DcLevel, EdgeDelay, Frequency
+from repro.linalg import reuse
 from repro.linalg.backends import DenseLuFactorization
 from repro.linalg.krylov import use_matrix_free
+from repro.service import AnalysisSession
 
 #: Logic-path sigma(delay_A) of the Table II proposed call (PSS with
 #: 800 steps, 2 settle periods) before the lean step existed.
@@ -183,23 +204,36 @@ def _random_points(n: int = 4000):
             rng.uniform(0.0, 0.4, n)]
 
 
+def _fused(vd, vg, vs, vb, vt0, beta, n, lam_eff, derivatives=True):
+    """:func:`ekv_ids_fused` on per-terminal arrays, as ``(ids, g_d,
+    g_g, g_s, g_b)`` (``ids`` alone without *derivatives*)."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in (vd, vg, vs, vb)))
+    work = EkvWork(shape)
+    work.v[...] = np.stack([np.broadcast_to(a, shape)
+                            for a in (vs, vd, vg, vb, vb, vb)], axis=-2)
+    ids = ekv_ids_fused(work, vt0, MosConstants.of(beta, n, lam_eff),
+                        derivatives)
+    if not derivatives:
+        return (ids,)
+    return (ids, *(work.g[..., k, :] for k in range(4)))
+
+
 @pytest.mark.parametrize("derivatives", [True, False])
 @pytest.mark.parametrize("points", ["orbit", "random"])
 def test_fused_kernel_matches_reference(tech, derivatives, points):
     args = (_operating_points(tech) if points == "orbit"
             else _random_points())
     ref = ekv_ids(*args, derivatives=derivatives)
-    got = ekv_ids_fused(*args, derivatives=derivatives)
+    got = _fused(*args, derivatives=derivatives)
     fields = ("ids", "g_d", "g_g", "g_s", "g_b")
-    for f in fields if derivatives else fields[:1]:
-        want, have = getattr(ref, f), getattr(got, f)
+    assert len(got) == (5 if derivatives else 1)
+    for f, have in zip(fields, got):
+        want = getattr(ref, f)
         assert have.shape == want.shape
         # relative to the quantity's scale: gm = dF_f - dF_r cancels at
         # vds = 0, so an elementwise ratio would measure that instead
         err = np.max(np.abs(have - want)) / np.max(np.abs(want))
         assert err <= 1e-14, (f, err)
-    if not derivatives:
-        assert got.g_d is None and got.gm is None
 
 
 def _spy_kernels(monkeypatch):
@@ -244,6 +278,23 @@ def test_batched_assemble_stays_on_reference_kernel(tech, monkeypatch):
     assert np.array_equal(g, g3) and np.array_equal(f, f3)
 
 
+def _reference_in_place(beta):
+    """:func:`ekv_ids` behind the in-place signature of
+    :func:`ekv_ids_fused` (the state's *beta* is not one of its
+    constants)."""
+    def kernel(work, vt0, consts, derivatives=True):
+        v = work.v
+        ev = ekv_ids(v[..., 1, :], v[..., 2, :], v[..., 0, :],
+                     v[..., 3, :], vt0, beta, consts.n, consts.lam,
+                     derivatives=derivatives)
+        work.ids[...] = ev.ids
+        if derivatives:
+            for k, g in enumerate((ev.g_d, ev.g_g, ev.g_s, ev.g_b)):
+                work.g[..., k, :] = g
+        return work.ids
+    return kernel
+
+
 def test_batchless_assemble_uses_fused_kernel(tech, monkeypatch):
     tb = logic_path_testbench(tech, late_input="X")
     compiled = compile_circuit(tb.circuit)
@@ -253,7 +304,8 @@ def test_batchless_assemble_uses_fused_kernel(tech, monkeypatch):
     calls = _spy_kernels(monkeypatch)
     _assemble(compiled, compiled.nominal, x_pad, jacobian=False)
     assert calls == {"ekv_ids": 0, "ekv_ids_fused": 1}
-    monkeypatch.setattr(mna, "ekv_ids_fused", ekv_ids)
+    monkeypatch.setattr(mna, "ekv_ids_fused",
+                        _reference_in_place(compiled.nominal.mos["beta"]))
     g_ref, f_ref = _assemble(compiled, compiled.nominal, x_pad)
     assert np.max(np.abs(g - g_ref)) <= 1e-14 * np.max(np.abs(g_ref))
     assert np.max(np.abs(f - f_ref)) <= 1e-14 * np.max(np.abs(g_ref))
@@ -596,3 +648,308 @@ def test_logic_path_sigma_and_no_table_left_behind(tech):
         assert not isinstance(value, SourceTable)
         if isinstance(value, np.ndarray):
             assert value.ndim < 2 or value.shape[0] < res.n_steps
+
+
+# ---------------------------------------------------------------------------
+# the batch-of-one iteration in per-run buffers, against frozen copies
+# ---------------------------------------------------------------------------
+def _frozen_ekv_ids_fused(vd, vg, vs, vb, vt0, beta, n, lam_eff,
+                          phi_t=PHI_T, derivatives=True):
+    """The fused kernel as it was before its constants moved to the
+    state and its values into buffers: every constant recomputed and
+    every intermediate a fresh temporary."""
+    vp = np.asarray((vg - vb - vt0) / n)
+    vds = np.asarray(vd - vs)
+    shape = (vp.shape if vp.shape == vds.shape
+             else np.broadcast_shapes(vp.shape, vds.shape))
+    x = np.empty((3,) + shape)
+    np.subtract(vs, vb, out=x[0])
+    np.subtract(vd, vb, out=x[1])
+    np.subtract(vp, x[:2], out=x[:2])
+    x[:2] *= 0.5 / phi_t
+    np.divide(vds, phi_t, out=x[2])
+    a = np.abs(x)
+    e = np.exp(-a)
+    lg = np.log1p(e)
+    sp = np.maximum(x[:2], 0.0)
+    sp += lg[:2]
+    k = 2.0 * n * beta * phi_t
+    sq = sp * sp
+    i_core = k * phi_t * (sq[0] - sq[1])
+    m = 1.0 + (lam_eff * phi_t) * (a[2] + 2.0 * lg[2] - 2.0 * _LN2)
+    ids = i_core * m
+    if not derivatives:
+        return ids, None
+    ef = e[:2]
+    df = np.where(x[:2] >= 0.0, 1.0, ef)
+    df /= 1.0 + ef
+    df *= sp
+    df *= m
+    df *= k
+    i_dm = i_core * (lam_eff * np.tanh(0.5 * x[2]))
+    gm = (df[0] - df[1]) / n
+    g_d = df[1] + i_dm
+    g_s = -df[0] - i_dm
+    g_b = (n - 1.0) * gm
+    return ids, (g_d, gm, g_s, g_b)
+
+
+def _frozen_assemble(compiled, state, x_pad, t, g_pad, f_pad,
+                     jacobian=True, sources=None):
+    """:meth:`CompiledCircuit.assemble` of a batchless state as it was
+    composed before the per-run buffers: a gather temporary, the
+    frozen kernel, ``sign * ids`` and concatenated stamp values."""
+    batch = f_pad.shape[:-1]
+    g_lin = state.to_dense()[0]
+    if jacobian:
+        np.copyto(g_pad, g_lin)
+        np.matmul(g_pad, x_pad[..., None], out=f_pad[..., None])
+    else:
+        np.matmul(g_lin, x_pad[..., None], out=f_pad[..., None])
+    compiled._add_sources(state, t, f_pad, 1.0, sources)
+    gflat = g_pad.reshape(batch + (-1,)) if jacobian else None
+    if compiled.mosfets:
+        v = compiled._mos_sign * x_pad[..., compiled._mos_idx.T]
+        ids, g = _frozen_ekv_ids_fused(
+            v[..., 0, :], v[..., 1, :], v[..., 2, :], v[..., 3, :],
+            state.mos["vt0"], state.mos["beta"], compiled._mos_n,
+            compiled._mos_lam, derivatives=jacobian)
+        ids_phys = compiled._mos_sign * ids
+        fvals = np.concatenate((ids_phys, -ids_phys), axis=-1)
+        compiled._scatter(f_pad, compiled._mos_frows, fvals, batch,
+                          "mos_f")
+        if jacobian:
+            g4 = np.concatenate(g, axis=-1)
+            gvals = np.concatenate((g4, -g4), axis=-1)
+            compiled._scatter(gflat, compiled._mos_gflat, gvals, batch,
+                              "mos_g")
+    if compiled.nl_vccs:
+        compiled._add_nl_vccs(state, x_pad, t, f_pad, jacobian, gflat,
+                              compiled._nlv_plan.g_idx, batch)
+    f_pad[..., compiled._ground] = 0.0
+
+
+def _frozen_residual(x_pad, x_prev, f_pad, f_prev, theta, c_over_h):
+    dx = x_pad - x_prev
+    res = np.matmul(c_over_h, dx[..., None])[..., 0]
+    res += theta * f_pad
+    res += (1.0 - theta) * f_prev
+    return res
+
+
+def _frozen_update_norm(delta):
+    mag = np.abs(delta)
+    top = np.maximum.reduce(mag, axis=None, initial=0.0)
+    if np.isfinite(top):
+        return float(top)
+    return float(mag[np.isfinite(mag)].max(initial=0.0))
+
+
+#: The circuits the lean-iteration parity covers, with a period.
+LEAN_CIRCUITS = ["logic_path", "comparator", "oscillator", "ota", "rc"]
+
+
+def _lean_case(tech, name):
+    if name == "ota":
+        return five_transistor_ota(tech), 1e-6
+    if name == "rc":
+        return _rc_circuit(), 1e-6
+    return _testbenches(tech)[name]
+
+
+def _lean_points(compiled, tech, rng, batch=()):
+    return compiled.pad(rng.uniform(-0.2, tech.vdd + 0.2,
+                                    batch + (compiled.n,)))
+
+
+@pytest.mark.parametrize("jacobian", [False, True])
+@pytest.mark.parametrize("name", LEAN_CIRCUITS)
+def test_lean_assembly_matches_frozen_composition(tech, name, jacobian):
+    circuit, period = _lean_case(tech, name)
+    compiled = compile_circuit(circuit)
+    state = compiled.nominal
+    rng = np.random.default_rng(21)
+    t_grid = np.linspace(0.0, period, 9)
+    table = compiled.source_table(state, t_grid)
+    # one scratch kept across every point, as a Newton loop keeps it:
+    # nothing a point leaves behind may reach the next
+    scratch = compiled.scratch()
+    for k, t in enumerate(t_grid):
+        x_pad = _lean_points(compiled, tech, rng)
+        _, g_want, f_want = compiled.buffers(())
+        _frozen_assemble(compiled, state, x_pad, float(t), g_want, f_want,
+                         jacobian, table.row(k))
+        for scr in (scratch, None):
+            _, g_have, f_have = compiled.buffers(())
+            compiled.assemble(state, x_pad, float(t), g_have, f_have,
+                              jacobian=jacobian, sources=table.row(k),
+                              scratch=scr)
+            assert np.array_equal(f_have, f_want), (name, k)
+            assert np.array_equal(g_have, g_want), (name, k)
+    # a block of orbit samples: per-row times and source rows, one call
+    x_blk = _lean_points(compiled, tech, rng, (len(t_grid),))
+    _, g_want, f_want = compiled.buffers(x_blk.shape[:-1])
+    _frozen_assemble(compiled, state, x_blk, t_grid, g_want, f_want,
+                     jacobian, table.rows(0, len(t_grid)))
+    _, g_have, f_have = compiled.buffers(x_blk.shape[:-1])
+    compiled.assemble(state, x_blk, t_grid, g_have, f_have,
+                      jacobian=jacobian,
+                      sources=table.rows(0, len(t_grid)))
+    assert np.array_equal(f_have, f_want)
+    assert np.array_equal(g_have, g_want)
+
+
+@pytest.mark.parametrize("lanes", [(), (4,)])
+@pytest.mark.parametrize("name", LEAN_CIRCUITS)
+def test_residual_matches_frozen_expression(tech, name, lanes):
+    circuit, _ = _lean_case(tech, name)
+    compiled = compile_circuit(circuit)
+    state = (compiled.nominal if not lanes or not compiled.mosfets
+             else _mc_state(compiled, lanes[0]))
+    theta = np.append(compiled.theta_rows(state, "trap"), 1.0)
+    c_over_h = compiled.capacitance(state) / 2.5e-12
+    work = _NewtonWork(compiled, state, lanes)
+    rng = np.random.default_rng(8)
+    for _ in range(3):            # the buffers are reused call to call
+        x_pad, x_prev, f_pad, f_prev = (
+            _lean_points(compiled, tech, rng, lanes) for _ in range(4))
+        want = _frozen_residual(x_pad, x_prev, f_pad, f_prev, theta,
+                                c_over_h)
+        have = _residual(x_pad, x_prev, f_pad, f_prev, theta,
+                         1.0 - theta, c_over_h, work)
+        assert have.shape == want.shape
+        assert np.array_equal(have, want)
+        assert np.array_equal(work.rhs, want[..., :compiled.n])
+
+
+def test_update_norm_matches_frozen():
+    rng = np.random.default_rng(13)
+    cases = [rng.normal(size=16), rng.normal(size=(5, 16)),
+             np.zeros(16), np.zeros(0), np.array([-0.0, 0.0]),
+             np.array([1.0, np.nan, -3.0]), np.array([np.inf, 2.0]),
+             np.array([[np.nan, -np.inf], [4.0, -5.0]]),
+             np.array([np.nan, np.nan])]
+    for delta in cases:
+        want = _frozen_update_norm(delta)
+        have = reuse._update_norm(delta)
+        assert type(have) is float
+        assert have == want or (math.isnan(have) and math.isnan(want))
+
+
+def test_kernel_constants_are_state_prefixes(tech):
+    tb = logic_path_testbench(tech, late_input="X")
+    compiled = compile_circuit(tb.circuit)
+    state = compiled.make_state(deltas={
+        (compiled.mosfets[0].name, "beta_rel"): 0.01})
+    consts = state.mos_constants()
+    assert state.mos_constants() is consts          # built once
+    n, lam, beta = compiled._mos_n, compiled._mos_lam, state.mos["beta"]
+    k = 2.0 * n * beta * PHI_T
+    for have, want in ((consts.k, k), (consts.k_phi, k * PHI_T),
+                       (consts.lam_phi, lam * PHI_T),
+                       (consts.n_minus_1, n - 1.0), (consts.n, n),
+                       (consts.lam, lam)):
+        assert np.array_equal(have, want)
+        assert not have.flags.writeable
+    assert consts.half_over_phi == 0.5 / PHI_T
+    state.clear_caches()
+    assert state.mos_constants() is not consts
+
+
+# ---------------------------------------------------------------------------
+# end to end: answers, counts, threads
+# ---------------------------------------------------------------------------
+#: Values before the per-run buffers (sigma and nominal of the Table II
+#: rows, the ring oscillator's sigma(f)); the change keeps every bit.
+LOGIC_SIGMA_E2E = 6.8801123897503315e-12
+LOGIC_NOMINAL = 1.1864360644528196e-10
+COMPARATOR_SIGMA_VOS = 0.03225431185917122
+OSCILLATOR_SIGMA_F = 68870704.30071294
+
+
+def _logic_proposed(tech, circuit=None):
+    tb = logic_path_testbench(tech, late_input="X")
+    return transient_mismatch_analysis(
+        tb.circuit if circuit is None else circuit,
+        [EdgeDelay("delay_A", "X", "A", tb.vth)], period=tb.period,
+        pss_options=PssOptions(n_steps=800, settle_periods=2))
+
+
+def test_end_to_end_answers_are_unchanged(tech):
+    logic = _logic_proposed(tech)
+    assert logic.sigma("delay_A") == LOGIC_SIGMA_E2E
+    assert logic.mean("delay_A") == LOGIC_NOMINAL
+    tb = strongarm_offset_testbench(tech)
+    comp = transient_mismatch_analysis(
+        tb.circuit, [DcLevel("vos", tb.vos_node)], period=tb.period,
+        pss_options=PssOptions(n_steps=500, settle_periods=30))
+    assert comp.sigma("vos") == COMPARATOR_SIGMA_VOS
+    osc = transient_mismatch_analysis(
+        ring_oscillator(tech), [Frequency("f", "osc1")],
+        oscillator_anchor="osc1", t_settle=8e-9, dt_settle=2e-12,
+        pss_options=PssOptions(n_steps=300))
+    assert osc.sigma("f") == OSCILLATOR_SIGMA_F
+
+
+
+def test_logic_proposed_call_counts(tech, monkeypatch):
+    tb = logic_path_testbench(tech, late_input="X")
+    compiled = compile_circuit(tb.circuit)
+    counts = {"assemble": 0, "factor": 0}
+    assemble, factor = compiled.assemble, compiled.backend.factor
+
+    def counting_assemble(*a, **kw):
+        counts["assemble"] += 1
+        return assemble(*a, **kw)
+
+    def counting_factor(*a, **kw):
+        counts["factor"] += 1
+        return factor(*a, **kw)
+
+    monkeypatch.setattr(compiled, "assemble", counting_assemble)
+    monkeypatch.setattr(compiled.backend, "factor", counting_factor)
+    out = _logic_proposed(tech, compiled)
+    assert out.sigma("delay_A") == LOGIC_SIGMA_E2E
+    assert counts == {"assemble": 3783, "factor": 1011}
+
+
+def test_threads_on_one_cached_compile_match_serial(tech):
+    """Threads sharing one session-cached compile (and its nominal
+    state) each get the serial answer: every buffer a run writes is its
+    own.  More threads than cores and a short switch interval make the
+    interleaving dense enough that a shared buffer would show."""
+    tb = logic_path_testbench(tech, late_input="X")
+    serial = _logic_proposed(tech)
+    compiled = AnalysisSession().compile(tb.circuit)
+    n_threads = 3
+    results, errors = [None] * n_threads, []
+
+    def run(i):
+        try:
+            results[i] = _logic_proposed(tech, compiled)
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,))
+               for i in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors
+    for res in results:
+        assert res.sigma("delay_A") == serial.sigma("delay_A")
+        assert res.mean("delay_A") == serial.mean("delay_A")
+        assert np.array_equal(res.tables["delay_A"].sensitivities,
+                              serial.tables["delay_A"].sensitivities)
+    # the per-run buffers stayed with their runs
+    held = list(vars(compiled).values()) + list(
+        vars(compiled.nominal).values())
+    assert not [v for v in held
+                if isinstance(v, (mna.AssemblyScratch, EkvWork))]

@@ -44,6 +44,7 @@ from repro.service import (AnalysisRequest, AnalysisServer,
                            mc_transient_shards, merge_shard_results,
                            WorkerPool, registered_kinds, run_shard,
                            scatter_monte_carlo_transient, scatter_shards)
+from repro.service import net
 from repro.service.net import error_payload, status_for, wire_versions
 
 PSS_OPTS = PssOptions(n_steps=64, settle_periods=2)
@@ -758,3 +759,51 @@ class TestKeepAlive:
             assert _wait_for(
                 lambda: server.connection_stats()["open"] == 0)
             assert pool.stats()["endpoints"][0]["dispatched"] == 8
+
+    def test_idle_connection_is_closed(self, monkeypatch):
+        """A keep-alive connection that sends nothing for
+        ``IDLE_TIMEOUT_S`` is closed by the daemon and frees its
+        handler: the open count returns to 0 and the client reads
+        EOF."""
+        monkeypatch.setattr(net, "IDLE_TIMEOUT_S", 0.2)
+        with AnalysisServer() as server:
+            conn = http.client.HTTPConnection("127.0.0.1",
+                                              _port(server.url),
+                                              timeout=30)
+            try:
+                conn.request("GET", "/health")
+                reply = conn.getresponse()
+                reply.read()
+                assert reply.status == 200 and not reply.will_close
+                assert server.connection_stats()["open"] == 1
+                assert _wait_for(
+                    lambda: server.connection_stats()["open"] == 0)
+                assert conn.sock.recv(1) == b""   # closed by the daemon
+            finally:
+                conn.close()
+            stats = server.connection_stats()
+        assert stats == {"open": 0, "accepted": 1}
+
+    def test_session_idle_past_the_timeout_replays_once(self, monkeypatch):
+        """A session whose idle connection the daemon closed gets the
+        same answer on its next call, replayed once on one fresh
+        connection."""
+        monkeypatch.setattr(net, "IDLE_TIMEOUT_S", 0.2)
+        request = _dc_request()
+        with AnalysisServer() as server:
+            with RemoteSession(server.url) as client:
+                first = client.run(request)
+                before = server.connection_stats()
+                assert _wait_for(
+                    lambda: server.connection_stats()["open"] == 0)
+                again = client.run(request)
+                after = server.connection_stats()
+        assert before == {"open": 1, "accepted": 1}
+        assert after == {"open": 1, "accepted": 2}
+        assert again.from_cache
+        assert again.summary["metrics"] == first.summary["metrics"]
+
+    def test_idle_timeout_is_far_above_client_pauses(self):
+        """The default leaves live clients alone: a closed-loop client
+        pauses well under a second between requests."""
+        assert net.IDLE_TIMEOUT_S >= 10.0
