@@ -328,10 +328,12 @@ class CompiledCircuit:
     :func:`compile_circuit`."""
 
     def __init__(self, circuit: Circuit, cmin: float = CMIN_DEFAULT,
-                 backend: "str | LinearSolverBackend | None" = None):
+                 backend: "str | LinearSolverBackend | None" = None,
+                 *, fingerprint: str | None = None):
         circuit.validate()
         self.circuit = circuit
         self.cmin = cmin
+        self._fingerprint = fingerprint
 
         self.node_names: list[str] = circuit.nodes()
         self.node_index: dict[str, int] = {
@@ -509,7 +511,7 @@ class CompiledCircuit:
     def cache_key(self) -> str:
         """Stable content hash of this compile (SHA-256 hex digest).
 
-        Combines :meth:`Circuit.fingerprint` with the compile options
+        Combines :attr:`circuit_fingerprint` with the compile options
         that change the numerical system (``cmin``) and a format-version
         tag covering the stamp-plan layout.  Two independently compiled
         circuits with equal netlist content produce equal keys, which is
@@ -521,9 +523,18 @@ class CompiledCircuit:
         if self._cache_key is None:
             from ..circuit.netlist import content_digest
             self._cache_key = content_digest(
-                "compiled-circuit-v1", self.circuit.fingerprint(),
+                "compiled-circuit-v1", self.circuit_fingerprint,
                 float(self.cmin))
         return self._cache_key
+
+    @property
+    def circuit_fingerprint(self) -> str:
+        """:meth:`Circuit.fingerprint` of the netlist this was compiled
+        from: the one handed to :func:`compile_circuit`, else computed
+        on first use."""
+        if self._fingerprint is None:
+            self._fingerprint = self.circuit.fingerprint()
+        return self._fingerprint
 
     def state_key(self, deltas: "Deltas | None" = None,
                   source_values: "dict[str, float | np.ndarray] | None"
@@ -1251,12 +1262,16 @@ class CsrAssembler:
 
 
 def compile_circuit(circuit: Circuit, cmin: float = CMIN_DEFAULT,
-                    backend: "str | LinearSolverBackend | None" = None
-                    ) -> CompiledCircuit:
+                    backend: "str | LinearSolverBackend | None" = None,
+                    *, fingerprint: str | None = None) -> CompiledCircuit:
     """Compile *circuit* into a :class:`CompiledCircuit`.
 
     *backend* selects the linear-solver backend (``"dense"``,
     ``"cached"``, ``"sparse"`` or an instance); the default ``"auto"``
-    picks by circuit size - see :mod:`repro.linalg`.
+    picks by circuit size - see :mod:`repro.linalg`.  A caller that
+    already holds ``circuit.fingerprint()`` passes it as *fingerprint*,
+    and :attr:`CompiledCircuit.cache_key` derives from it instead of
+    hashing the netlist again.
     """
-    return CompiledCircuit(circuit, cmin=cmin, backend=backend)
+    return CompiledCircuit(circuit, cmin=cmin, backend=backend,
+                           fingerprint=fingerprint)

@@ -7,6 +7,7 @@ happens in :mod:`repro.analysis.mna`.  Node names are free-form strings;
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import fields as _dataclass_fields
 from dataclasses import is_dataclass as _is_dataclass
@@ -36,8 +37,9 @@ _NODE_FIELDS = frozenset({"pos", "neg", "ctrl_pos", "ctrl_neg",
 _GROUND_TOKEN = "=gnd="
 
 
-def _hash_update(h, obj) -> None:
-    """Feed *obj* into hash *h* using a type-tagged canonical encoding.
+def _encode(obj, put) -> None:
+    """Append the type-tagged canonical encoding of *obj* to a byte
+    stream through *put* (a ``list.append``).
 
     Supports the value types that appear in circuit descriptions and
     analysis options: scalars, strings, bytes, numpy arrays, lists,
@@ -45,49 +47,85 @@ def _hash_update(h, obj) -> None:
     encoding is injective per type (length-prefixed strings, tagged
     scalars) so structurally different objects never collide by
     concatenation.
+
+    Exact-type dispatch covers the types a content key is mostly made
+    of; any other value (subclasses, numpy scalars and arrays, bytes,
+    dataclasses) takes :func:`_encode_other`'s ``isinstance`` chain,
+    which yields the same bytes the exact branches would.
     """
-    if obj is None:
-        h.update(b"N;")
-    elif isinstance(obj, bool):
-        h.update(b"T;" if obj else b"f;")
-    elif isinstance(obj, (int, np.integer)):
-        h.update(b"I%d;" % int(obj))
+    t = type(obj)
+    if t is str:
+        raw = obj.encode()
+        put(b"S%d:%b;" % (len(raw), raw))
+    elif t is float:
+        put(b"F%a;" % obj)   # %a of a float is its repr
+    elif t is dict:
+        put(b"D%d:" % len(obj))
+        for key in sorted(obj):
+            if type(key) is str:   # the usual key, encoded in place
+                raw = key.encode()
+                put(b"S%d:%b;" % (len(raw), raw))
+            else:
+                _encode(key, put)
+            _encode(obj[key], put)
+        put(b";")
+    elif t is list or t is tuple:
+        put(b"L%d:" % len(obj))
+        for item in obj:
+            _encode(item, put)
+        put(b";")
+    elif obj is None:
+        put(b"N;")
+    elif t is bool:
+        put(b"T;" if obj else b"f;")
+    elif t is int:
+        put(b"I%d;" % obj)
+    else:
+        _encode_other(obj, put)
+
+
+def _encode_other(obj, put) -> None:
+    # the v1 isinstance chain, minus bool (it has no subclasses)
+    if isinstance(obj, (int, np.integer)):
+        put(b"I%d;" % int(obj))
     elif isinstance(obj, (float, np.floating)):
-        h.update(("F%r;" % float(obj)).encode())
+        put(b"F%a;" % float(obj))
     elif isinstance(obj, str):
         raw = obj.encode()
-        h.update(b"S%d:" % len(raw))
-        h.update(raw)
-        h.update(b";")
+        put(b"S%d:%b;" % (len(raw), raw))
     elif isinstance(obj, bytes):
-        h.update(b"Y%d:" % len(obj))
-        h.update(obj)
-        h.update(b";")
+        put(b"Y%d:%b;" % (len(obj), obj))
     elif isinstance(obj, np.ndarray):
         arr = np.ascontiguousarray(obj)
-        h.update(("A%s%r:" % (arr.dtype.str, arr.shape)).encode())
-        h.update(arr.tobytes())
-        h.update(b";")
+        put(("A%s%r:" % (arr.dtype.str, arr.shape)).encode())
+        put(arr.tobytes())
+        put(b";")
     elif isinstance(obj, (list, tuple)):
-        h.update(b"L%d:" % len(obj))
-        for item in obj:
-            _hash_update(h, item)
-        h.update(b";")
+        _encode(list(obj), put)   # a subclass encodes as its items
     elif isinstance(obj, dict):
-        h.update(b"D%d:" % len(obj))
-        for key in sorted(obj):
-            _hash_update(h, key)
-            _hash_update(h, obj[key])
-        h.update(b";")
+        _encode(dict(obj), put)
     elif _is_dataclass(obj) and not isinstance(obj, type):
-        h.update(("C%s:" % type(obj).__name__).encode())
-        for f in _dataclass_fields(obj):
-            _hash_update(h, f.name)
-            _hash_update(h, getattr(obj, f.name))
-        h.update(b";")
+        header, names = _dataclass_layout(type(obj))
+        put(header)
+        for name, encoded_name in names:
+            put(encoded_name)
+            _encode(getattr(obj, name), put)
+        put(b";")
     else:
         raise TypeError(
             f"cannot fingerprint a value of type {type(obj).__name__}")
+
+
+@functools.lru_cache(maxsize=256)
+def _dataclass_layout(cls) -> tuple[bytes, tuple]:
+    """The constant part of a dataclass's encoding: its ``C<name>:``
+    header and, per field in declaration order, the field name and
+    that name's encoding."""
+    names = []
+    for f in _dataclass_fields(cls):
+        raw = f.name.encode()
+        names.append((f.name, b"S%d:%b;" % (len(raw), raw)))
+    return ("C%s:" % cls.__name__).encode(), tuple(names)
 
 
 def content_digest(*parts) -> str:
@@ -95,12 +133,15 @@ def content_digest(*parts) -> str:
 
     This is the hashing primitive behind :meth:`Circuit.fingerprint`,
     ``CompiledCircuit.cache_key`` and the :class:`repro.service`
-    content-addressed caches.
+    content-addressed caches.  The parts are encoded in one pass into
+    one byte string, hashed by one ``sha256`` call; the digests are
+    those of feeding each token to the hash in turn (the v1 encoding).
     """
-    h = hashlib.sha256()
+    out: list[bytes] = []
+    put = out.append
     for part in parts:
-        _hash_update(h, part)
-    return h.hexdigest()
+        _encode(part, put)
+    return hashlib.sha256(b"".join(out)).hexdigest()
 
 
 class Circuit:
@@ -202,11 +243,11 @@ class Circuit:
         records = []
         for el in elements:
             fields_rec: dict[str, object] = {}
-            for f in _dataclass_fields(el):
-                value = getattr(el, f.name)
-                if f.name in _NODE_FIELDS and isinstance(value, str):
+            for name, _ in _dataclass_layout(type(el))[1]:
+                value = getattr(el, name)
+                if name in _NODE_FIELDS and isinstance(value, str):
                     value = node_id(value)
-                fields_rec[f.name] = value
+                fields_rec[name] = value
             records.append((type(el).__name__, fields_rec))
         # Initial conditions on nodes no element references cannot affect
         # a simulation; keep them under their raw names for determinism.

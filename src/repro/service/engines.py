@@ -237,12 +237,14 @@ def compile_cached(session, circuit, cmin: float | None = None,
     cmin_eff = CMIN_DEFAULT if cmin is None else cmin
     if backend is not None and not isinstance(backend, str):
         return compile_circuit(circuit, cmin=cmin_eff, backend=backend)
-    key = content_digest("session-compile-v1", circuit.fingerprint(),
+    fingerprint = circuit.fingerprint()
+    key = content_digest("session-compile-v1", fingerprint,
                          float(cmin_eff), backend)
     hit = session.compiled.get(key)
     if hit is not None:
         return hit
-    compiled = compile_circuit(circuit, cmin=cmin_eff, backend=backend)
+    compiled = compile_circuit(circuit, cmin=cmin_eff, backend=backend,
+                               fingerprint=fingerprint)
     session.compiled.put(key, compiled)
     return compiled
 

@@ -24,13 +24,16 @@ Endpoints
     (``REQUEST_FORMAT_VERSION``, ``SHARD_PROTOCOL_VERSION``), the
     facade ``API_VERSION`` and the registered kinds.  Unauthenticated.
 ``GET /stats``
-    Session store counters, the engine pool (``workers``, ``pids``,
-    ``dispatched``, respawn ``epoch``), per-tenant quota counters, the
-    asynchronous job count and the HTTP ``connections`` (``open`` now,
-    ``accepted`` in all).
+    Session store counters, the ``body_index`` (``size``,
+    ``capacity``, ``hits``, ``misses``), the engine pool (``workers``,
+    ``pids``, ``dispatched``, respawn ``epoch``), per-tenant quota
+    counters, the asynchronous job count and the HTTP ``connections``
+    (``open`` now, ``accepted`` in all).
 ``POST /run``
     Execute one :class:`AnalysisRequest` synchronously; returns the
-    ``AnalysisResult.to_dict()`` summary.
+    ``AnalysisResult.to_dict()`` summary.  A body seen before is a
+    memo hit without decoding: the sha256 of the raw body indexes its
+    request key (see "Memo hits" below).
 ``POST /shard``
     Execute one :class:`ShardSpec`; returns ``ShardResult.to_dict()``.
     This is the cross-host fan-out surface: a coordinator plans shards
@@ -54,6 +57,19 @@ Endpoints
     ``GET /health`` reports ``draining: true`` so load balancers and
     :class:`~repro.service.resilience.WorkerPool` probes route around
     the daemon instead of tripping its circuit breaker.
+
+Memo hits
+---------
+A ``/run`` hit costs a C-speed digest of its body and two dictionary
+lookups: ``sha256(body)`` -> request key (the body-digest index) ->
+memoized result -> serialize.  The index is an LRU with as many
+entries as the session's result memo; an entry is written only after
+a successful answer, so a malformed body or a refused version never
+enters it.  A body the index does not know, or whose result has left
+the memo, takes the full path - decode, :meth:`AnalysisRequest.key
+<repro.service.requests.AnalysisRequest.key>`, memo, engine - and two
+bodies that differ only in key order or whitespace share one memo
+entry.  ``/shard`` is never memoized and ``/jobs`` always decodes.
 
 Connections
 -----------
@@ -105,6 +121,7 @@ flight on it (``WorkerCrashError``, a 502) and the pool respawns.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import socket
 import sys
@@ -122,7 +139,7 @@ from .engines import registered_kinds
 from .jobs import JobQueue, RetryPolicy
 from .requests import REQUEST_FORMAT_VERSION, AnalysisRequest
 from .serialize import to_jsonable
-from .session import AnalysisSession
+from .session import AnalysisSession, _LruStore
 from .shards import SHARD_PROTOCOL_VERSION, ShardSpec
 
 #: Seconds a keep-alive connection may wait for its next request before
@@ -304,6 +321,10 @@ class ServiceApp:
         self._owners: dict[str, set] = {}
         self._jobs_lock = threading.Lock()
         self._jobs: dict[str, _JobRecord] = {}
+        #: sha256 of a ``/run`` body -> its request key.  As many
+        #: entries as the result memo, each a 32-byte digest and a
+        #: 64-character key, so the entry bound is a byte bound too.
+        self._bodies = _LruStore(self.session.results.capacity)
 
     # -- auth ----------------------------------------------------------
     def authenticate(self, token: str | None) -> _TenantState:
@@ -380,6 +401,7 @@ class ServiceApp:
         with self._jobs_lock:
             jobs = list(self._jobs.values())
         return {"session": self.session.stats(),
+                "body_index": self._bodies.stats(),
                 "pool": self.queue.pool_stats(),
                 "draining": self.draining,
                 "tenants": {st.config.name: st.stats()
@@ -388,11 +410,29 @@ class ServiceApp:
                          "pending": sum(1 for j in jobs
                                         if j.status() == "running")}}
 
-    def run(self, tenant: _TenantState, payload: dict) -> dict:
+    def run(self, tenant: _TenantState, body: bytes) -> dict:
+        """``POST /run`` on the raw request *body*.
+
+        A body whose digest the index knows, and whose request key is
+        still in the result memo, is answered from the memo without
+        being decoded or its request hashed.  Any other body is
+        decoded and submitted, and a successful answer records the
+        body's digest against its request key.
+        """
         self._refuse_if_draining("synchronous runs")
-        request = AnalysisRequest.from_dict(payload)
+        digest = hashlib.sha256(body).digest()
+        key = self._bodies.get(digest)
+        # checked first so an evicted key costs one memo lookup (the
+        # full path's), not two
+        if key is not None and key in self.session.results:
+            hit = self.session.cached(key)
+            if hit is not None:
+                self._record_result(tenant, key)
+                return hit.to_dict()
+        request = AnalysisRequest.from_dict(json.loads(body.decode("utf-8")))
         result = self.queue.submit(request).result()
         self._record_result(tenant, result.request_key)
+        self._bodies.put(digest, result.request_key)
         return result.to_dict()
 
     def run_shard(self, tenant: _TenantState, payload: dict) -> dict:
@@ -552,7 +592,7 @@ class _Handler(BaseHTTPRequestHandler):
             return 0
         return length
 
-    def _body(self) -> dict:
+    def _raw_body(self) -> bytes:
         length = self._unread
         if length > self.app.max_body_bytes:
             raise _HttpError(413, f"request body of {length} bytes "
@@ -562,7 +602,10 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise AnalysisError("expected a JSON request body")
-        return json.loads(raw.decode("utf-8"))
+        return raw
+
+    def _body(self) -> dict:
+        return json.loads(self._raw_body().decode("utf-8"))
 
     def _skip_body(self) -> None:
         """Read off a body no endpoint read, so the next request on
@@ -612,7 +655,7 @@ class _Handler(BaseHTTPRequestHandler):
             elif method == "POST" and path == "/admin/drain":
                 self._send(200, self.app.drain())  # body ignored
             elif method == "POST" and path == "/run":
-                self._send(200, self.app.run(tenant, self._body()))
+                self._send(200, self.app.run(tenant, self._raw_body()))
             elif method == "POST" and path == "/shard":
                 self._send(200, self.app.run_shard(tenant, self._body()))
             elif method == "POST" and path == "/jobs":

@@ -224,10 +224,21 @@ class AnalysisRequest:
 
     # -- identity ------------------------------------------------------
     def key(self) -> str:
-        """Content hash of the full request - the memoization key."""
-        return content_digest(
-            "analysis-request-v1", self.version, self.kind, self.circuit,
-            list(self.measures), list(self.outputs), self.options)
+        """Content hash of the full request - the memoization key.
+
+        Hashed on the first call and kept on the request, so the
+        layers a submission passes through (daemon, queue, session)
+        share one hash.  A request is a value: mutating the dicts it
+        holds is unsupported (build a new request instead).
+        """
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = content_digest(
+                "analysis-request-v1", self.version, self.kind,
+                self.circuit, list(self.measures), list(self.outputs),
+                self.options)
+            object.__setattr__(self, "_key", key)
+        return key
 
     # -- serialization -------------------------------------------------
     def to_dict(self) -> dict:

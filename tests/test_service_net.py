@@ -22,6 +22,7 @@ test are the PR's contract:
 
 import http.client
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -39,7 +40,7 @@ from repro.errors import (AnalysisError, AuthenticationError,
                           JobTimeoutError, QuotaExceededError, ReproError,
                           TransportError, WorkerCrashError)
 from repro.service import (AnalysisRequest, AnalysisServer,
-                           AnalysisSession, FaultPlan, FaultRule,
+                           AnalysisSession, FaultPlan, FaultRule, JobQueue,
                            RemoteSession, RetryPolicy, TenantConfig,
                            mc_transient_shards, merge_shard_results,
                            WorkerPool, registered_kinds, run_shard,
@@ -807,3 +808,199 @@ class TestKeepAlive:
         """The default leaves live clients alone: a closed-loop client
         pauses well under a second between requests."""
         assert net.IDLE_TIMEOUT_S >= 10.0
+
+
+# ---------------------------------------------------------------------------
+# the body-digest index in front of the result memo
+# ---------------------------------------------------------------------------
+def _post_run(url, body, token=None):
+    return _raw(url + "/run", "POST", body, token=token)
+
+
+def _body(request, **dumps):
+    return json.dumps(request.to_dict(), **dumps).encode()
+
+
+class TestBodyIndex:
+    def test_byte_different_bodies_share_one_memo_entry(self):
+        """Key order and whitespace change the bytes, not the request:
+        both bodies land on one memo entry, and each repeat is an
+        index hit."""
+        request = _dc_request()
+        compact = _body(request, separators=(",", ":"))
+        spaced = _body(request, sort_keys=True, indent=2)
+        assert compact != spaced
+        with AnalysisServer() as server:
+            replies = [_post_run(server.url, body)
+                       for body in (compact, spaced, compact, spaced)]
+            stats = RemoteSession(server.url).server_stats()
+        assert [status for status, _ in replies] == [200] * 4
+        assert [p["from_cache"] for _, p in replies] == [
+            False, True, True, True]
+        assert {p["request_key"] for _, p in replies} == {request.key()}
+        assert stats["session"]["results"]["size"] == 1
+        index = stats["body_index"]
+        assert (index["size"], index["hits"], index["misses"]) == (2, 2, 2)
+
+    def test_index_hit_is_charged_like_a_hit(self):
+        """An index hit counts one tenant request and refreshes the
+        key's place in the tenant's quota, so the quota evicts the
+        other key."""
+        a, b, c = (_body(_dc_request(r1)) for r1 in (1e3, 2e3, 3e3))
+        with AnalysisServer(tenants=TENANTS) as server:
+            for body in (a, b, a, c):
+                assert _post_run(server.url, body, "tok-a")[0] == 200
+            index_hits = RemoteSession(
+                server.url, token="tok-a").server_stats()["body_index"]
+            _, again_a = _post_run(server.url, a, "tok-a")
+            _, again_b = _post_run(server.url, b, "tok-a")
+            stats = RemoteSession(server.url, token="tok-a").server_stats()
+        assert index_hits["hits"] == 1
+        assert again_a["from_cache"] and not again_b["from_cache"]
+        alice = stats["tenants"]["alice"]
+        assert alice["requests"] == 6
+        assert alice["results"] == 2
+        assert alice["evictions"] == 2
+
+    def test_draining_refuses_an_index_hit(self):
+        body = _body(_dc_request())
+        with AnalysisServer() as server:
+            client = RemoteSession(server.url)
+            assert _post_run(server.url, body)[0] == 200
+            assert _post_run(server.url, body)[1]["from_cache"]
+            client.drain()
+            status, payload = _post_run(server.url, body)
+            index = client.server_stats()["body_index"]
+        assert status == 503
+        assert payload["error"]["error"] == "DrainingError"
+        assert payload["retry_after"] == 5.0
+        assert index["hits"] == 1   # the refused body was not looked up
+
+    def test_evicted_result_reruns_with_identical_bits(self):
+        """A body whose result left the memo (here: by quota) runs the
+        engine again, with the same bits, and costs one memo lookup."""
+        first = _body(_transient_request())
+        with AnalysisServer(tenants=TENANTS) as server:
+            _, miss = _post_run(server.url, first, "tok-a")
+            for r in (2e3, 3e3):
+                _post_run(server.url, _body(_transient_request(r)),
+                          "tok-a")
+            _, rerun = _post_run(server.url, first, "tok-a")
+            stats = RemoteSession(server.url, token="tok-a").server_stats()
+        assert not miss["from_cache"] and not rerun["from_cache"]
+        assert _numbers(rerun["summary"]) == _numbers(miss["summary"])
+        assert rerun["request_key"] == miss["request_key"]
+        results = stats["session"]["results"]
+        assert (results["hits"], results["misses"]) == (0, 4)
+        assert stats["body_index"]["hits"] == 1
+
+    def test_refused_bodies_never_enter_the_index(self):
+        wrong_version = _dc_request().to_dict()
+        wrong_version["version"] = 99
+        with AnalysisServer() as server:
+            statuses = [_post_run(server.url, body)[0] for body in (
+                b"this is not json", b"{\"version\": 1",
+                json.dumps(wrong_version).encode(),
+                json.dumps(wrong_version).encode())]
+            index = RemoteSession(server.url).server_stats()["body_index"]
+        assert statuses == [400] * 4
+        assert index["size"] == 0 and index["hits"] == 0
+
+    def test_index_never_exceeds_its_bound(self):
+        session = AnalysisSession(result_capacity=2)
+        with AnalysisServer(session=session) as server:
+            sizes = []
+            for r1 in (1e3, 2e3, 3e3, 4e3, 1e3):
+                assert _post_run(server.url, _body(_dc_request(r1)))[0] \
+                    == 200
+                sizes.append(RemoteSession(server.url).server_stats()[
+                    "body_index"]["size"])
+            index = RemoteSession(server.url).server_stats()["body_index"]
+        assert sizes == [1, 2, 2, 2, 2]
+        assert index["capacity"] == session.results.capacity == 2
+
+
+    def test_concurrent_bodies_keep_the_index_consistent(self):
+        """More threads than cores send three bodies through one app
+        whose memo holds two, with a short switch interval: every
+        reply carries its own body's key, and every call is counted
+        once by the index and by the tenant."""
+        requests = [_dc_request(r1) for r1 in (1e3, 2e3, 3e3)]
+        bodies = [_body(r) for r in requests]
+        app = net.ServiceApp(session=AnalysisSession(result_capacity=2),
+                             job_workers=1)
+        tenant = app.authenticate(None)
+        wrong, errors = [], []
+
+        def client(offset):
+            try:
+                for i in range(30):
+                    j = (i + offset) % 3
+                    reply = app.run(tenant, bodies[j])
+                    if reply["request_key"] != requests[j].key():
+                        wrong.append(j)
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(k,))
+                       for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            index = app.stats()["body_index"]
+        finally:
+            sys.setswitchinterval(interval)
+            app.close()
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and wrong == []
+        assert index["hits"] + index["misses"] == 180
+        assert index["size"] <= index["capacity"] == 2
+        assert tenant.requests == 180
+
+
+class TestKeyHashedOnce:
+    """Each submission hashes its request's content key exactly once,
+    on every path; an index hit hashes none."""
+
+    @pytest.fixture
+    def key_hashes(self, monkeypatch):
+        from repro.service import requests
+        calls = []
+        digest = requests.content_digest
+
+        def counted(*parts):
+            calls.append(parts[0])
+            return digest(*parts)
+
+        monkeypatch.setattr(requests, "content_digest", counted)
+        return calls
+
+    @pytest.mark.parametrize("n_workers", [None, 1])
+    def test_job_queue_submit(self, key_hashes, n_workers):
+        with JobQueue(session=AnalysisSession(),
+                      n_workers=n_workers) as queue:
+            counts = []
+            for _ in range(2):   # a miss, then a memo hit
+                before = len(key_hashes)
+                queue.submit(_dc_request()).result(timeout=60)
+                counts.append(len(key_hashes) - before)
+        assert counts == [1, 1]
+
+    def test_daemon_jobs_and_run(self, key_hashes):
+        with AnalysisServer() as server:
+            client = RemoteSession(server.url)
+            sends = [
+                lambda: client.submit(_dc_request(2e3)).result(timeout=30),
+                lambda: client.run(_dc_request()),   # a miss
+                lambda: client.run(_dc_request()),   # an index hit
+            ]
+            counts = []
+            for send in sends:
+                before = len(key_hashes)
+                send()
+                counts.append(len(key_hashes) - before)
+        assert counts == [1, 1, 0]
