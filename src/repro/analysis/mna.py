@@ -60,6 +60,7 @@ orbit - Section III of the paper), and for every physical noise source its
 
 from __future__ import annotations
 
+import types
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -88,6 +89,47 @@ Deltas = dict[ParamKey, "float | np.ndarray"]
 #: sweeps, small enough that varying chunk shapes cannot grow memory
 #: without bound.
 _BIDX_CACHE_MAX = 8
+
+#: Leaves :func:`held_nbytes` never looks inside.
+_NO_ARRAYS = (str, bytes, int, float, complex, bool, type(None), type,
+              types.ModuleType, types.FunctionType, types.MethodType,
+              types.BuiltinFunctionType, np.generic, np.dtype)
+
+
+def held_nbytes(*objs, skip=()) -> int:
+    """Bytes of the numpy arrays reachable from *objs*.
+
+    The walk follows instance attributes (``__dict__`` and
+    ``__slots__``), dict values and sequence items.  Each buffer is
+    counted once: a view counts its base array, so a broadcast row
+    counts one row.  Objects in *skip* are not entered - what another
+    cache entry owns, say.  Memory held outside numpy arrays (a sparse
+    factorization's SuperLU object) is not seen.
+    """
+    seen = {id(obj) for obj in skip}
+    stack = list(objs)
+    total = 0
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, _NO_ARRAYS) or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            base = obj
+            while isinstance(base.base, np.ndarray):
+                base = base.base
+            if base is obj or id(base) not in seen:
+                seen.add(id(base))
+                total += base.nbytes
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        else:
+            stack.extend(getattr(obj, "__dict__", {}).values())
+            for slot in getattr(type(obj), "__slots__", ()):
+                stack.append(getattr(obj, slot, None))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +233,22 @@ class ParamState:
             self._consts = MosConstants.of(self.mos["beta"], self.mos_n,
                                            self.mos_lam)
         return self._consts
+
+    def nbytes(self) -> int:
+        """Bytes this state holds or can still grow to: its templates
+        and device arrays, plus the densified templates, the kernel
+        constants and the source vectors, counted whether or not they
+        are built yet (the circuit's shared sparsity plan is not the
+        state's)."""
+        held = held_nbytes(self, skip=(self.plan,) + tuple(
+            c for c in (self._dense, self._consts, self.src_static,
+                        self.src_cache) if c is not None))
+        lanes = int(np.prod(self.batch_shape, dtype=int))
+        templates = int(np.prod(self.g_data.shape[:-1], dtype=int))
+        dense = 2 * templates * self.n1 * self.n1 * 8
+        consts = 6 * self.mos_n.size * 8 if self.mos else 0
+        sources = 2 * lanes * self.n1 * 8
+        return held + dense + consts + sources
 
     def clear_caches(self) -> "ParamState":
         """Drop the derived per-state caches (densified templates and
@@ -554,6 +612,14 @@ class CompiledCircuit:
             {k: v for k, v in (deltas or {}).items()},
             dict(source_values or {}),
             tuple(int(s) for s in (batch_shape or ())))
+
+    def nbytes(self) -> int:
+        """Bytes this compile holds or can still grow to: its stamp
+        plans, sparsity plan and per-batch-shape caches as they stand,
+        plus its nominal state's :meth:`ParamState.nbytes` (the state
+        is built here if it was not yet)."""
+        state = self.nominal
+        return held_nbytes(self, skip=(state,)) + state.nbytes()
 
     def clear_caches(self) -> "CompiledCircuit":
         """Drop every derived cache this circuit accumulated.

@@ -61,6 +61,11 @@ from .mna import CompiledCircuit, ParamState
 #: raised the cold PSS+LPTV call's peak RSS by ~8 MB).
 ORBIT_BLOCK = 64
 
+#: Assumed fill of a sparse LU, as factor entries per Jacobian entry,
+#: for :meth:`OrbitLinearization.estimate_nbytes` (a factorization's
+#: size is not known before it is built).
+SPARSE_LU_FILL = 4
+
 
 class OrbitLinearization:
     """Per-step linearised maps ``(A_k, B_k)`` of one orbit, factored.
@@ -147,6 +152,32 @@ class OrbitLinearization:
                 self.g_t[k0:k1] = g_pad[:, :n, :n]
             self.c = compiled.capacitance(state)[:n, :n]
             self.c_over_h = self.c / self.h
+
+    @staticmethod
+    def estimate_nbytes(compiled: CompiledCircuit, n_steps: int) -> int:
+        """Bytes a fully built linearisation of an *n_steps* orbit of
+        *compiled* holds, on the engine selected by default: its
+        Jacobian stack, its per-step factors and its ``B_k`` block (one
+        row or one factor when time-invariant).
+
+        The count comes from shapes alone, so it is known before any of
+        it is built.  A sparse factor is estimated at
+        :data:`SPARSE_LU_FILL` entries per Jacobian entry.
+        """
+        n = compiled.n
+        steps = 1 if not compiled.has_nonlinear else n_steps
+        if use_matrix_free(compiled.backend, n, None):
+            # Jacobian value rows (one when time-invariant), the B_k
+            # rows, then the factors (values + indices)
+            nnz = compiled.csr_plan.nnz
+            g_rows = 1 if steps == 1 else n_steps + 1
+            factor = SPARSE_LU_FILL * nnz * 12 + n * 8
+            return (g_rows + steps) * nnz * 8 + steps * factor
+        block = n * n * 8
+        # g_t and c_over_h, the padded capacitance (c is a view of
+        # it), theta, then B_k and the factors (LU + pivots)
+        return ((n_steps + 2) * block + (n + 1) ** 2 * 8 + n * 8
+                + steps * block + steps * (block + n * 8))
 
     # ------------------------------------------------------------------
     # factorizations (lazy, clearable)

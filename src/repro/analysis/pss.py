@@ -207,6 +207,16 @@ class PssResult:
                 self.method, matrix_free=want)
         return self._lin
 
+    def nbytes(self) -> int:
+        """Bytes this orbit holds or can still grow to: its samples plus
+        its dense linearisation (Jacobian stack, per-step factors, the
+        ``B_k`` block), counted whether or not that is built yet
+        (:meth:`OrbitLinearization.estimate_nbytes`).  The circuit and
+        its state are the compile's, not the orbit's."""
+        return (self.x.nbytes + self.t.nbytes
+                + OrbitLinearization.estimate_nbytes(self.compiled,
+                                                     self.n_steps))
+
     def clear_caches(self) -> "PssResult":
         """Drop the cached orbit linearisation (its per-step
         factorization list is the memory that matters); the orbit

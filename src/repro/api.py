@@ -19,7 +19,10 @@ Versioning policy
   :class:`DeprecationWarning` (warn first, break later - e.g. the
   legacy positional call shapes of ``*_mismatch_analysis`` warned
   through 1.x and were removed in 2.0: they now raise
-  :class:`TypeError`).
+  :class:`TypeError`).  Since 2.1 :class:`AnalysisSession`'s
+  ``compiled_capacity``, ``state_capacity`` and ``pss_capacity`` warn:
+  the engine stores share one byte budget, ``cache_bytes``, and the
+  three keywords go in 3.0.
 
 Wire formats version independently (``REQUEST_FORMAT_VERSION``,
 ``SHARD_PROTOCOL_VERSION``); ``GET /health`` on a daemon reports all
@@ -85,7 +88,8 @@ from .errors import (AnalysisError, AuthenticationError,
 # -- service -----------------------------------------------------------
 from .service import (REQUEST_FORMAT_VERSION, SHARD_PROTOCOL_VERSION,
                       AnalysisRequest, AnalysisResult, AnalysisServer,
-                      AnalysisSession, FaultPlan, FaultRule, JobQueue,
+                      AnalysisSession, ENGINE_CACHE_BYTES, FaultPlan,
+                      FaultRule, JobQueue,
                       RemoteJob, RemoteSession, RetryPolicy,
                       ScatterPolicy, ScatterResult, ShardResult,
                       ShardSpec, WorkerPool, default_session,
@@ -95,7 +99,7 @@ from .service import (REQUEST_FORMAT_VERSION, SHARD_PROTOCOL_VERSION,
                       serve, to_jsonable, TenantConfig)
 
 #: The facade's own version (see the module docstring for the policy).
-API_VERSION = "2.0"
+API_VERSION = "2.1"
 
 __all__ = [
     "API_VERSION",
@@ -126,7 +130,7 @@ __all__ = [
     "FailureRecord",
     # service
     "AnalysisRequest", "AnalysisResult", "AnalysisSession",
-    "default_session", "registered_kinds", "JobQueue", "RetryPolicy",
+    "ENGINE_CACHE_BYTES", "default_session", "registered_kinds", "JobQueue", "RetryPolicy",
     "FaultPlan", "FaultRule",
     "REQUEST_FORMAT_VERSION", "SHARD_PROTOCOL_VERSION",
     "ShardSpec", "ShardResult", "mc_transient_shards", "mc_dc_shards",

@@ -47,14 +47,14 @@ from .requests import (REQUEST_FORMAT_VERSION, AnalysisRequest,
                        AnalysisResult)
 from .serialize import (circuit_from_dict, circuit_to_dict, from_jsonable,
                         to_jsonable)
-from .session import AnalysisSession, default_session
+from .session import ENGINE_CACHE_BYTES, AnalysisSession, default_session
 from .shards import (SHARD_PROTOCOL_VERSION, MergedShards, ShardResult,
                      ShardSpec, degraded_shard_result, mc_dc_shards,
                      mc_transient_shards, merge_shard_results, run_shard)
 
 __all__ = [
     "AnalysisRequest", "AnalysisResult", "REQUEST_FORMAT_VERSION",
-    "AnalysisSession", "default_session",
+    "AnalysisSession", "ENGINE_CACHE_BYTES", "default_session",
     "AnalysisEngine", "register_engine", "unregister_engine",
     "engine_for", "registered_kinds",
     "Job", "JobQueue", "RetryPolicy",

@@ -20,10 +20,16 @@ returns ``from_cache=True`` with no second dispatch.  A composite kind
 through the queue the same way; so does a Monte-Carlo request asking
 for ``n_workers > 1``, whose shards (with its compile) go to the
 workers in place of a second pool.  Inline execution keeps the full
-detail.  Each worker process keeps its own private
-session for compiled circuits and PSS orbits, so a queue that executes
-many jobs on few circuits pays each compile/PSS once per worker, not
-once per job.  Workers exit when the process that started them dies
+detail.
+
+Each worker process gets its own engine session, built by the queue
+when the worker starts (:func:`~repro.core.workers.worker_pool`'s
+*setup*) with the byte budget of the queue's session.  Its compiled
+circuits and PSS orbits stay as long as that budget holds them, so a
+request evicted from the result memo and sent again runs only what
+follows the orbit, with the same bits.  Every worker result comes back
+with that worker's store counters, which :meth:`JobQueue.worker_stats`
+reports per PID.  Workers exit when the process that started them dies
 (:mod:`repro.core.workers`).
 
 Supervision
@@ -65,17 +71,20 @@ worker.
 from __future__ import annotations
 
 import functools
+import os
 import threading
 import time
 from concurrent.futures import CancelledError, Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
-from ..core.workers import shard_runner, worker_pids, worker_pool
+from ..core.workers import (shard_runner, worker_pids, worker_pool,
+                            worker_state)
 from ..errors import RETRYABLE_ERRORS, JobTimeoutError, WorkerCrashError
 from .engines import engine_for, execute
 from .faults import adopt_plan, maybe_inject, plan_text
 from .requests import AnalysisRequest, AnalysisResult
+from .session import AnalysisSession
 from .shards import (ShardResult, ShardSpec, degraded_shard_result,
                      run_shard)
 
@@ -155,24 +164,31 @@ class Job:
 
 
 # -- worker-process entry points (module-level: picklable) -------------
-_WORKER_SESSION = None
+#: The engine-store counters a worker reports with each result.
+_REPORTED = ("size", "bytes", "hits", "misses")
 
 
-def _worker_session():
-    global _WORKER_SESSION
-    if _WORKER_SESSION is None:
-        from .session import AnalysisSession
-        _WORKER_SESSION = AnalysisSession()
-    return _WORKER_SESSION
+def _engine_session(cache_bytes: int) -> AnalysisSession:
+    """A worker's engine session (the pool's per-worker *setup*)."""
+    return AnalysisSession(cache_bytes=cache_bytes)
+
+
+def _report(session) -> tuple[int, dict]:
+    """This worker's PID and its engine stores' counters."""
+    stats = session.stats()
+    return os.getpid(), {kind: {f: stats[kind][f] for f in _REPORTED}
+                         for kind in ("compiled", "states", "pss")}
 
 
 def _run_request(request: AnalysisRequest, key: str, attempt: int = 0,
-                 plan: str | None = None) -> AnalysisResult:
+                 plan: str | None = None):
     adopt_plan(plan)
     maybe_inject("run_request", key=key, attempt=attempt)
     # the submitting process memoizes the result; the worker keeps
     # only compiles and orbits
-    return replace(execute(_worker_session(), request, key), detail=None)
+    session = worker_state.get()
+    result = replace(execute(session, request, key), detail=None)
+    return result, _report(session)
 
 
 def compiled_for_shard(spec: ShardSpec, session):
@@ -196,11 +212,12 @@ def execute_shard(spec: ShardSpec, attempt: int = 0,
 
 
 def _run_shard(spec: ShardSpec, attempt: int = 0,
-               plan: str | None = None, compiled=None) -> ShardResult:
+               plan: str | None = None, compiled=None):
     adopt_plan(plan)
+    session = worker_state.get()
     if compiled is None:
-        compiled = compiled_for_shard(spec, _worker_session())
-    return execute_shard(spec, attempt, compiled)
+        compiled = compiled_for_shard(spec, session)
+    return execute_shard(spec, attempt, compiled), _report(session)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +420,14 @@ class JobQueue:
         The session whose result memo every request is looked up in
         (and, inline, executed through); default: a private
         :class:`~repro.service.session.AnalysisSession` of this queue.
+        A pooled queue needs its memo interface (``cached`` and
+        ``memoize``), so only an inline queue accepts a
+        :class:`~repro.service.client.RemoteSession`.
     n_workers:
         ``None`` executes every job inline at submission time; an
         integer (at least 1) starts a pool of that many worker
-        processes now.
+        processes now, each with an engine session of the session's
+        ``cache_bytes`` budget.
     retry:
         The :class:`RetryPolicy` of every submission (deadlines, retry
         with backoff, shard degradation - see the module docstring).
@@ -420,7 +441,6 @@ class JobQueue:
     def __init__(self, session=None, n_workers: int | None = None,
                  retry: RetryPolicy | None = None):
         if session is None:
-            from .session import AnalysisSession
             session = AnalysisSession()
         self.session = session
         self.n_workers = n_workers
@@ -428,12 +448,26 @@ class JobQueue:
         if n_workers is not None and n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self._inline = n_workers is None
+        if not self._inline and not all(
+                hasattr(session, name)
+                for name in ("cached", "memoize", "cache_bytes")):
+            raise TypeError(
+                f"a pooled JobQueue needs a session with the result-memo "
+                f"interface (cached, memoize) and an engine budget "
+                f"(cache_bytes); {type(session).__name__} has none - run "
+                f"it on an inline queue (n_workers=None)")
         self._pool_lock = threading.Lock()
         self._pool_epoch = 0
         self._dispatched = 0
-        self._pool = None if self._inline else worker_pool(n_workers)
+        #: worker PID -> its engine stores as of its last result
+        self._worker_stores: dict[int, dict] = {}
+        self._pool = None if self._inline else self._new_pool()
 
     # -- pool plumbing -------------------------------------------------
+    def _new_pool(self):
+        return worker_pool(self.n_workers, setup=functools.partial(
+            _engine_session, self.session.cache_bytes))
+
     def _submit_raw(self, fn, payload,
                     attempt: int) -> tuple[Future, int]:
         """Submit one attempt; returns its future and the pool epoch.
@@ -470,7 +504,7 @@ class JobQueue:
             if self._pool_epoch != seen_epoch:
                 return
             old = self._pool
-            self._pool = worker_pool(self.n_workers)
+            self._pool = self._new_pool()
             self._pool_epoch += 1
         old.shutdown(wait=False, cancel_futures=True)
 
@@ -488,6 +522,23 @@ class JobQueue:
                     "pids": worker_pids(self._pool),
                     "dispatched": self._dispatched,
                     "epoch": self._pool_epoch}
+
+    def worker_stats(self) -> dict:
+        """Each live worker's engine stores (``compiled``, ``states``,
+        ``pss``: ``size``, ``bytes``, ``hits``, ``misses``) as it last
+        reported them with a result, keyed by PID as a string (empty
+        inline)."""
+        with self._pool_lock:
+            live = worker_pids(self._pool)
+            return {str(pid): self._worker_stores[pid] for pid in live
+                    if pid in self._worker_stores}
+
+    def _reported(self, raw):
+        """Record the worker report riding on *raw*; its value."""
+        value, (pid, stores) = raw
+        with self._pool_lock:
+            self._worker_stores[pid] = stores
+        return value
 
     # -- submission ----------------------------------------------------
     def submit(self, request: AnalysisRequest) -> Job:
@@ -562,7 +613,9 @@ class JobQueue:
     def _dispatch(self, item, fn, payload, decode, policy: RetryPolicy,
                   degrade_fn=None) -> Job:
         """Send one job to the pool under its own supervisor."""
-        sup = _Supervised(self, fn, payload, decode, policy, degrade_fn)
+        sup = _Supervised(self, fn, payload,
+                          lambda raw: decode(self._reported(raw)),
+                          policy, degrade_fn)
         return Job(item, sup.future, supervisor=sup)
 
     def map(self, requests) -> list:

@@ -26,7 +26,10 @@ Endpoints
 ``GET /stats``
     Session store counters, the ``body_index`` (``size``,
     ``capacity``, ``hits``, ``misses``), the engine pool (``workers``,
-    ``pids``, ``dispatched``, respawn ``epoch``), per-tenant quota
+    ``pids``, ``dispatched``, respawn ``epoch``), each engine
+    process's stores under ``workers`` (by PID: ``compiled``,
+    ``states`` and ``pss``, each ``size``, ``bytes``, ``hits``,
+    ``misses``, as last reported with a result), per-tenant quota
     counters, the asynchronous job count and the HTTP ``connections``
     (``open`` now, ``accepted`` in all).
 ``POST /run``
@@ -403,6 +406,7 @@ class ServiceApp:
         return {"session": self.session.stats(),
                 "body_index": self._bodies.stats(),
                 "pool": self.queue.pool_stats(),
+                "workers": self.queue.worker_stats(),
                 "draining": self.draining,
                 "tenants": {st.config.name: st.stats()
                             for st in self._by_token.values()},

@@ -1,8 +1,8 @@
 """The analysis session: bounded, content-addressed caches + execution.
 
 :class:`AnalysisSession` is the application-layer entry point.  It owns
-four bounded LRU stores, all keyed on content hashes from the domain
-layer (:meth:`Circuit.fingerprint` / ``CompiledCircuit.cache_key`` /
+four LRU stores, all keyed on content hashes from the domain layer
+(:meth:`Circuit.fingerprint` / ``CompiledCircuit.cache_key`` /
 ``CompiledCircuit.state_key``):
 
 * **compiled** - :class:`~repro.analysis.mna.CompiledCircuit` by
@@ -14,8 +14,19 @@ layer (:meth:`Circuit.fingerprint` / ``CompiledCircuit.cache_key`` /
 * **results** - memoized :class:`~repro.service.requests.AnalysisResult`
   values by request key.
 
+The three engine stores share one byte budget and one LRU order
+(``cache_bytes``, default :data:`ENGINE_CACHE_BYTES`).  Each entry is
+charged its ``nbytes()`` once, when it is stored: what it holds plus
+what it can still grow to, so an orbit is charged for its
+linearisation before the LPTV builds it.  Storing an entry evicts the
+least recently used entries of any engine store until the budget
+holds, and an entry larger than the whole budget is handed back to its
+caller without being kept.  The result memo is bounded in entries
+(``result_capacity``): the network front-end counts results in keys,
+per tenant.
+
 Eviction and :meth:`AnalysisSession.clear` cascade through the evicted
-objects' own ``clear_caches()`` so that bounded store size means bounded
+objects' own ``clear_caches()`` so that a bounded store means bounded
 memory, not just a bounded entry count.
 
 Execution is registry-driven: :meth:`AnalysisSession.run` looks the
@@ -32,10 +43,18 @@ from __future__ import annotations
 
 import threading
 import time
+import warnings
 from collections import OrderedDict
 from typing import Callable
 
 from .requests import AnalysisRequest, AnalysisResult
+
+#: Default byte budget of a session's engine stores.  Eight orbits of
+#: the largest bundled Table II row (the logic path at 800 steps, whose
+#: ``PssResult.nbytes()`` is 5.1 MB with its linearisation) fit, as
+#: under the old ``pss_capacity=8``; an RC orbit of ``service_mix`` is
+#: ~12 kB, so thousands of those fit too.
+ENGINE_CACHE_BYTES = 48 * 2 ** 20
 
 
 class _LruStore:
@@ -114,6 +133,98 @@ class _LruStore:
                     "hits": self.hits, "misses": self.misses}
 
 
+class _ByteBudget:
+    """One byte budget and one LRU order shared by several
+    :class:`_BudgetStore` instances (one lock for all of them)."""
+
+    def __init__(self, capacity: int):
+        if capacity < 1:
+            raise ValueError("cache_bytes must be >= 1")
+        self.capacity = capacity
+        self.held = 0
+        self.lock = threading.Lock()
+        #: ``(store, key) -> nbytes``, least recently used first.
+        self.order: OrderedDict = OrderedDict()
+
+
+class _BudgetStore:
+    """An LRU mapping charged against a shared :class:`_ByteBudget`.
+
+    ``put`` charges the value's ``nbytes()`` (computed once, outside
+    the lock) and evicts the budget's least recently used entries - of
+    this store or any other sharing the budget - until the total fits,
+    calling each evicted value's ``clear_caches()``.  A value larger
+    than the whole budget is not kept.  *max_entries* additionally caps
+    this store's entry count (the deprecated per-kind capacities).
+    """
+
+    def __init__(self, budget: _ByteBudget, max_entries: int | None = None):
+        if max_entries is not None and max_entries < 1:
+            raise ValueError("store capacity must be >= 1")
+        self.budget = budget
+        self.max_entries = max_entries
+        self._data: OrderedDict = OrderedDict()
+        self.bytes = 0
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key):
+        with self.budget.lock:
+            try:
+                value = self._data[key]
+            except KeyError:
+                self.misses += 1
+                return None
+            self._data.move_to_end(key)
+            self.budget.order.move_to_end((self, key))
+            self.hits += 1
+            return value
+
+    def _remove(self, key):
+        """Unlink *key* (budget lock held); returns its value."""
+        nbytes = self.budget.order.pop((self, key))
+        self.bytes -= nbytes
+        self.budget.held -= nbytes
+        return self._data.pop(key)
+
+    def put(self, key, value) -> None:
+        nbytes = value.nbytes()
+        budget = self.budget
+        evicted = []
+        with budget.lock:
+            if key in self._data:
+                self._remove(key)
+            if nbytes > budget.capacity:
+                return
+            self._data[key] = value
+            budget.order[(self, key)] = nbytes
+            self.bytes += nbytes
+            budget.held += nbytes
+            while (self.max_entries is not None
+                   and len(self._data) > self.max_entries):
+                evicted.append(self._remove(next(iter(self._data))))
+            while budget.held > budget.capacity:
+                store, old = next(iter(budget.order))
+                evicted.append(store._remove(old))
+        for old in evicted:
+            old.clear_caches()
+
+    def clear(self) -> None:
+        with self.budget.lock:
+            values = [self._remove(key) for key in list(self._data)]
+        for value in values:
+            value.clear_caches()
+
+    def stats(self) -> dict:
+        """Entry count, the shared budget (``capacity``, in bytes),
+        the bytes charged to this store, hits and misses."""
+        with self.budget.lock:
+            return {"size": len(self._data),
+                    "capacity": self.budget.capacity,
+                    "bytes": self.bytes, "hits": self.hits,
+                    "misses": self.misses}
+
+
 def _clear_detail_caches(result: AnalysisResult) -> None:
     detail = getattr(result, "detail", None)
     for attr in ("compiled", "pss"):
@@ -130,20 +241,37 @@ class AnalysisSession:
     backend:
         Default linear-solver backend spec (name string) for compiles
         that do not override it.
-    compiled_capacity, state_capacity, pss_capacity, result_capacity:
-        LRU bounds of the four stores.
+    cache_bytes:
+        Byte budget shared by the compiled, states and pss stores.
+    result_capacity:
+        Entry bound of the result memo.
+    compiled_capacity, state_capacity, pss_capacity:
+        Deprecated since API 2.1 (removed in 3.0): per-store entry caps,
+        applied on top of the byte budget.
     """
 
     def __init__(self, backend: str | None = None,
-                 compiled_capacity: int = 8, state_capacity: int = 32,
-                 pss_capacity: int = 8, result_capacity: int = 64):
+                 cache_bytes: int = ENGINE_CACHE_BYTES,
+                 result_capacity: int = 64, *,
+                 compiled_capacity: int | None = None,
+                 state_capacity: int | None = None,
+                 pss_capacity: int | None = None):
+        caps = {"compiled_capacity": compiled_capacity,
+                "state_capacity": state_capacity,
+                "pss_capacity": pss_capacity}
+        for name, cap in caps.items():
+            if cap is not None:
+                warnings.warn(
+                    f"AnalysisSession({name}=) is deprecated and will be "
+                    f"removed in API 3.0; the engine stores share one "
+                    f"byte budget, cache_bytes=", DeprecationWarning,
+                    stacklevel=2)
         self.backend = backend
-        self.compiled = _LruStore(
-            compiled_capacity, on_evict=lambda c: c.clear_caches())
-        self.states = _LruStore(
-            state_capacity, on_evict=lambda s: s.clear_caches())
-        self.pss_store = _LruStore(
-            pss_capacity, on_evict=lambda p: p.clear_caches())
+        self.cache_bytes = cache_bytes
+        budget = _ByteBudget(cache_bytes)
+        self.compiled = _BudgetStore(budget, compiled_capacity)
+        self.states = _BudgetStore(budget, state_capacity)
+        self.pss_store = _BudgetStore(budget, pss_capacity)
         self.results = _LruStore(result_capacity,
                                  on_evict=_clear_detail_caches)
 
@@ -282,7 +410,9 @@ class AnalysisSession:
         self.compiled.clear()
 
     def stats(self) -> dict:
-        """Per-store size/capacity/hit/miss counters."""
+        """Per-store size/capacity/hit/miss counters; the engine stores
+        also report their ``bytes`` and share one ``capacity``, the
+        byte budget."""
         return {"compiled": self.compiled.stats(),
                 "states": self.states.stats(),
                 "pss": self.pss_store.stats(),

@@ -5,24 +5,30 @@ the comparator-scale cache win is measured by
 ``benchmarks/bench_service_cache.py``.
 """
 
+import functools
+import gc
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.analysis import compile_circuit, pss
+from repro.analysis.mna import held_nbytes
 from repro.analysis.pss import PssOptions
 from repro.circuit import Circuit, Sine
-from repro.core import (DcLevel, dc_mismatch_analysis,
+from repro.core import (DcLevel, EdgeDelay, dc_mismatch_analysis,
                         transient_mismatch_analysis)
 from repro.core.analysis import run_dc_mismatch, run_transient_mismatch
 from repro.errors import AnalysisError
+from repro.core.workers import worker_pool, worker_state
 from repro.service import (AnalysisRequest, AnalysisResult,
-                           AnalysisSession, JobQueue, RetryPolicy)
+                           AnalysisSession, JobQueue, RemoteSession,
+                           RetryPolicy)
 
 PSS_OPTS = PssOptions(n_steps=64, settle_periods=2)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -240,6 +246,236 @@ class TestCacheHygiene:
         assert all(v["size"] == 0 for v in s.stats().values())
         assert compiled._nominal_state is None
         assert res.pss._lin is None
+
+
+class _Entry:
+    """A store value of a declared size that records its eviction."""
+
+    def __init__(self, nbytes):
+        self.size = nbytes
+        self.cleared = False
+
+    def nbytes(self):
+        return self.size
+
+    def clear_caches(self):
+        self.cleared = True
+
+
+def _ladder(r=100.0, n=12):
+    ckt = Circuit(f"ladder{n}")
+    ckt.add_vsource("VIN", "n0", "0",
+                    wave=Sine(amplitude=0.5, freq=5e6, offset=0.5))
+    for k in range(1, n + 1):
+        ckt.add_resistor(f"R{k}", f"n{k - 1}", f"n{k}", r, sigma_rel=0.01)
+        ckt.add_capacitor(f"C{k}", f"n{k}", "0", 1e-12)
+    return ckt
+
+
+def _engine_bytes(session):
+    st = session.stats()
+    return sum(st[kind]["bytes"] for kind in ("compiled", "states", "pss"))
+
+
+class TestEngineBudget:
+    """The compiled, states and pss stores share one byte budget and
+    one LRU order; the result memo stays bounded in entries."""
+
+    def test_mixed_sizes_evict_by_bytes_in_lru_order_across_kinds(self):
+        s = AnalysisSession(cache_bytes=100)
+        a, b, c = _Entry(40), _Entry(30), _Entry(20)
+        s.compiled.put("a", a)
+        s.pss_store.put("b", b)
+        s.states.put("c", c)
+        assert s.compiled.get("a") is a  # a is now the most recent
+        d = _Entry(30)
+        s.pss_store.put("d", d)          # 120 bytes: b (LRU) goes
+        assert b.cleared
+        assert not (a.cleared or c.cleared)
+        e = _Entry(50)
+        s.compiled.put("e", e)           # 140: c, then a
+        assert c.cleared and a.cleared and not d.cleared
+        st = s.stats()
+        assert {k: (st[k]["size"], st[k]["bytes"])
+                for k in ("compiled", "states", "pss")} == {
+            "compiled": (1, 50), "states": (0, 0), "pss": (1, 30)}
+        assert st["compiled"]["capacity"] == 100
+        assert st["results"] == {"size": 0, "capacity": 64,
+                                 "hits": 0, "misses": 0}
+
+    def test_pss_counts_its_linearization_before_it_is_built(self):
+        s = AnalysisSession()
+        compiled = s.compile(_rc())
+        orbit = s.pss(compiled, 1e-6, options=PSS_OPTS)
+        assert orbit._lin is None
+        charged = s.stats()["pss"]["bytes"]
+        assert charged == orbit.nbytes()
+        assert charged > 3 * (orbit.x.nbytes + orbit.t.nbytes)
+        s.transient_mismatch(compiled, MEAS, period=1e-6,
+                             pss_options=PSS_OPTS)
+        lin = orbit._lin
+        assert lin is not None and lin._factors is not None
+        assert lin._b_t is not None
+        built = held_nbytes(orbit, skip=(compiled, orbit.state))
+        assert built <= charged == orbit.nbytes()
+
+    def test_logic_orbit_estimate_covers_what_it_holds(self, logic_path_x):
+        """The largest bundled Table II orbit: its estimate is within a
+        few percent above what the built linearisation holds, and
+        eight of them fit the default budget, as under the old
+        ``pss_capacity=8``."""
+        tb = logic_path_x
+        orbit = pss(compile_circuit(tb.circuit), tb.period,
+                    options=PssOptions(n_steps=800, settle_periods=2))
+        estimate = orbit.nbytes()
+        orbit.linearization().factors()
+        orbit.linearization()._b_block()
+        built = held_nbytes(orbit, skip=(orbit.compiled, orbit.state))
+        assert built <= estimate <= 1.05 * built
+        assert 8 * estimate <= AnalysisSession().cache_bytes
+
+    def test_entry_over_the_budget_is_returned_but_not_kept(self):
+        s = AnalysisSession(cache_bytes=2000)
+        compiled = s.compile(_rc())
+        res = s.transient_mismatch(_rc(), MEAS, period=1e-6,
+                                   pss_options=PSS_OPTS)
+        assert res.pss.nbytes() > 2000 >= compiled.nbytes()
+        st = s.stats()
+        assert st["pss"]["size"] == 0 and st["pss"]["bytes"] == 0
+        assert st["compiled"]["size"] == 1
+        assert res.pss._lin is not None  # handed back, not cleared
+        cold = transient_mismatch_analysis(_rc(), MEAS, period=1e-6,
+                                           pss_options=PSS_OPTS)
+        assert res.sigma("vout") == cold.sigma("vout")
+
+    def test_eviction_cascades_clear_caches(self):
+        probe = AnalysisSession()
+        probe.transient_mismatch(_rc(), MEAS, period=1e-6,
+                                 pss_options=PSS_OPTS)
+        one = _engine_bytes(probe)
+        s = AnalysisSession(cache_bytes=one + one // 2)
+        first = s.transient_mismatch(_rc(), MEAS, period=1e-6,
+                                     pss_options=PSS_OPTS)
+        compiled = first.pss.compiled
+        assert first.pss._lin is not None
+        assert compiled._nominal_state is not None
+        s.transient_mismatch(_rc(r=2e3), MEAS, period=1e-6,
+                             pss_options=PSS_OPTS)
+        assert first.pss._lin is None
+        assert compiled._nominal_state is None
+        assert _engine_bytes(s) <= s.cache_bytes
+
+    def test_deprecated_capacities_warn_and_still_cap_entries(self):
+        for name in ("compiled_capacity", "state_capacity",
+                     "pss_capacity"):
+            with pytest.warns(DeprecationWarning, match=name):
+                AnalysisSession(**{name: 1})
+        with pytest.warns(DeprecationWarning):
+            s = AnalysisSession(compiled_capacity=1, state_capacity=1,
+                                pss_capacity=1)
+        for r in (1e3, 2e3):
+            s.transient_mismatch(_rc(r=r), MEAS, period=1e-6,
+                                 pss_options=PSS_OPTS)
+            compiled = s.compile(_rc(r=r))
+            s.state(compiled, deltas={("R", "r"): r})
+        st = s.stats()
+        assert [st[k]["size"] for k in ("compiled", "states", "pss")] \
+            == [1, 1, 1]
+
+    def test_bounded_retention_after_table2_and_ladder_calls(
+            self, logic_path_x):
+        """Distinct logic-row orbits and ladders through one session:
+        together they are charged several budgets, yet what the
+        session keeps stays within its budget, and so does what
+        tracemalloc sees retained after each round."""
+        tb = logic_path_x
+        delay = [EdgeDelay("delay_A", "X", "A", tb.vth)]
+        budget = 4 * 2 ** 20
+        s = AnalysisSession(cache_bytes=budget)
+        charged, retained = 0, []
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for i, n_steps in enumerate((200, 300, 400, 500)):
+                res = s.transient_mismatch(
+                    tb.circuit, delay, period=tb.period,
+                    pss_options=PssOptions(n_steps=n_steps,
+                                           settle_periods=2))
+                charged += res.pss.nbytes()
+                for j in range(4):
+                    res = s.transient_mismatch(
+                        _ladder(100.0 + 10 * (4 * i + j)),
+                        [DcLevel("v", "n12")], period=2e-7,
+                        pss_options=PSS_OPTS)
+                    charged += res.pss.nbytes()
+                del res
+                gc.collect()
+                retained.append(tracemalloc.get_traced_memory()[0] - base)
+                assert _engine_bytes(s) <= budget
+        finally:
+            tracemalloc.stop()
+        assert charged > 2 * budget
+        # the stores' own bookkeeping and Python objects ride on top
+        assert max(retained) <= budget + 2 ** 20, retained
+
+
+def _worker_state():
+    return worker_state.get()
+
+
+class TestWorkerSessions:
+    def test_setup_result_is_each_workers_state(self):
+        with worker_pool(1, setup=functools.partial(int, "7")) as pool:
+            assert pool.submit(_worker_state).result(timeout=60) == 7
+        with worker_pool(1) as pool:
+            assert pool.submit(_worker_state).result(timeout=60) is None
+
+    def test_worker_store_hit_after_memo_eviction(self):
+        """A request evicted from the front's memo runs again on the
+        worker's kept compile and orbit, with the same bits."""
+        front = AnalysisSession()
+        req = AnalysisRequest.transient_mismatch(
+            _rc(), MEAS, period=1e-6, pss_options=PSS_OPTS)
+        with JobQueue(session=front, n_workers=1) as q:
+            cold = q.submit(req).result(timeout=60)
+            assert front.evict_result(req.key())
+            warm = q.submit(req).result(timeout=60)
+            (stores,) = q.worker_stats().values()
+        assert not warm.from_cache
+        assert {k: v for k, v in warm.summary.items()
+                if k != "runtime_breakdown"} \
+            == {k: v for k, v in cold.summary.items()
+                if k != "runtime_breakdown"}
+        assert stores["pss"] == {"size": 1, "bytes": stores["pss"]["bytes"],
+                                 "hits": 1, "misses": 1}
+        assert stores["compiled"]["hits"] == 1
+        assert stores["pss"]["bytes"] > 0
+
+    def test_worker_sessions_take_the_queue_budget(self):
+        front = AnalysisSession(cache_bytes=2000)
+        req = AnalysisRequest.transient_mismatch(
+            _rc(), MEAS, period=1e-6, pss_options=PSS_OPTS)
+        with JobQueue(session=front, n_workers=1) as q:
+            q.submit(req).result(timeout=60)
+            (stores,) = q.worker_stats().values()
+        # the orbit is larger than 2000 bytes, the compile is not
+        assert stores["pss"]["size"] == 0 and stores["pss"]["misses"] == 1
+        assert stores["compiled"]["size"] == 1
+
+    def test_inline_queue_reports_no_workers(self):
+        with JobQueue() as q:
+            q.submit(AnalysisRequest.dc_mismatch(_divider(),
+                                                 {"vout": "out"}))
+            assert q.worker_stats() == {}
+
+    def test_pooled_queue_over_a_remote_session_is_refused(self):
+        remote = RemoteSession("http://127.0.0.1:9")
+        with pytest.raises(TypeError, match="cached, memoize"):
+            JobQueue(session=remote, n_workers=1)
+        # an inline queue still takes one (examples/service_batch.py)
+        with JobQueue(session=remote) as q:
+            assert q.session is remote
 
 
 class TestRequests:

@@ -272,6 +272,29 @@ class TestEnginePool:
         assert after["pids"] == before["pids"]
         assert after["dispatched"] - before["dispatched"] == 1
 
+    def test_stats_show_each_workers_stores(self):
+        """A tm request evicted from the memo runs again on the
+        worker's kept orbit: /stats shows one pss hit across the
+        workers, and the summary bits are the cold run's."""
+        request = _transient_request()
+        with AnalysisServer(job_workers=1) as server:
+            client = RemoteSession(server.url)
+            assert client.server_stats()["workers"] == {}
+            cold = client.run(request)
+            assert server.session.evict_result(request.key())
+            warm = client.run(request)
+            stats = client.server_stats()
+        assert not cold.from_cache and not warm.from_cache
+        assert _numbers(warm.summary) == _numbers(cold.summary)
+        workers = stats["workers"]
+        assert list(workers) == [str(pid) for pid in stats["pool"]["pids"]]
+        assert sum(w["pss"]["hits"] for w in workers.values()) == 1
+        for stores in workers.values():
+            assert set(stores) == {"compiled", "states", "pss"}
+            for counters in stores.values():
+                assert set(counters) == {"size", "bytes", "hits",
+                                         "misses"}
+
     def test_memo_hit_reports_its_own_runtime(self):
         with AnalysisServer() as server:
             client = RemoteSession(server.url)
