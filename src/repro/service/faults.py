@@ -254,8 +254,8 @@ def _fire(rule: FaultRule, site: str, key, attempt: int) -> None:
             f"attempt {attempt})")
     if rule.kind == "hang":
         # sleep, then proceed normally: a hung-then-slow shard.  The
-        # supervisor's deadline abandons the attempt; the stale result
-        # (if the sleep ever ends) is discarded by generation checks.
+        # supervisor's deadline abandons the attempt, whose future (and
+        # result, if the sleep ever ends) is never read again.
         time.sleep(rule.hang_seconds)
         return
     if rule.kind == "convergence":

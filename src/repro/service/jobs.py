@@ -36,21 +36,26 @@ Supervision
 -----------
 Every submission runs under a :class:`RetryPolicy` - the queue's
 ``retry=``, or the one a Monte-Carlo request carries for its shards;
-``None`` is :data:`ONE_ATTEMPT`.  Inline jobs run through
-:func:`run_with_retry`, pooled ones under one ``_Supervised`` each:
+``None`` is :data:`ONE_ATTEMPT`.  Every placement runs the same loop,
+:func:`run_with_retry`: an inline job in the caller, a pooled one on a
+supervising thread of the queue, a cross-host shard on a
+:class:`~repro.service.resilience.WorkerPool` coordinator.  Only the
+attempt differs.  A pooled attempt is one blocking call: dispatch to
+the process pool, then wait for that one future.
 
-* each attempt gets a wall-clock **deadline** (pooled queues only -
-  inline execution cannot be preempted); an overrun attempt is
-  abandoned and re-dispatched, and its stale result, should the hung
-  worker ever produce one, is discarded by a generation check, so a
-  shard is never merged twice;
+* each pooled attempt gets a wall-clock **deadline**, a timed wait on
+  its future (inline execution cannot be preempted).  An overrun attempt is cancelled if still queued, or
+  abandoned if running, and its future is never read again, so a late
+  result can neither resolve the job nor merge a shard twice;
 * failed attempts **retry with exponential backoff**, but only for
   errors a retry can plausibly fix (:data:`~repro.errors.
-  RETRYABLE_ERRORS`) - malformed requests fail immediately;
-* a **worker crash** (``BrokenProcessPool``) fails only the jobs in
-  flight, as :class:`~repro.errors.WorkerCrashError` (retried while
-  attempts remain), and respawns the executor exactly once per
-  breakage (pool-epoch guarded, however many jobs were in flight);
+  RETRYABLE_ERRORS`) - malformed requests fail immediately, and no
+  backoff follows the last attempt;
+* a **worker crash** (``BrokenProcessPool``, at submit or in flight)
+  fails only the attempts in flight, as
+  :class:`~repro.errors.WorkerCrashError` (retried while attempts
+  remain), and respawns the executor exactly once per breakage
+  (pool-epoch guarded, however many jobs were in flight);
   re-execution is safe because shards are generative
   (:class:`~repro.service.shards.ShardSpec` redraws from the seed), so
   the bit-identical merge guarantee survives recovery;
@@ -59,22 +64,31 @@ Every submission runs under a :class:`RetryPolicy` - the queue's
   with ``n_failed`` accounting and a structured
   :class:`~repro.errors.FailureRecord`, instead of killing the run.
 
-Deadlines are measured from dispatch, so time spent queued behind busy
-workers counts; size them with headroom over the per-shard runtime.
+A pooled queue has :data:`SUPERVISORS_PER_WORKER` supervising threads
+per worker process.  A supervising thread waits only on process-pool
+futures, never on another job: a composite request or a fan-out
+(:func:`_runs_in_front`) runs on a thread of its own, so a sweep
+waiting on its cases cannot hold the supervisors its cases need.
+Deadlines are measured from dispatch to the process pool, so time
+spent queued behind busy workers counts (up to
+:data:`SUPERVISORS_PER_WORKER` attempts per worker are dispatched at
+once); size them with headroom over the per-shard runtime.
 Fault injection for all of these paths lives in
 :mod:`repro.service.faults`; the hooks sit in :func:`execute_shard`
 and :func:`_run_request` and fire on both sides of the process
-boundary: every dispatch carries the submitter's active plan to the
-worker.
+boundary: every attempt carries the plan that was active when its
+job was submitted to the worker.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 import threading
 import time
-from concurrent.futures import CancelledError, Future
+from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
@@ -106,9 +120,10 @@ class RetryPolicy:
     base_delay: float = 0.05
     #: Backoff growth factor per further retry.
     backoff: float = 2.0
-    #: Per-attempt wall-clock limit [s] (``None``: unbounded).  Only
-    #: enforceable on pooled queues; measured from dispatch, so it
-    #: includes time queued behind busy workers.
+    #: Per-attempt wall-clock limit [s]: ``None`` (unbounded) or a
+    #: positive finite number.  Only enforceable on pooled queues;
+    #: measured from dispatch, so it includes time queued behind busy
+    #: workers.
     deadline: float | None = None
     #: Degrade shard jobs that exhaust their attempts into NaN-frozen
     #: spans (:func:`~repro.service.shards.degraded_shard_result`)
@@ -118,6 +133,12 @@ class RetryPolicy:
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("RetryPolicy.max_attempts must be >= 1")
+        if self.deadline is not None and not (
+                isinstance(self.deadline, (int, float))
+                and math.isfinite(self.deadline) and self.deadline > 0):
+            raise ValueError(
+                f"RetryPolicy.deadline must be None or a positive finite "
+                f"number of seconds, got {self.deadline!r}")
 
     def delay(self, failed_attempts: int) -> float:
         """Backoff [s] after *failed_attempts* failures (>= 1)."""
@@ -142,10 +163,12 @@ ONE_ATTEMPT = RetryPolicy(max_attempts=1, degrade=False)
 class Job:
     """Handle on one submitted request."""
 
-    def __init__(self, request, future: Future, supervisor=None):
+    def __init__(self, request, future: Future | None = None):
         self.request = request
         self.future = future
-        self._supervisor = supervisor
+        #: Attempts the retry loop has seen fail so far, on every
+        #: placement (0 for a job that succeeded first try).
+        self.failed_attempts = 0
 
     def done(self) -> bool:
         return self.future.done()
@@ -154,13 +177,6 @@ class Job:
         """The :class:`AnalysisResult` (or :class:`ShardResult` for
         shard jobs), blocking until available."""
         return self.future.result(timeout)
-
-    @property
-    def failed_attempts(self) -> int:
-        """Attempts the supervisor has seen fail so far (0 for inline
-        jobs, and for pooled ones that succeeded first try)."""
-        return (self._supervisor.attempts
-                if self._supervisor is not None else 0)
 
 
 # -- worker-process entry points (module-level: picklable) -------------
@@ -221,194 +237,52 @@ def _run_shard(spec: ShardSpec, attempt: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# inline supervision
+# supervision
 # ---------------------------------------------------------------------------
-def run_with_retry(policy: RetryPolicy, attempt_fn, degrade_fn):
-    """Synchronous retry loop: *attempt_fn(attempt)* until success,
-    retryable-error budget exhaustion, or a non-retryable error.
+def retry_pause(policy, error: BaseException, failed: int,
+                retryable=None) -> float | None:
+    """The default *pause* of :func:`run_with_retry`: the backoff
+    ``policy.delay(failed)`` after an error *retryable(error)* admits
+    (default: one of :data:`~repro.errors.RETRYABLE_ERRORS`), else
+    ``None``: raise now."""
+    admitted = (isinstance(error, RETRYABLE_ERRORS) if retryable is None
+                else retryable(error))
+    return policy.delay(failed) if admitted else None
 
-    *degrade_fn(last_error, attempts)*, when given, converts
-    exhaustion into a degraded result instead of a raise.
+
+def run_with_retry(policy, attempt_fn, degrade_fn=None, pause=None):
+    """The retry loop of every placement: *attempt_fn(attempt)* until
+    it succeeds, the policy's attempts run out, or *pause* says stop.
+
+    After the *failed*-th failure, *pause(error, failed)* returns the
+    wait [s] before the next attempt, or ``None`` to raise *error*
+    now (default: :func:`retry_pause` of *policy*).  No wait follows
+    the last attempt.  On exhaustion, *degrade_fn(last_error,
+    attempts)*, when given, returns a degraded result (or raises);
+    without one the last error raises.
     """
-    last: BaseException | None = None
+    if pause is None:
+        pause = functools.partial(retry_pause, policy)
+    delay = 0.0
     for attempt in range(policy.max_attempts):
-        if attempt:
-            delay = policy.delay(attempt)
-            if delay > 0.0:
-                time.sleep(delay)
+        if delay > 0.0:
+            time.sleep(delay)
         try:
             return attempt_fn(attempt)
-        except RETRYABLE_ERRORS as exc:
+        except Exception as exc:
+            delay = pause(exc, attempt + 1)
+            if delay is None:
+                raise
             last = exc
     if degrade_fn is not None:
         return degrade_fn(last, policy.max_attempts)
     raise last
 
 
-# ---------------------------------------------------------------------------
-# pooled supervision
-# ---------------------------------------------------------------------------
-class _Supervised:
-    """Supervisor of one pooled job: deadlines, retries, degradation.
-
-    All state transitions are guarded by a generation token: every
-    re-dispatch invalidates the previous attempt, so a stale completion
-    (a timed-out worker finishing late, a pool-breakage race) can never
-    resolve the job a second time or double-merge a shard.  The token
-    is what makes crash re-dispatch *exactly once* per attempt - the
-    idempotency key is the job itself, whose shard payload is
-    content-addressed (:meth:`ShardSpec.workload_key`).
-    """
-
-    def __init__(self, queue: "JobQueue", fn, payload, decode,
-                 policy: RetryPolicy, degrade_fn=None):
-        self.queue = queue
-        self.fn = fn
-        self.payload = payload
-        self.decode = decode
-        self.policy = policy
-        self.degrade_fn = degrade_fn
-        self.future: Future = Future()
-        #: Failed attempts so far (== the attempt index dispatched next).
-        self.attempts = 0
-        self._lock = threading.Lock()
-        self._generation = 0
-        self._inner: Future | None = None
-        self._epoch = 0
-        self._timer: threading.Timer | None = None
-        #: Generation whose inner-future cancellation is the deadline
-        #: timer's doing (so ``_on_done`` defers to it); shutdown
-        #: cancels never set this and stay terminal.
-        self._deadline_cancel_gen: int | None = None
-        self._done = False
-        self._dispatch()
-
-    # -- attempt lifecycle --------------------------------------------
-    def _dispatch(self) -> None:
-        with self._lock:
-            if self._done:
-                return
-            gen = self._generation
-            attempt = self.attempts
-        try:
-            inner, epoch = self.queue._submit_raw(self.fn, self.payload,
-                                                  attempt)
-        except BrokenProcessPool as exc:
-            # the submit raced another job's pool breakage before any
-            # supervisor respawned: route it through the crash
-            # machinery (WorkerCrashError conversion, epoch-guarded
-            # respawn, retry budget) like an in-flight breakage
-            with self._lock:
-                self._epoch = self.queue.pool_epoch
-            self._handle_failure(exc, gen)
-            return
-        except Exception as exc:  # queue shut down mid-retry
-            self._finish_exception(exc)
-            return
-        with self._lock:
-            if self._done or gen != self._generation:
-                inner.cancel()
-                return
-            self._inner = inner
-            self._epoch = epoch
-            if self.policy.deadline is not None:
-                self._timer = threading.Timer(self.policy.deadline,
-                                              self._on_deadline, [gen])
-                self._timer.daemon = True
-                self._timer.start()
-        inner.add_done_callback(lambda fut: self._on_done(fut, gen))
-
-    def _on_done(self, fut: Future, gen: int) -> None:
-        with self._lock:
-            if self._done or gen != self._generation:
-                return  # stale attempt: result discarded
-            if fut.cancelled() and self._deadline_cancel_gen == gen:
-                # the deadline timer cancelled this still-queued
-                # attempt and owns the failure: its JobTimeoutError
-                # retries/degrades, where a CancelledError would kill
-                # the job outright
-                return
-            self._cancel_timer()
-            exc = (CancelledError() if fut.cancelled()
-                   else fut.exception())
-            if exc is None:
-                self._done = True
-                raw = fut.result()
-        if exc is None:
-            try:
-                self.future.set_result(self.decode(raw))
-            except Exception as dexc:
-                self.future.set_exception(dexc)
-        else:
-            self._handle_failure(exc, gen)
-
-    def _on_deadline(self, gen: int) -> None:
-        with self._lock:
-            if self._done or gen != self._generation:
-                return
-            inner = self._inner
-            self._deadline_cancel_gen = gen  # claim the cancel below
-        if inner is not None:
-            inner.cancel()  # a queued attempt dies here (its _on_done
-            #                 defers to this timeout); a running one is
-            #                 abandoned to its fate and gated stale
-        self._handle_failure(JobTimeoutError(
-            f"attempt {self.attempts} exceeded the "
-            f"{self.policy.deadline} s deadline"), gen)
-
-    def _handle_failure(self, exc: BaseException, gen: int) -> None:
-        respawn_epoch = None
-        with self._lock:
-            if self._done or gen != self._generation:
-                return  # deadline/completion race: first cause wins
-            self._cancel_timer()
-            self._generation += 1
-            self.attempts += 1
-            if isinstance(exc, BrokenProcessPool):
-                exc = WorkerCrashError(
-                    f"worker process died mid-job: {exc}")
-                respawn_epoch = self._epoch
-            retryable = isinstance(exc, RETRYABLE_ERRORS)
-            will_retry = (retryable
-                          and self.attempts < self.policy.max_attempts)
-            attempts = self.attempts
-        if respawn_epoch is not None:
-            try:
-                self.queue._respawn_pool(respawn_epoch)
-            except Exception:
-                will_retry = False  # queue shut down underneath us
-        if will_retry:
-            delay = self.policy.delay(attempts)
-            if delay > 0.0:
-                timer = threading.Timer(delay, self._dispatch)
-                timer.daemon = True
-                timer.start()
-            else:
-                self._dispatch()
-            return
-        if retryable and self.degrade_fn is not None:
-            with self._lock:
-                self._done = True
-            try:
-                self.future.set_result(self.degrade_fn(exc, attempts))
-            except Exception as dexc:
-                self.future.set_exception(dexc)
-        else:
-            self._finish_exception(exc)
-
-    # -- helpers -------------------------------------------------------
-    def _cancel_timer(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def _finish_exception(self, exc: BaseException) -> None:
-        with self._lock:
-            if self._done:
-                return
-            self._done = True
-            self._cancel_timer()
-        self.future.set_exception(exc)
+#: Supervising threads of a pooled :class:`JobQueue` per worker
+#: process: each runs one job's retry loop, waiting on one attempt at
+#: a time.
+SUPERVISORS_PER_WORKER = 4
 
 
 class JobQueue:
@@ -427,7 +301,8 @@ class JobQueue:
         ``None`` executes every job inline at submission time; an
         integer (at least 1) starts a pool of that many worker
         processes now, each with an engine session of the session's
-        ``cache_bytes`` budget.
+        ``cache_bytes`` budget, and up to
+        :data:`SUPERVISORS_PER_WORKER` supervising threads per worker.
     retry:
         The :class:`RetryPolicy` of every submission (deadlines, retry
         with backoff, shard degradation - see the module docstring).
@@ -462,6 +337,9 @@ class JobQueue:
         #: worker PID -> its engine stores as of its last result
         self._worker_stores: dict[int, dict] = {}
         self._pool = None if self._inline else self._new_pool()
+        self._supervisors = None if self._inline else ThreadPoolExecutor(
+            max_workers=SUPERVISORS_PER_WORKER * n_workers,
+            thread_name_prefix="repro-supervise")
 
     # -- pool plumbing -------------------------------------------------
     def _new_pool(self):
@@ -470,9 +348,9 @@ class JobQueue:
 
     def _submit_raw(self, fn, payload,
                     attempt: int) -> tuple[Future, int]:
-        """Submit one attempt; returns its future and the pool epoch.
-        A pool that broke while idle is respawned first: no attempt
-        ran on it, so none is charged."""
+        """Submit ``fn(payload, attempt)``; returns its future and the
+        pool epoch.  A pool that broke while idle is respawned first:
+        no attempt ran on it, so none is charged."""
         for last_try in (False, True):
             with self._pool_lock:
                 pool = self._pool
@@ -480,7 +358,7 @@ class JobQueue:
             if pool is None:
                 raise RuntimeError("JobQueue is shut down")
             try:
-                inner = pool.submit(fn, payload, attempt, plan_text())
+                inner = pool.submit(fn, payload, attempt)
                 break
             except BrokenProcessPool:
                 if last_try:
@@ -489,6 +367,30 @@ class JobQueue:
         with self._pool_lock:
             self._dispatched += 1
         return inner, epoch
+
+    def _attempt(self, fn, payload, deadline: float | None,
+                 attempt: int):
+        """One pooled attempt, blocking: ``fn(payload, attempt)`` on a
+        worker, waited for at most *deadline* seconds from dispatch.
+
+        An overrun raises :class:`~repro.errors.JobTimeoutError`; a
+        still-queued attempt is cancelled and a running one abandoned.
+        A pool broken at submit or in flight is respawned (once per
+        breakage) and raises :class:`~repro.errors.WorkerCrashError`.
+        """
+        epoch = self._pool_epoch
+        try:
+            inner, epoch = self._submit_raw(fn, payload, attempt)
+            if not futures_wait((inner,), timeout=deadline).done:
+                inner.cancel()
+                raise JobTimeoutError(f"attempt {attempt} exceeded the "
+                                      f"{deadline} s deadline")
+            raw = inner.result()
+        except BrokenProcessPool as exc:
+            self._respawn_pool(epoch)
+            raise WorkerCrashError(
+                f"worker process died mid-job: {exc}") from exc
+        return self._reported(raw)
 
     def _respawn_pool(self, seen_epoch: int) -> None:
         """Replace a broken executor, exactly once per breakage.
@@ -554,13 +456,11 @@ class JobQueue:
                 maybe_inject("run_request", key=request.key(),
                              attempt=attempt)
                 return self.session.run(request)
-            return Job(request, _inline_future(
-                self.retry, attempt_fn, None))
+            return self._supervise(request, self.retry, attempt_fn)
         key = request.key()
         hit = self.session.cached(key)
         if hit is not None:
-            return Job(request, _inline_future(
-                self.retry, lambda _: hit, None))
+            return Job(request, _resolved(lambda: hit))
         if _runs_in_front(request):
             def run_in_front() -> AnalysisResult:
                 token = shard_runner.set(self._run_shards)
@@ -572,9 +472,12 @@ class JobQueue:
             return Job(request, _in_thread(run_in_front))
 
         # the key rides as the payload: _run_request(request, key, ...)
-        return self._dispatch(
-            request, functools.partial(_run_request, request), key,
-            lambda result: self.session.memoize(key, result), self.retry)
+        run = functools.partial(_run_request, request, plan=plan_text())
+
+        def attempt_fn(attempt: int) -> AnalysisResult:
+            return self.session.memoize(key, self._attempt(
+                run, key, self.retry.deadline, attempt))
+        return self._supervise(request, self.retry, attempt_fn)
 
     def submit_shard(self, spec: ShardSpec) -> Job:
         """Queue one Monte-Carlo shard (see
@@ -583,22 +486,20 @@ class JobQueue:
 
     def _submit_shard(self, spec: ShardSpec, policy: RetryPolicy,
                       compiled=None) -> Job:
-        degrade_fn = None
-        if policy.degrade:
-            def degrade_fn(exc, attempts):
-                return degraded_shard_result(spec, exc, attempts)
         if self._inline:
             def attempt_fn(attempt: int) -> ShardResult:
                 return execute_shard(
                     spec, attempt,
                     compiled if compiled is not None
                     else compiled_for_shard(spec, self.session))
-            return Job(spec, _inline_future(policy, attempt_fn,
-                                            degrade_fn))
-        fn = (_run_shard if compiled is None
-              else functools.partial(_run_shard, compiled=compiled))
-        return self._dispatch(spec, fn, spec, lambda result: result,
-                              policy, degrade_fn)
+        else:
+            attempt_fn = functools.partial(
+                self._attempt, functools.partial(
+                    _run_shard, plan=plan_text(), compiled=compiled),
+                spec, policy.deadline)
+        degrade_fn = (functools.partial(degraded_shard_result, spec)
+                      if policy.degrade else None)
+        return self._supervise(spec, policy, attempt_fn, degrade_fn)
 
     def _run_shards(self, specs, compiled, retry) -> list:
         """Run *specs* with *compiled* under *retry* (else the queue's
@@ -610,13 +511,23 @@ class JobQueue:
                 for spec in specs]
         return [job.result() for job in jobs]
 
-    def _dispatch(self, item, fn, payload, decode, policy: RetryPolicy,
-                  degrade_fn=None) -> Job:
-        """Send one job to the pool under its own supervisor."""
-        sup = _Supervised(self, fn, payload,
-                          lambda raw: decode(self._reported(raw)),
-                          policy, degrade_fn)
-        return Job(item, sup.future, supervisor=sup)
+    def _supervise(self, item, policy: RetryPolicy, attempt_fn,
+                   degrade_fn=None) -> Job:
+        """A :class:`Job` running *attempt_fn* under *policy* through
+        :func:`run_with_retry`: here on an inline queue, on a
+        supervising thread on a pooled one."""
+        job = Job(item)
+
+        def pause(error: BaseException, failed: int) -> float | None:
+            job.failed_attempts = failed
+            return retry_pause(policy, error, failed)
+
+        def supervise():
+            return run_with_retry(policy, attempt_fn, degrade_fn, pause)
+
+        job.future = (_resolved(supervise) if self._inline
+                      else self._supervisors.submit(supervise))
+        return job
 
     def map(self, requests) -> list:
         """Submit all *requests* and block for their results, in
@@ -636,7 +547,11 @@ class JobQueue:
             pool = self._pool
             self._pool = None
         if pool is not None:
+            # the pool first: it resolves or cancels every attempt a
+            # supervising thread may be waiting on
             pool.shutdown(wait=wait, cancel_futures=cancel_futures)
+            self._supervisors.shutdown(wait=wait,
+                                       cancel_futures=cancel_futures)
 
     def __enter__(self) -> "JobQueue":
         return self
@@ -684,13 +599,12 @@ def _in_thread(fn) -> Future:
     return future
 
 
-def _inline_future(policy: RetryPolicy, attempt_fn,
-                   degrade_fn) -> Future:
-    """Execute now under *policy*; deliver through a resolved future
-    so inline and pooled jobs share an interface."""
+def _resolved(fn) -> Future:
+    """A future resolved with ``fn()``, run now in the caller, so
+    inline and pooled jobs share an interface."""
     future: Future = Future()
     try:
-        future.set_result(run_with_retry(policy, attempt_fn, degrade_fn))
+        future.set_result(fn())
     except Exception as exc:  # propagate through the future
         future.set_exception(exc)
     return future

@@ -1,11 +1,11 @@
 """Fault-tolerant cross-host execution: worker pools over N daemons.
 
-PR 7 taught the in-process :class:`~repro.service.jobs.JobQueue` to
-survive its own chaos - retries with backoff, deadlines, pool-crash
-recovery, deterministic degradation.  This module extends the same
-guarantees across the wire, where the failure modes are a daemon
-SIGKILLed mid-shard, a connection reset, a slow straggler, or a host
-draining for a rolling restart:
+A shard sent across the wire runs under the same retry loop as one
+run in process (:func:`~repro.service.jobs.run_with_retry`): attempts
+with backoff, then degrade or raise.  What differs is what fails - a
+daemon SIGKILLed mid-shard, a connection reset, a slow straggler, or
+a host draining for a rolling restart - and this module decides where
+each attempt goes:
 
 * :class:`CircuitBreaker` - one endpoint's health automaton: *closed*
   (traffic flows) -> *open* after ``failure_threshold`` consecutive
@@ -27,7 +27,7 @@ draining for a rolling restart:
   (tagged 503) is rerouted without tripping its breaker, and a shard
   that exhausts every endpoint degrades into NaN-frozen lanes carrying
   a :class:`~repro.errors.FailureRecord` with ``site="transport"`` -
-  mirroring the PR 7 degrade contract instead of aborting the run.
+  the in-process degrade contract, instead of aborting the run.
   Optional *hedging* duplicates a shard that outlives the observed
   latency percentile onto a second endpoint; the first result wins and
   the straggler is discarded before the merge (results are taken once
@@ -60,7 +60,7 @@ from ..errors import DrainingError, TransportError
 from ..stats import summarize_samples
 from .client import RemoteSession, annotate_shard_failure
 from .engines import mc_summary
-from .jobs import RetryPolicy
+from .jobs import RetryPolicy, retry_pause, run_with_retry
 from .shards import (ShardResult, ShardSpec, degraded_shard_result,
                      mc_transient_shards, merge_shard_results)
 
@@ -431,45 +431,50 @@ class WorkerPool:
 
     # -- the scatter path ----------------------------------------------
     def _run_one(self, spec: ShardSpec) -> ShardResult:
-        """One shard under the policy: dispatch, reroute on endpoint
-        failure with backoff, degrade (or raise) once every endpoint is
-        exhausted."""
+        """One shard under the policy, through
+        :func:`~repro.service.jobs.run_with_retry`: each attempt goes
+        to the best endpoint but the one that just failed; a drain
+        reroutes at once, an infrastructure failure after backoff, a
+        workload error raises; a shard out of attempts degrades (or
+        raises) with the last endpoint failure."""
         policy = self.policy
-        attempts = 0
-        last_exc: BaseException | None = None
-        last_ep: _Endpoint | None = None
         tried: list[str] = []
-        while attempts < policy.max_attempts:
-            exclude = (last_ep,) if last_ep is not None else ()
-            ep = self._pick(exclude=exclude)
+        last_ep: _Endpoint | None = None
+        last_exc: BaseException | None = None
+
+        def attempt_fn(attempt: int) -> ShardResult:
+            nonlocal last_ep, last_exc
+            ep = self._pick(
+                exclude=(last_ep,) if last_ep is not None else ())
             if ep is None:
-                attempts += 1
-                if last_exc is None:
-                    last_exc = TransportError(
-                        f"no healthy endpoint for shard "
-                        f"[{spec.start}, {spec.stop}) (all breakers "
-                        f"open or draining)")
-                self._backoff(attempts)
-                continue
+                raise TransportError(
+                    f"no healthy endpoint for shard [{spec.start}, "
+                    f"{spec.stop}) (all breakers open or draining)")
             if ep.url not in tried:
                 tried.append(ep.url)
             try:
-                return self._call_with_hedge(ep, spec, attempts)
-            except DrainingError as exc:
-                # deliberate refusal: reroute immediately, no backoff
-                last_exc, last_ep = exc, ep
-                attempts += 1
+                return self._call_with_hedge(ep, spec, attempt)
             except Exception as exc:
-                if not is_infrastructure_failure(exc):
+                if not (isinstance(exc, DrainingError)
+                        or is_infrastructure_failure(exc)):
                     raise annotate_shard_failure(exc, spec, ep.url)
-                last_exc, last_ep = exc, ep
-                attempts += 1
-                self._backoff(attempts)
-        if policy.degrade:
-            return degraded_shard_result(
-                spec, self._exhausted(spec, last_exc, tried), attempts,
-                site="transport")
-        raise self._exhausted(spec, last_exc, tried)
+                last_ep, last_exc = ep, exc
+                raise
+
+        def pause(exc: BaseException, failed: int) -> float | None:
+            if isinstance(exc, DrainingError):
+                return 0.0  # a deliberate refusal: reroute at once
+            return retry_pause(policy, exc, failed,
+                               retryable=is_infrastructure_failure)
+
+        def exhausted(last: BaseException, attempts: int) -> ShardResult:
+            exc = self._exhausted(spec, last_exc or last, tried)
+            if not policy.degrade:
+                raise exc
+            return degraded_shard_result(spec, exc, attempts,
+                                         site="transport")
+
+        return run_with_retry(policy, attempt_fn, exhausted, pause)
 
     def _exhausted(self, spec: ShardSpec, last_exc, tried) -> TransportError:
         """Out of attempts: tagged like a terminal failure, chained
@@ -483,11 +488,6 @@ class WorkerPool:
         exc.shard_span = (spec.start, spec.stop)
         exc.__cause__ = last_exc
         return exc
-
-    def _backoff(self, failed: int) -> None:
-        """Sleep before a re-dispatch; none follows the last attempt."""
-        if failed < self.policy.max_attempts:
-            time.sleep(self.policy.delay(failed))
 
     def scatter(self, specs: list[ShardSpec]) -> list[ShardResult]:
         """Execute *specs* across the pool; results return in spec
