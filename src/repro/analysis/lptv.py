@@ -18,9 +18,11 @@ module computes exactly on the PSS discretisation:
    ``A_k = C/h + theta G_k``, ``B_k = C/h - (1 - theta) G_{k-1}``
    (once, shared with shooting and the harmonic/pnoise consumers -
    :class:`~repro.analysis.orbit.OrbitLinearization`);
-2. propagate the one-period particular response ``P_N = dPhi/dp`` for
-   *all* parameters as one blocked right-hand side;
-3. close the periodicity condition: driven circuits solve
+2. write every step injection
+   ``rho_k = theta di_k + (1 - theta) di_{k-1} + (dq_k - dq_{k-1}) / h``
+   once, for *all* parameters, into the buffer the waveforms fill;
+3. close the periodicity condition from the one-period particular
+   response ``P_N = dPhi/dp`` (pass 1): driven circuits solve
    ``(I - M) dx0 = P_N``; oscillators solve the bordered system that adds
    the period unknown ``dT`` and the phase-anchor row - ``dT/dp`` *is*
    the oscillator's frequency sensitivity (the discrete equivalent of the
@@ -32,6 +34,10 @@ Cost: one orbit linearisation plus two block-triangular sweeps -
 independent of the number of mismatch parameters beyond cheap matrix
 multiplies.  This is the "no additional simulation cost" property the
 paper stresses for contributions, correlations and design sensitivities.
+The closure ``(dx0, dT/dp)`` of the circuit's default injection set (a
+solve with ``injections=None``) is kept with the orbit's linearisation,
+so a later default solve on the same orbit skips pass 1 and costs one
+sweep.
 
 Engine selection (the Krylov path and its dense fallback)
 ---------------------------------------------------------
@@ -49,11 +55,15 @@ bit-identical to earlier releases: pass 1 carries the identity columns
 beside the injections, so one sweep yields ``M`` and ``P_N`` together.
 Both engines sweep operands built once - the ``B_k`` stack of the
 linearisation, one shared ``A_k`` factorization on a constant-Jacobian
-circuit, and ``rho_k`` written step by step into one reused buffer (no
-``(N, n, m)`` injection stack); ``matrix_free=`` on
+circuit, and the ``rho_k`` stack, written in blocks of
+:data:`~repro.analysis.orbit.ORBIT_BLOCK` steps into ``waveforms[1:]``
+(pass 2 reads each ``rho_k`` before it overwrites it with the
+waveform sample); ``matrix_free=`` on
 :class:`PeriodicLinearization` / :func:`periodic_sensitivities` forces
 either engine (the parity suite does).  A closure that fails to
-converge in GMRES falls back to the explicit monodromy with a warning.
+converge in GMRES falls back to the explicit monodromy with a warning;
+for the default injection set that fallback closure is the one kept,
+so the warning is emitted once per orbit.
 """
 
 from __future__ import annotations
@@ -66,7 +76,7 @@ import numpy as np
 from ..errors import AnalysisError
 from ..linalg.krylov import GMRES_MAXITER, GMRES_TOL, solve_blocked
 from .mna import CompiledCircuit, Injection
-from .orbit import OrbitLinearization
+from .orbit import ORBIT_BLOCK, OrbitLinearization
 from .pss import PssResult
 
 
@@ -181,82 +191,101 @@ class PeriodicLinearization:
         """State-transition matrix over one period, ``dPhi/dx0``."""
         return self.lin.monodromy()
 
-    def _rho_sweep(self, di: np.ndarray, dq: np.ndarray):
-        """Step injections ``rho_k``, ``k = 1 .. n_steps`` in order,
-        for the per-row theta scheme, each ``(n, m)``.
+    def _rho_stack(self, injections: list[Injection],
+                   d: np.ndarray) -> None:
+        """Write the step injection ``rho_k`` of the per-row theta
+        scheme into ``d[k]``, ``k = 1 .. n_steps``.
 
-        Every ``rho_k`` is written into one reused buffer with the
-        order of operations of ``theta * di[k] + (1 - theta) *
-        di[k-1] + (dq[k] - dq[k-1]) / h``; a consumer must be done with
-        it before the next step.  No ``(N, n, m)`` stack is built.
+        Each ``rho_k`` keeps the order of operations of ``theta *
+        di[k] + (1 - theta) * di[k-1] + (dq[k] - dq[k-1]) / h``, so its
+        bits are those of one step at a time.  The steps run in blocks
+        of :data:`~repro.analysis.orbit.ORBIT_BLOCK`, gathering ``di``
+        and ``dq`` of one block at a time, so no temporary spans the
+        orbit.
         """
-        theta = self.theta
-        one_minus = 1.0 - theta
-        rho = np.empty(di.shape[1:])
-        tmp = np.empty_like(rho)
-        for k in range(1, self.n_steps + 1):
-            np.multiply(theta, di[k], out=rho)
-            np.multiply(one_minus, di[k - 1], out=tmp)
-            rho += tmp
-            np.subtract(dq[k], dq[k - 1], out=tmp)
-            tmp /= self.h
-            rho += tmp
-            yield rho
-
-    def solve(self, injections: list[Injection]) -> SensitivitySolution:
-        """Periodic response to a unit constant deviation of every
-        parameter (the 1-Hz pseudo-noise limit)."""
-        if not injections:
-            raise AnalysisError("no injections to solve for")
-        n = self.compiled.n
         n_steps = self.n_steps
+        one_minus = 1.0 - self.theta
+        shape = (min(ORBIT_BLOCK, n_steps) + 1,) + d.shape[1:]
+        di, dq, tmp = np.empty(shape), np.zeros(shape), np.empty(shape)
+        for k0 in range(1, n_steps + 1, ORBIT_BLOCK):
+            k1 = min(k0 + ORBIT_BLOCK, n_steps + 1)
+            b = k1 - k0          # di[j], dq[j] hold samples k0 - 1 + j
+            for i, inj in enumerate(injections):
+                di[:b + 1, :, i] = inj.di_dp[k0 - 1:k1]
+                if inj.dq_dp is not None:
+                    dq[:b + 1, :, i] = inj.dq_dp[k0 - 1:k1]
+            rho, t = d[k0:k1], tmp[:b]
+            np.multiply(self.theta, di[1:b + 1], out=rho)
+            np.multiply(one_minus, di[:b], out=t)
+            rho += t
+            np.subtract(dq[1:b + 1], dq[:b], out=t)
+            t /= self.h
+            rho += t
 
-        di = np.stack([inj.di_dp for inj in injections], axis=-1)
-        dq = np.zeros_like(di)
-        for i, inj in enumerate(injections):
-            if inj.dq_dp is not None:
-                dq[:, :, i] = inj.dq_dp
-        if di.shape[0] != n_steps + 1:
+    def solve(self, injections: "list[Injection] | None" = None
+              ) -> SensitivitySolution:
+        """Periodic response to a unit constant deviation of every
+        parameter (the 1-Hz pseudo-noise limit).
+
+        *injections* default to every mismatch declaration of the
+        circuit; that set's closure is kept on the orbit's
+        linearisation (:attr:`OrbitLinearization.closure`, dropped by
+        :meth:`~repro.analysis.pss.PssResult.clear_caches`), so a later
+        default solve skips pass 1.  A custom list never reads or
+        writes it.
+        """
+        default = injections is None
+        if default:
+            injections = self.compiled.mismatch_injections(
+                self.pss.state, self.pss.x)
+        if not injections:
             raise AnalysisError(
-                "injections were not built on this PSS orbit "
-                f"({di.shape[0]} samples vs {n_steps + 1})")
+                f"circuit '{self.compiled.circuit.name}' declares no "
+                "mismatch parameters" if default
+                else "no injections to solve for")
+        n_steps = self.n_steps
+        for inj in injections:
+            if inj.di_dp.shape[0] != n_steps + 1:
+                raise AnalysisError(
+                    "injections were not built on this PSS orbit "
+                    f"({inj.di_dp.shape[0]} samples vs {n_steps + 1})")
 
-        if self.lin.sparse:
-            dx0, dT_dp = self._close_matrix_free(di, dq)
-        else:
-            dx0, dT_dp = self._close_dense(di, dq)
+        d = np.empty((n_steps + 1, self.compiled.n, len(injections)))
+        self._rho_stack(injections, d)
+        closure = self.lin.closure if default else None
+        if closure is None:
+            if self.lin.sparse:
+                closure = self._close_matrix_free(d[1:])
+            else:
+                closure = self._close_explicit(
+                    *self.lin.monodromy_and_response(d.shape[-1], d[1:]))
+            if default:
+                self.lin.closure = closure
+        dx0, dT_dp = closure
 
         # pass 2: store the full periodic sensitivity waveforms
-        m = di.shape[-1]
-        d = np.empty((n_steps + 1, n, m))
         d[0] = dx0
-        self.lin.sweep(dx0, self._rho_sweep(di, dq), store=d)
-        return SensitivitySolution(pss=self.pss, injections=list(injections),
-                                   waveforms=d, dT_dp=dT_dp)
+        self.lin.sweep(dx0, d[1:], store=d)
+        return SensitivitySolution(
+            pss=self.pss, injections=list(injections), waveforms=d,
+            dT_dp=None if dT_dp is None else dT_dp.copy())
 
     # ------------------------------------------------------------------
     # periodicity closures
     # ------------------------------------------------------------------
-    def _close_dense(self, di: np.ndarray, dq: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Explicit monodromy closure (the legacy bit-identical path):
-        pass 1 carries the identity columns alongside the injections,
-        so one sweep yields ``M`` and ``P_N`` together."""
-        mono, p_n = self.lin.monodromy_and_response(
-            di.shape[-1], self._rho_sweep(di, dq))
-        return self._close_explicit(mono, p_n)
-
     def _close_explicit(self, mono: np.ndarray, p_n: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray | None]:
         """Close the periodicity condition against an explicit
-        monodromy matrix - the dense engine's closure and the
-        matrix-free engine's GMRES-stall fallback."""
+        monodromy matrix - the dense engine's closure (pass 1 carries
+        the identity columns beside the injections, so one sweep yields
+        ``M`` and ``P_N`` together) and the matrix-free engine's
+        GMRES-stall fallback."""
         n = self.compiled.n
         if self.pss.is_oscillator:
             a_idx = self.pss.anchor_index
             big = np.zeros((n + 1, n + 1))
             big[:n, :n] = np.eye(n) - mono
-            xdot_t = (self.pss.x[-1] - self.pss.x[-2]) / self.h
+            xdot_t = self.pss.end_slope(self.pss.x, self.h)
             big[:n, n] = -xdot_t
             big[n, a_idx] = 1.0
             rhs = np.concatenate([p_n, np.zeros((1, p_n.shape[1]))],
@@ -265,22 +294,22 @@ class PeriodicLinearization:
             return sol[:n], sol[n]
         return np.linalg.solve(np.eye(n) - mono, p_n), None
 
-    def _close_matrix_free(self, di: np.ndarray, dq: np.ndarray
+    def _close_matrix_free(self, rhos: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Matrix-free closure: one blocked particular sweep for
-        ``P_N`` (no identity columns), then blocked GMRES on the sweep
-        operator.  Falls back to the explicit monodromy - with a
-        warning - if GMRES stalls."""
+        """Matrix-free closure on the ``(n_steps, n, m)`` stack *rhos*:
+        one blocked particular sweep for ``P_N`` (no identity columns),
+        then blocked GMRES on the sweep operator.  Falls back to the
+        explicit monodromy - with a warning - if GMRES stalls."""
         lin = self.lin
         n = self.compiled.n
-        m = di.shape[-1]
+        m = rhos.shape[-1]
 
         # pass 1: particular solution only - the monodromy never rides
-        p = lin.sweep(np.zeros((n, m)), self._rho_sweep(di, dq))
+        p = lin.sweep(np.zeros((n, m)), rhos)
 
         if self.pss.is_oscillator:
             a_idx = self.pss.anchor_index
-            xdot_t = (self.pss.x[-1] - self.pss.x[-2]) / self.h
+            xdot_t = self.pss.end_slope(self.pss.x, self.h)
             # h-scaled period column (see OrbitLinearization.
             # bordered_op); sign=-1 gives this closure's I - M
             # convention
@@ -318,10 +347,6 @@ def periodic_sensitivities(pss_result: PssResult,
     dense explicit-monodromy engine (``False``); the default ``None``
     selects by backend and circuit size.
     """
-    if injections is None:
-        compiled = pss_result.compiled
-        injections = compiled.mismatch_injections(pss_result.state,
-                                                  pss_result.x)
     lin = PeriodicLinearization(pss_result, matrix_free=matrix_free)
     return lin.solve(injections)
 

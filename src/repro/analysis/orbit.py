@@ -107,6 +107,10 @@ class OrbitLinearization:
         #: ``A_k`` serves all steps, and ``B_k`` is one broadcast row.
         self.time_invariant = not compiled.has_nonlinear
         self._factors: "list | None" = None
+        #: Periodicity closure ``(dx0, dT_dp)`` of the circuit's default
+        #: injection set on this orbit, kept by
+        #: :meth:`~repro.analysis.lptv.PeriodicLinearization.solve`.
+        self.closure: "tuple | None" = None
         #: ``B_k`` for ``k = 1 .. n_steps``: CSR value rows on the
         #: sparse engine, dense ``(n, n)`` blocks otherwise; built on
         #: the first sweep (:meth:`_b_block`).
@@ -157,14 +161,18 @@ class OrbitLinearization:
     def estimate_nbytes(compiled: CompiledCircuit, n_steps: int) -> int:
         """Bytes a fully built linearisation of an *n_steps* orbit of
         *compiled* holds, on the engine selected by default: its
-        Jacobian stack, its per-step factors and its ``B_k`` block (one
-        row or one factor when time-invariant).
+        Jacobian stack, its per-step factors, its ``B_k`` block (one
+        row or one factor when time-invariant) and the :attr:`closure`
+        of the circuit's ``p`` default injections (``n * p + p``
+        floats).
 
         The count comes from shapes alone, so it is known before any of
         it is built.  A sparse factor is estimated at
         :data:`SPARSE_LU_FILL` entries per Jacobian entry.
         """
         n = compiled.n
+        p = len(compiled.circuit.mismatch_decls())
+        closure = (n * p + p) * 8
         steps = 1 if not compiled.has_nonlinear else n_steps
         if use_matrix_free(compiled.backend, n, None):
             # Jacobian value rows (one when time-invariant), the B_k
@@ -172,12 +180,12 @@ class OrbitLinearization:
             nnz = compiled.csr_plan.nnz
             g_rows = 1 if steps == 1 else n_steps + 1
             factor = SPARSE_LU_FILL * nnz * 12 + n * 8
-            return (g_rows + steps) * nnz * 8 + steps * factor
+            return (g_rows + steps) * nnz * 8 + steps * factor + closure
         block = n * n * 8
         # g_t and c_over_h, the padded capacitance (c is a view of
         # it), theta, then B_k and the factors (LU + pivots)
         return ((n_steps + 2) * block + (n + 1) ** 2 * 8 + n * 8
-                + steps * block + steps * (block + n * 8))
+                + steps * block + steps * (block + n * 8) + closure)
 
     # ------------------------------------------------------------------
     # factorizations (lazy, clearable)

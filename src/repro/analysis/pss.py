@@ -207,10 +207,19 @@ class PssResult:
                 self.method, matrix_free=want)
         return self._lin
 
+    @staticmethod
+    def end_slope(x: np.ndarray, h: float) -> np.ndarray:
+        """``xdot(T)`` of orbit samples *x* on the uniform step *h*: the
+        first-order backward difference ``(x[-1] - x[-2]) / h``.  It is
+        the period column of every bordered oscillator system, in
+        shooting and in both LPTV closures."""
+        return (x[-1] - x[-2]) / h
+
     def nbytes(self) -> int:
         """Bytes this orbit holds or can still grow to: its samples plus
-        its dense linearisation (Jacobian stack, per-step factors, the
-        ``B_k`` block), counted whether or not that is built yet
+        its linearisation (Jacobian stack, per-step factors, the
+        ``B_k`` block, the default injections' closure), counted
+        whether or not that is built yet
         (:meth:`OrbitLinearization.estimate_nbytes`).  The circuit and
         its state are the compile's, not the orbit's."""
         return (self.x.nbytes + self.t.nbytes
@@ -219,8 +228,8 @@ class PssResult:
 
     def clear_caches(self) -> "PssResult":
         """Drop the cached orbit linearisation (its per-step
-        factorization list is the memory that matters); the orbit
-        itself survives.  Returns ``self``."""
+        factorization list is the memory that matters) and the closure
+        kept on it; the orbit itself survives.  Returns ``self``."""
         if self._lin is not None:
             self._lin.clear_factors()
         self._lin = None
@@ -616,7 +625,7 @@ def pss_oscillator(compiled: CompiledCircuit, anchor: str,
                              is_oscillator=True, anchor_index=a_idx,
                              residual=worst, shooting_periods=it + 1)
         h = period / opts.n_steps
-        xdot_t = (orbit[-1] - orbit[-2]) / h
+        xdot_t = PssResult.end_slope(orbit, h)
         rhs = np.concatenate([-res, [0.0]])
         # the sparse engine scales the period column by h (the unknown
         # becomes dT/h, a per-step voltage-sized quantity): the raw

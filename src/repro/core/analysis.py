@@ -211,20 +211,15 @@ def _analyze_on_orbit(compiled: CompiledCircuit, measures: list[Measure],
 
     The orbit is obtained here, so ``runtime_breakdown["pss"]`` is the
     wall time of that call - a fresh solve, a cache lookup or a
-    precomputed result, whichever *orbit* is.
+    precomputed result, whichever *orbit* is.  Without *injections*
+    the LPTV solve reuses the periodicity closure a previous call kept
+    on the same orbit, so ``runtime_breakdown["lptv"]`` of an orbit hit
+    is one waveform sweep.
     """
     t_start = time.perf_counter()
     pss_result = orbit()
     t_pss = time.perf_counter()
-    if injections is None:
-        injections = compiled.mismatch_injections(pss_result.state,
-                                                  pss_result.x)
-    if not injections:
-        raise AnalysisError(
-            f"circuit '{compiled.circuit.name}' declares no mismatch "
-            "parameters")
-    lin = PeriodicLinearization(pss_result)
-    sens = lin.solve(injections)
+    sens = PeriodicLinearization(pss_result).solve(injections)
     t_lptv = time.perf_counter()
 
     sigmas = sens.sigmas

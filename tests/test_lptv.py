@@ -10,20 +10,30 @@ Ground truths used:
 """
 
 import dataclasses
+import gc
+import sys
+import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.analysis import (compile_circuit, periodic_sensitivities, pss,
                             pss_oscillator)
+from repro.analysis import lptv as lptv_module
 from repro.analysis.lptv import PeriodicLinearization
+from repro.analysis.mna import held_nbytes
 from repro.analysis.orbit import OrbitLinearization
 from repro.analysis.pss import PssOptions
 from repro.circuit import Circuit, Sine
-from repro.core.analysis import transient_mismatch_analysis
-from repro.core.measures import DcLevel
+from repro.core.analysis import (run_transient_mismatch,
+                                 transient_mismatch_analysis)
+from repro.core.measures import DcLevel, EdgeDelay
 from repro.errors import AnalysisError
 from repro.linalg import CachedDenseBackend
+from repro.linalg.krylov import GMRES_MAXITER, GMRES_TOL, solve_blocked
+from repro.service.session import AnalysisSession
 
 
 @pytest.fixture(scope="module")
@@ -128,18 +138,25 @@ class _CountingBackend(CachedDenseBackend):
         return super().factor(a)
 
 
-def _reference_waveforms(p, injections):
-    """A short copy of the dense sweeps as they were before ``B_k``
-    became one stack and ``rho_k`` one reused buffer: per-step
-    operands, rebuilt at every step."""
+def _reference_waveforms(p, injections, matrix_free=False):
+    """A short copy of the sweeps as they were before ``B_k`` became one
+    stack and ``rho_k`` one stack written once: ``(waveforms, dT_dp)``.
+
+    The dense engine rebuilds its per-step operands at every step and
+    closes against the explicit monodromy (bordered for an
+    oscillator); the matrix-free engine is fed ``rho_k`` one step at a
+    time and closes by blocked GMRES.
+    """
     lin = OrbitLinearization(p.compiled, p.state, p.x, p.t, p.period,
-                             p.method, matrix_free=False)
+                             p.method, matrix_free=matrix_free)
     theta, h, n = lin.theta, lin.h, lin.n
     di = np.stack([inj.di_dp for inj in injections], axis=-1)
     dq = np.zeros_like(di)
     for i, inj in enumerate(injections):
         if inj.dq_dp is not None:
             dq[:, :, i] = inj.dq_dp
+    m = di.shape[-1]
+    steps = range(1, p.n_steps + 1)
 
     def b_k(k):
         return lin.c_over_h - (1.0 - theta) * lin.g_t[k - 1]
@@ -151,26 +168,57 @@ def _reference_waveforms(p, injections):
         return (theta * di[k] + (1.0 - theta) * di[k - 1]
                 + (dq[k] - dq[k - 1]) / h)
 
-    z = np.zeros((n, n + di.shape[-1]))
+    if matrix_free:
+        assert not p.is_oscillator
+        part = lin.sweep(np.zeros((n, m)), (rho(k) for k in steps))
+        cur, _, ok = solve_blocked(lambda v: v - lin.apply_monodromy(v),
+                                   part, tol=GMRES_TOL,
+                                   maxiter=GMRES_MAXITER)
+        assert ok
+        out = np.empty((p.n_steps + 1, n, m))
+        out[0] = cur
+        lin.sweep(cur, (rho(k) for k in steps), store=out)
+        return out, None
+
+    z = np.zeros((n, n + m))
     z[:, :n] = np.eye(n)
-    for k in range(1, p.n_steps + 1):
+    for k in steps:
         rhs = b_k(k) @ z
         rhs[:, n:] -= rho(k)
         z = a_k(k).solve(rhs)
-    cur = np.linalg.solve(np.eye(n) - z[:, :n], z[:, n:])
+    dT_dp = None
+    if p.is_oscillator:
+        big = np.zeros((n + 1, n + 1))
+        big[:n, :n] = np.eye(n) - z[:, :n]
+        big[:n, n] = -(p.x[-1] - p.x[-2]) / h
+        big[n, p.anchor_index] = 1.0
+        sol = np.linalg.solve(
+            big, np.concatenate([z[:, n:], np.zeros((1, m))], axis=0))
+        cur, dT_dp = sol[:n], sol[n]
+    else:
+        cur = np.linalg.solve(np.eye(n) - z[:, :n], z[:, n:])
     out = [cur]
-    for k in range(1, p.n_steps + 1):
+    for k in steps:
         rhs = b_k(k) @ cur
         rhs -= rho(k)
         cur = a_k(k).solve(rhs)
         out.append(cur)
-    return np.stack(out)
+    return np.stack(out), dT_dp
+
+
+@pytest.fixture(scope="module")
+def logic_pss(logic_path_x):
+    """The Table II row 2 orbit (logic path, 800 steps)."""
+    compiled = compile_circuit(logic_path_x.circuit)
+    return compiled, pss(compiled, logic_path_x.period,
+                         options=PssOptions(n_steps=800, settle_periods=2))
 
 
 class TestSharedOperands:
-    """The sweeps build ``B_k`` once per linearisation, write ``rho_k``
-    into one buffer and - on a constant-Jacobian circuit - share one
-    factorization of ``A_k``, without changing a bit."""
+    """The sweeps build ``B_k`` once per linearisation, write every
+    ``rho_k`` once into the waveform buffer and - on a constant-Jacobian
+    circuit - share one factorization of ``A_k``, without changing a
+    bit."""
 
     def test_time_invariant_dense_factors_once(self):
         backend = _CountingBackend()
@@ -195,15 +243,198 @@ class TestSharedOperands:
         assert len({id(f) for f in lin.factors()}) == p.n_steps
         assert np.array_equal(shared.waveforms, sol.waveforms)
 
-    @pytest.mark.parametrize("case", ["rc", "cs_amp"])
-    def test_sweeps_match_per_step_operands(self, case, rc_pss,
-                                            cs_amp_pss):
-        _, p = rc_pss if case == "rc" else cs_amp_pss
+    #: case -> (orbit fixture, matrix_free)
+    CASES = {"rc": ("rc_pss", False), "cs_amp": ("cs_amp_pss", False),
+             "logic": ("logic_pss", False),
+             "ring": ("oscillator_pss", False),
+             "rc-matrix-free": ("rc_pss", True),
+             "cs_amp-matrix-free": ("cs_amp_pss", True)}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_sweeps_match_per_step_operands(self, case, request):
+        fixture, matrix_free = self.CASES[case]
+        p = request.getfixturevalue(fixture)[-1]
         p = dataclasses.replace(p, _lin=None)
         injections = p.compiled.mismatch_injections(p.state, p.x)
-        sol = periodic_sensitivities(p, injections, matrix_free=False)
-        assert np.array_equal(sol.waveforms,
-                              _reference_waveforms(p, injections))
+        sol = periodic_sensitivities(p, injections,
+                                     matrix_free=matrix_free)
+        waveforms, dT_dp = _reference_waveforms(p, injections, matrix_free)
+        assert np.array_equal(sol.waveforms, waveforms)
+        assert (sol.dT_dp is None) == (dT_dp is None) == (case != "ring")
+        if dT_dp is not None:
+            assert np.array_equal(sol.dT_dp, dT_dp)
+
+
+def _count_closures(monkeypatch) -> dict:
+    """Count dense monodromy sweeps (pass 1 of the dense closure, and
+    dense shooting's)."""
+    calls = {"n": 0}
+    inner = OrbitLinearization.monodromy_and_response
+
+    def counting(self, *args, **kwargs):
+        calls["n"] += 1
+        return inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(OrbitLinearization, "monodromy_and_response",
+                        counting)
+    return calls
+
+
+class TestClosureReuse:
+    """The closure ``(dx0, dT_dp)`` of the default injection set is kept
+    with the orbit's linearisation: a later default solve on the same
+    orbit runs the waveform sweep alone, with the same bits."""
+
+    OPTS = PssOptions(n_steps=100, settle_periods=2)
+
+    def test_repeat_on_one_session_orbit_skips_pass_one(self, rc_lowpass,
+                                                        monkeypatch):
+        calls = _count_closures(monkeypatch)
+        s = AnalysisSession()
+        first = s.transient_mismatch(rc_lowpass, [DcLevel("vout", "out")],
+                                     period=1e-6, pss_options=self.OPTS)
+        assert calls["n"] >= 1            # shooting's and the closure's
+        calls["n"] = 0
+        measures = [DcLevel("vin_out", "in", "out"),
+                    DcLevel("vout", "out")]
+        again = s.transient_mismatch(rc_lowpass, measures, period=1e-6,
+                                     pss_options=self.OPTS)
+        assert again.pss is first.pss and calls["n"] == 0
+        cold = transient_mismatch_analysis(rc_lowpass, measures,
+                                           period=1e-6,
+                                           pss_options=self.OPTS)
+        assert np.array_equal(again.sens.waveforms, cold.sens.waveforms)
+        for m in measures:
+            assert again.sigma(m.name) == cold.sigma(m.name)
+            assert np.array_equal(again.tables[m.name].sensitivities,
+                                  cold.tables[m.name].sensitivities)
+
+    def test_oscillator_period_sensitivities_are_values(self,
+                                                        oscillator_pss,
+                                                        monkeypatch):
+        p = dataclasses.replace(oscillator_pss[1], _lin=None)
+        calls = _count_closures(monkeypatch)
+        first = periodic_sensitivities(p)
+        want = first.dT_dp.copy()
+        first.dT_dp[:] = 0.0
+        again = periodic_sensitivities(p)
+        assert calls["n"] == 1
+        assert np.array_equal(again.dT_dp, want)
+        assert np.array_equal(again.waveforms, first.waveforms)
+
+    def test_custom_injections_neither_read_nor_write_it(self, rc_pss):
+        p = dataclasses.replace(rc_pss[1], _lin=None)
+        custom = p.compiled.mismatch_injections(p.state, p.x)[:1]
+        lin = PeriodicLinearization(p)
+        alone = lin.solve(custom)
+        assert lin.lin.closure is None
+        lin.solve()
+        sentinel = (np.full_like(lin.lin.closure[0], np.nan), None)
+        lin.lin.closure = sentinel
+        assert np.array_equal(lin.solve(custom).waveforms, alone.waveforms)
+        assert lin.lin.closure is sentinel
+
+    def test_clear_caches_drops_it(self, rc_pss, monkeypatch):
+        p = dataclasses.replace(rc_pss[1], _lin=None)
+        calls = _count_closures(monkeypatch)
+        first = periodic_sensitivities(p)
+        assert p._lin.closure is not None
+        p.clear_caches()
+        assert p._lin is None
+        again = periodic_sensitivities(p)
+        assert calls["n"] == 2
+        assert np.array_equal(again.waveforms, first.waveforms)
+
+    def test_gmres_stall_fallback_is_kept_and_warns_once(self, rc_pss,
+                                                         monkeypatch):
+        p = dataclasses.replace(rc_pss[1], _lin=None)
+
+        def stalled(op, rhs, **kwargs):
+            return np.zeros_like(rhs), 0, False
+
+        monkeypatch.setattr(lptv_module, "solve_blocked", stalled)
+        with pytest.warns(UserWarning, match="did not converge"):
+            first = periodic_sensitivities(p, matrix_free=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            again = periodic_sensitivities(p, matrix_free=True)
+        assert np.array_equal(again.waveforms, first.waveforms)
+
+    def test_kept_closure_is_charged(self, logic_path_x):
+        """What a ``tm`` solve leaves on an orbit whose linearisation is
+        built is its closure, and :meth:`PssResult.nbytes` charges it:
+        ``n * p + p`` floats for the ``p`` default injections."""
+        tb = logic_path_x
+        compiled = compile_circuit(tb.circuit)
+        measures = [EdgeDelay("delay_A", "X", "A", tb.vth)]
+        orbit = pss(compiled, tb.period,
+                    options=PssOptions(n_steps=200, settle_periods=2))
+        lin = orbit.linearization()
+        # everything else the orbit and the compile keep is built first:
+        # the explicit list runs every step of the solve but keeps nothing
+        PeriodicLinearization(orbit).solve(
+            compiled.mismatch_injections(orbit.state, orbit.x))
+        assert lin.closure is None
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = run_transient_mismatch(compiled, measures, orbit)
+            del res
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert orbit._lin is lin and lin.closure is not None
+        n, n_params = compiled.n, len(compiled.circuit.mismatch_decls())
+        charge = (n * n_params + n_params) * 8
+        # a waveform stack left behind would be 1 MB here; the
+        # interpreter's and numpy's own caches account for < 2 kB
+        assert lin.closure[0].nbytes <= charge
+        assert retained <= charge + 2048
+        assert held_nbytes(orbit, skip=(compiled, orbit.state)) \
+            <= orbit.nbytes()
+
+    def test_threads_on_one_cached_orbit_match_serial(self, logic_path_x):
+        """Threads sharing one session orbit, its closure cold at the
+        start, each get the serial answer."""
+        tb = logic_path_x
+        measures = [EdgeDelay("delay_A", "X", "A", tb.vth)]
+        opts = PssOptions(n_steps=800, settle_periods=2)
+        serial = transient_mismatch_analysis(tb.circuit, measures,
+                                             period=tb.period,
+                                             pss_options=opts)
+        s = AnalysisSession()
+        orbit = s.pss(s.compile(tb.circuit), tb.period, options=opts)
+        n_threads = 3
+        results, errors = [None] * n_threads, []
+
+        def run(i):
+            try:
+                results[i] = s.transient_mismatch(
+                    tb.circuit, measures, period=tb.period,
+                    pss_options=opts)
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(i,))
+                   for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors
+        for res in results:
+            assert res.pss is orbit
+            assert res.sigma("delay_A") == serial.sigma("delay_A")
+            assert np.array_equal(res.sens.waveforms,
+                                  serial.sens.waveforms)
 
 
 def test_rc_period_average_sigma_is_zero(rc_lowpass):
