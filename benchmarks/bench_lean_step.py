@@ -33,8 +33,7 @@ import numpy as np
 from repro.analysis import compile_circuit, pss
 from repro.analysis.dcop import NewtonOptions
 from repro.analysis.pss import PssOptions
-from repro.analysis.transient import (_NewtonWork, _newton_step_reuse,
-                                      _residual)
+from repro.analysis.transient import _NewtonWork, _newton_step, _residual
 from repro.circuits import logic_path_testbench
 from repro.core.analysis import run_transient_mismatch
 from repro.core.measures import EdgeDelay
@@ -111,7 +110,7 @@ def test_lean_step(tech, results_dir):
     table = kern.source_table(state, t_pts)
     pts = range(len(x_pads))
     # the per-run buffers a transient's step solver owns
-    work = _NewtonWork(kern, state, ())
+    work = _NewtonWork(kern, state, (), dense_jac=True)
 
     def assemble(i, jacobian):
         kern.assemble(state, x_pads[i], float(t_pts[i]), g_pad, f_pad,
@@ -143,10 +142,10 @@ def test_lean_step(tech, results_dir):
     def newton_iteration(i):
         j = i - 1
         np.copyto(x_it, x_pads[i])
-        _newton_step_reuse(kern, state, x_it, x_pads[j], f_pts[j],
-                           float(t_pts[i]), theta, one_minus,
-                           c_over_h_pad, g_pad, f_pad, cache, one_pass,
-                           work, src=table.row(i))
+        _newton_step(kern, state, x_it, x_pads[j], f_pts[j],
+                     float(t_pts[i]), theta, one_minus, c_over_h_pad,
+                     g_pad, f_pad, one_pass, work, src=table.row(i),
+                     cache=cache)
 
     # one Monte-Carlo chunk: per-lane threshold deltas, every lane at
     # the same orbit point, lane-shared sources from a grid table

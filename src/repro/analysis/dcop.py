@@ -58,6 +58,59 @@ class DcResult:
         return float(i) if np.ndim(i) == 0 else i
 
 
+def _clip_step(delta: np.ndarray, max_step: float) -> None:
+    """Clip a Newton update to ``[-max_step, max_step]`` in place - the
+    bits of ``np.clip`` without its Python-level wrapper."""
+    np.minimum(delta, max_step, out=delta)
+    np.maximum(delta, -max_step, out=delta)
+
+
+def _max_abs(delta: np.ndarray) -> float:
+    """``max|delta|`` through the ufunc reduction ``np.max`` wraps (0.0
+    for an empty update)."""
+    return float(np.maximum.reduce(np.abs(delta), axis=None, initial=0.0))
+
+
+def newton_iterate(x_pad: np.ndarray, residual, solve,
+                   opts: NewtonOptions, singular, *, guard=None,
+                   x_prev: np.ndarray | None = None,
+                   accept=None) -> bool:
+    """The Newton inner loop of every analysis; updates *x_pad*.
+
+    Per iteration: ``rhs = residual()``; the lane *guard* scrubs failed
+    lanes; ``delta = solve(rhs)`` under the caller's linear policy (full
+    Newton, a :class:`~repro.linalg.FactorizationCache` or one constant
+    LU), a :class:`numpy.linalg.LinAlgError` going to ``singular(rhs,
+    exc, it)`` to repair or raise; the update is clipped to
+    ``max_step``, the guard rolls non-finite lanes back to *x_prev*,
+    and it is applied.  Convergence is ``worst <= vntol`` and, when
+    given, ``accept()``.  On exhaustion a guard quarantines the lanes
+    still moving and True is returned; without one, False.
+    """
+    n = x_pad.shape[-1] - 1
+    for it in range(opts.max_iterations):
+        rhs = residual()
+        if guard is not None:
+            guard.scrub_rhs(rhs)
+        try:
+            delta = solve(rhs)
+        except np.linalg.LinAlgError as exc:
+            delta = singular(rhs, exc, it)
+        _clip_step(delta, opts.max_step)
+        if guard is not None:
+            guard.absorb_bad_delta(delta, x_pad, x_prev)
+        x_pad[..., :n] -= delta
+        worst = (guard.worst(delta) if guard is not None
+                 else _max_abs(delta))
+        if worst <= opts.vntol and (accept is None or accept()):
+            return True
+    if guard is None:
+        return False
+    guard.quarantine(np.max(np.abs(delta), axis=-1) > opts.vntol,
+                     x_pad, x_prev)
+    return True
+
+
 def newton_solve(compiled: CompiledCircuit, state: ParamState,
                  x_pad: np.ndarray, t: float,
                  options: NewtonOptions | None = None,
@@ -65,16 +118,19 @@ def newton_solve(compiled: CompiledCircuit, state: ParamState,
                  gmin: float = GMIN_DEFAULT) -> np.ndarray:
     """Run Newton on the static system ``i(x, t) = 0``; returns ``x_pad``.
 
-    *x_pad* is used as the initial guess and modified in place.  Linear
-    solves run on ``compiled.backend``; backends with a reuse policy
-    keep one Jacobian factorization across iterations (modified Newton,
-    see :mod:`repro.linalg`) - the final ``abstol`` residual check below
-    is what guarantees this cannot degrade the accepted solution.
+    *x_pad* is the initial guess, updated in place by
+    :func:`newton_iterate`.  Linear solves run on ``compiled.backend``;
+    backends with a reuse policy keep one Jacobian factorization across
+    iterations (modified Newton, see :mod:`repro.linalg`) - the
+    ``accept`` check that a fresh residual is within ``abstol`` is what
+    guarantees this cannot degrade the accepted solution.
 
     Raises
     ------
     ConvergenceError
         If the iteration does not meet tolerance.
+    SingularMatrixError
+        If the Jacobian is singular.
     """
     opts = options or NewtonOptions()
     n = compiled.n
@@ -116,33 +172,36 @@ def newton_solve(compiled: CompiledCircuit, state: ParamState,
             assemble(True)
             return jac
 
-    for it in range(opts.max_iterations):
+    res = f_pad[..., :n]
+
+    def residual() -> np.ndarray:
         assemble(cache is None)
-        res = f_pad[..., :n]
-        try:
-            if cache is not None:
-                delta = cache.solve(res, jac_fresh)
-            else:
-                delta = backend.solve(jac, res)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
-                f"singular DC Jacobian for '{compiled.circuit.name}' "
-                f"(floating node or voltage-source loop?): {exc}",
-                iterations=it,
-                theta_fingerprint=state.theta_fingerprint()) from exc
-        np.clip(delta, -opts.max_step, opts.max_step, out=delta)
-        x_pad[..., :n] -= delta
-        worst = float(np.max(np.abs(delta))) if delta.size else 0.0
-        if worst <= opts.vntol:
-            assemble(False)
-            worst_f = float(np.max(np.abs(f_pad[..., :n])))
-            if worst_f <= opts.abstol:
-                return x_pad
+        return res
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        if cache is not None:
+            return cache.solve(rhs, jac_fresh)
+        return backend.solve(jac, rhs)
+
+    def singular(rhs, exc, it):
+        raise SingularMatrixError(
+            f"singular DC Jacobian for '{compiled.circuit.name}' "
+            f"(floating node or voltage-source loop?): {exc}",
+            iterations=it,
+            theta_fingerprint=state.theta_fingerprint()) from exc
+
+    def accept() -> bool:
+        assemble(False)
+        return _max_abs(res) <= opts.abstol
+
+    if newton_iterate(x_pad, residual, solve, opts, singular,
+                      accept=accept):
+        return x_pad
     raise ConvergenceError(
         f"Newton failed on '{compiled.circuit.name}' after "
         f"{opts.max_iterations} iterations",
         iterations=opts.max_iterations,
-        residual=float(np.max(np.abs(f_pad[..., :n]))),
+        residual=_max_abs(res),
         theta_fingerprint=state.theta_fingerprint())
 
 

@@ -75,15 +75,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import (AnalysisError, ConvergenceError, MeasurementError,
-                      SingularMatrixError)
+from ..errors import AnalysisError, ConvergenceError, MeasurementError
 from ..linalg.krylov import GMRES_MAXITER, gmres_blocked, use_matrix_free
 from ..waveform import Waveform, WaveformSet
 from .dcop import NewtonOptions, dc_operating_point
 from .mna import CompiledCircuit, ParamState
 from .orbit import OrbitLinearization
 from .transient import (TransientOptions, _newton_step, _NewtonWork,
-                        transient)
+                        _singular_error, _step_matrix, transient)
 
 
 @dataclass
@@ -285,7 +284,6 @@ def integrate_period(compiled: CompiledCircuit, state: ParamState,
     n = compiled.n
     h = period / n_steps
     _, g_pad, f_pad = compiled.buffers(())
-    j_pad = np.empty_like(g_pad)
     c_over_h = compiled.capacitance(state) / h
 
     orbit = np.empty((n_steps + 1, n))
@@ -294,7 +292,7 @@ def integrate_period(compiled: CompiledCircuit, state: ParamState,
 
     theta = np.append(compiled.theta_rows(state, method), 1.0)
     one_minus = 1.0 - theta
-    work = _NewtonWork(compiled, state, ())
+    work = _NewtonWork(compiled, state, (), dense_jac=True)
     # t0 + k * h, tabulated once for the whole period
     sources = compiled.source_table(state, t0 + h * np.arange(n_steps + 1))
 
@@ -304,14 +302,11 @@ def integrate_period(compiled: CompiledCircuit, state: ParamState,
                       sources=sources.row(0), scratch=work.scratch)
     lu = None
     if one_lu:
-        np.multiply(g_pad, theta[:, None], out=j_pad)
-        j_pad += c_over_h
         try:
-            lu = backend.factor(j_pad[:n, :n])
+            lu = backend.factor(_step_matrix(theta, g_pad, c_over_h,
+                                             work.jac))
         except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
-                f"singular transient Jacobian at t={t0:.4e} on "
-                f"'{compiled.circuit.name}'") from exc
+            raise _singular_error(compiled, state, t0, 0) from exc
     f_prev = f_pad.copy()
     x_prev = x_pad.copy()
 
@@ -319,7 +314,7 @@ def integrate_period(compiled: CompiledCircuit, state: ParamState,
         t_k = t0 + k * h
         src_k = sources.row(k)
         _newton_step(compiled, state, x_pad, x_prev, f_prev, t_k, theta,
-                     one_minus, c_over_h, g_pad, f_pad, j_pad, newton, work,
+                     one_minus, c_over_h, g_pad, f_pad, newton, work,
                      src=src_k, lu=lu)
         # the accepted residual lands straight in f_prev
         compiled.assemble(state, x_pad, t_k, g_pad, f_prev,

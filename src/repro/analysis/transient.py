@@ -46,9 +46,11 @@ for heavily damped settling runs and is used for the very first step
 after a raw initial condition (it swallows inconsistent ICs within one
 step).
 
-Linear solves go through the circuit's pluggable backend
-(:mod:`repro.linalg`).  Backends whose policy allows factorization
-reuse switch the integrator to a modified-Newton loop that keeps one
+Every step runs :func:`~repro.analysis.dcop.newton_iterate`, the Newton
+loop DC, the PSS period and transient noise share, with its own
+residual and linear policy.  Linear solves go through the circuit's
+pluggable backend (:mod:`repro.linalg`).  Backends whose policy allows
+factorization reuse get a modified-Newton policy that keeps one
 Jacobian factorization alive across iterations *and* time steps.  The
 factorization cache is keyed on the *content* of the step-matrix
 ingredients ``(theta, dt)`` (:meth:`~repro.linalg.FactorizationCache.
@@ -81,7 +83,7 @@ from ..errors import ConvergenceError, SingularMatrixError
 from ..linalg import (Factorization, FactorizationCache,
                       mark_singular_lanes)
 from ..waveform import WaveformSet
-from .dcop import NewtonOptions, dc_operating_point
+from .dcop import NewtonOptions, dc_operating_point, newton_iterate
 from .mna import CompiledCircuit, ParamState
 
 Method = str  # "trap" | "be"
@@ -275,38 +277,31 @@ class _LaneGuard:
         return float(np.where(self.failed, 0.0, mag.max(axis=-1)).max())
 
 
+def _singular_error(compiled: CompiledCircuit, state: ParamState,
+                    t_k: float, it: int, detail: str = ""
+                    ) -> SingularMatrixError:
+    return SingularMatrixError(
+        f"singular transient Jacobian at t={t_k:.4e} on "
+        f"'{compiled.circuit.name}'{detail}", iterations=it,
+        theta_fingerprint=state.theta_fingerprint())
+
+
 def _solve_isolated(solve, jac_builder, rhs: np.ndarray,
-                    guard: _LaneGuard | None, t_k: float,
-                    circuit_name: str,
+                    guard: _LaneGuard | None, compiled: CompiledCircuit,
+                    state: ParamState, t_k: float, it: int,
                     exc: np.linalg.LinAlgError) -> np.ndarray:
-    """Recover from *exc*, a failed first ``solve(rhs)``: isolate the
-    singular lanes and solve again.  Only the failure path builds the
-    *solve* / *jac_builder* closures, never the common Newton
-    iteration."""
+    """Recover from *exc*, a failed first ``solve(rhs)`` at Newton
+    iteration *it*: isolate the singular lanes and solve again.  Only
+    this failure path calls *jac_builder* a second time."""
     if guard is None:
-        raise SingularMatrixError(
-            f"singular transient Jacobian at t={t_k:.4e} on "
-            f"'{circuit_name}'") from exc
+        raise _singular_error(compiled, state, t_k, it) from exc
     jac = jac_builder()
     if mark_singular_lanes(jac, guard.failed) == 0:
-        raise SingularMatrixError(
-            f"singular transient Jacobian at t={t_k:.4e} on "
-            f"'{circuit_name}' (no offending lane found)") from exc
+        raise _singular_error(compiled, state, t_k, it,
+                              " (no offending lane found)") from exc
     guard.patch_jac(jac)
     guard.scrub_rhs(rhs)
     return solve(rhs)
-
-
-def _clip_step(delta: np.ndarray, max_step: float) -> None:
-    """Clip a Newton update to ``[-max_step, max_step]`` in place - the
-    bits of ``np.clip`` without its Python-level wrapper."""
-    np.minimum(delta, max_step, out=delta)
-    np.maximum(delta, -max_step, out=delta)
-
-
-def _max_abs(delta: np.ndarray) -> float:
-    """``max|delta|`` through the ufunc reduction ``np.max`` wraps."""
-    return float(np.maximum.reduce(np.abs(delta), axis=None))
 
 
 class _NewtonWork:
@@ -315,10 +310,10 @@ class _NewtonWork:
     Holds the device-stamp scratch of batchless assembly
     (:class:`~repro.analysis.mna.AssemblyScratch`; batched states keep
     the reference path and need none), the step residual's operands
-    (:func:`_residual`) and, with *dense_jac*, the Jacobian block a
-    dense modified-Newton re-factor builds.  Each run allocates its
-    own: compiled circuits and parameter states are shared across
-    threads by the session caches, a run is not.
+    (:func:`_residual`) and, with *dense_jac*, the ``(n, n)`` step
+    matrix every dense Newton step builds (:func:`_step_matrix`).  Each
+    run allocates its own: compiled circuits and parameter states are
+    shared across threads by the session caches, a run is not.
     """
 
     def __init__(self, compiled: CompiledCircuit, state: ParamState,
@@ -380,21 +375,18 @@ class _StepSolver:
         if self.use_csr:
             self.asm = compiled.csr_assembler(state)
             self.coh_data = np.empty_like(self.asm.c_lin_data)
-            self.g_pad = self.j_pad = self.c_over_h = None
+            self.g_pad = self.c_over_h = None
             self.f_pad = np.zeros(n + 1)
         else:
             self.asm = self.coh_data = None
             _, self.g_pad, self.f_pad = compiled.buffers(batch_shape)
-            self.j_pad = (np.empty_like(self.g_pad)
-                          if self.cache is None else None)
             # dense path: densify the sparse template once per run
             # (cached on the state - batched MC chunks pay this once)
             self._c_mat = compiled.capacitance(state)
             self.c_over_h = np.empty_like(self._c_mat)
         self.h: float | None = None
-        self.work = _NewtonWork(
-            compiled, state, batch_shape,
-            dense_jac=self.cache is not None and not self.use_csr)
+        self.work = _NewtonWork(compiled, state, batch_shape,
+                                dense_jac=not self.use_csr)
 
     def set_step(self, be_step: bool, h: float) -> None:
         """Select the scheme and step size for the next :meth:`step`.
@@ -432,35 +424,26 @@ class _StepSolver:
     def step(self, x_pad: np.ndarray, x_prev: np.ndarray,
              f_prev: np.ndarray, t_k: float,
              guard: _LaneGuard | None,
-             src: "np.ndarray | None" = None) -> None:
+             src: "np.ndarray | None" = None,
+             offset: "np.ndarray | None" = None) -> None:
         """One implicit step ``x_prev -> x_pad`` at the configured
         ``(theta, h)``; leaves ``f_pad`` at the accepted residual.
         *src* is the source vector at *t_k* when the loop tabulated
-        it."""
-        if self.cache is not None:
-            if self.use_csr:
-                _newton_step_reuse_csr(self.compiled, self.asm, x_pad,
-                                       x_prev, f_prev, t_k, self.theta,
-                                       self.one_minus, self.coh_data,
-                                       self.f_pad, self.cache,
-                                       self.opts.newton, self.work, src)
-            else:
-                _newton_step_reuse(self.compiled, self.state, x_pad,
-                                   x_prev, f_prev, t_k, self.theta,
-                                   self.one_minus, self.c_over_h,
-                                   self.g_pad, self.f_pad, self.cache,
-                                   self.opts.newton, self.work, guard,
-                                   src)
-            # the reuse loop accepts with f_pad already assembled at the
-            # accepted state - no refresh assembly needed
-        else:
-            _newton_step(self.compiled, self.state, x_pad, x_prev,
-                         f_prev, t_k, self.theta, self.one_minus,
-                         self.c_over_h, self.g_pad, self.f_pad,
-                         self.j_pad, self.opts.newton, self.work,
-                         guard=guard, src=src)
+        it; *offset* (``(*batch, n)``) is added to the step residual."""
+        if self.use_csr:
+            _newton_step_csr(self.compiled, self.state, self.asm, x_pad,
+                             x_prev, f_prev, t_k, self.theta,
+                             self.one_minus, self.coh_data, self.f_pad,
+                             self.cache, self.opts.newton, self.work, src)
+            return
+        _newton_step(self.compiled, self.state, x_pad, x_prev, f_prev,
+                     t_k, self.theta, self.one_minus, self.c_over_h,
+                     self.g_pad, self.f_pad, self.opts.newton, self.work,
+                     guard, src, cache=self.cache, offset=offset)
+        if self.cache is None:
             # refresh f_pad at the accepted point for the next trap
-            # step (residual only - the Jacobian is rebuilt next step)
+            # step (residual only - the Jacobian is rebuilt next step);
+            # the reuse loop accepts with f_pad already assembled there
             self.residual_only(x_pad, t_k, src)
 
 
@@ -986,65 +969,86 @@ def _residual(x_pad, x_prev, f_pad, f_prev, theta, one_minus, c_over_h,
     return res
 
 
+def _step_matrix(theta: np.ndarray, g_pad: np.ndarray,
+                 c_over_h: np.ndarray, out: np.ndarray,
+                 guard: _LaneGuard | None = None) -> np.ndarray:
+    """The dense step matrix ``theta G + C/h`` into *out* (``(*batch,
+    n, n)``, returned), failed lanes patched to identity."""
+    n = out.shape[-1]
+    np.multiply(theta[:n, None], g_pad[..., :n, :n], out=out)
+    np.add(out, c_over_h[..., :n, :n], out=out)
+    if guard is not None:
+        guard.patch_jac(out)
+    return out
+
+
 def _newton_step(compiled: CompiledCircuit, state: ParamState,
                  x_pad: np.ndarray, x_prev: np.ndarray,
                  f_prev: np.ndarray, t_k: float, theta: np.ndarray,
                  one_minus: np.ndarray, c_over_h: np.ndarray,
-                 g_pad: np.ndarray, f_pad: np.ndarray, j_pad: np.ndarray,
+                 g_pad: np.ndarray, f_pad: np.ndarray,
                  newton: NewtonOptions, work: _NewtonWork,
                  guard: _LaneGuard | None = None,
-                 src: "np.ndarray | None" = None,
-                 lu: "Factorization | None" = None) -> None:
-    """One implicit time step solved in place into ``x_pad``.
+                 src: "np.ndarray | None" = None, *,
+                 cache: FactorizationCache | None = None,
+                 lu: "Factorization | None" = None,
+                 offset: "np.ndarray | None" = None) -> None:
+    """One implicit time step into ``x_pad`` by
+    :func:`~repro.analysis.dcop.newton_iterate`, with callables built
+    once per step.
 
-    Full Newton: the Jacobian is rebuilt and factored every iteration
-    (the backend still provides the solver).  *theta* is the
-    per-equation implicitness vector (padded length ``n+1``; see
-    :meth:`CompiledCircuit.theta_rows`) and *one_minus* is ``1 -
-    theta``.  *work* holds the run's buffers (:class:`_NewtonWork`).
-    *src* is the source vector at *t_k* when the caller tabulated it.
-
-    *lu* is the factored step matrix of a constant-Jacobian circuit
-    (batchless, no lane guard): every iteration then assembles the
-    residual only and solves against it.  The matrix is the one every
-    iteration would have built, so the LU and the bits are the same.
+    *theta* is the per-equation implicitness vector (padded; see
+    :meth:`CompiledCircuit.theta_rows`), *one_minus* ``1 - theta`` and
+    *work* the run's buffers; dense step matrices go to ``work.jac``.
+    *src* is the source vector at *t_k* when tabulated; *offset* is
+    added to the step residual.  The linear policy is full Newton by
+    default; modified Newton on *cache*, which builds the step matrix
+    only when it re-factors and leaves ``f_pad`` at the last assembled
+    iterate (an O(G * vntol) ``f_prev`` error, far below the Newton
+    tolerance, for one device evaluation less per step); or the LU
+    *lu* of a constant-Jacobian circuit's step matrix (batchless, no
+    guard) - the matrix every iteration would build, so the same bits.
     """
-    n = compiled.n
-    backend = compiled.backend
-    rhs = work.rhs
-    for _ in range(newton.max_iterations):
-        compiled.assemble(state, x_pad, t_k, g_pad, f_pad,
-                          jacobian=lu is None, sources=src,
-                          scratch=work.scratch)
+    full = cache is None and lu is None
+
+    def residual() -> np.ndarray:
+        compiled.assemble(state, x_pad, t_k, g_pad, f_pad, jacobian=full,
+                          sources=src, scratch=work.scratch)
         _residual(x_pad, x_prev, f_pad, f_prev, theta, one_minus,
                   c_over_h, work)
+        if offset is not None:
+            work.rhs += offset
+        return work.rhs
+
+    def step_matrix() -> np.ndarray:
+        if not full:
+            # a cache re-factor: one full assembly (with device
+            # derivatives) at the current iterate; every factorization
+            # copies its operand, so the buffer is reusable
+            compiled.assemble(state, x_pad, t_k, g_pad, f_pad,
+                              sources=src, scratch=work.scratch)
+        return _step_matrix(theta, g_pad, c_over_h, work.jac, guard)
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        if cache is not None:
+            return cache.solve(rhs, step_matrix)
         if lu is not None:
-            delta = lu.solve(rhs)
-        else:
-            np.multiply(g_pad, theta[..., :, None], out=j_pad)
-            j_pad += c_over_h
-            jac = j_pad[..., :n, :n]
-            if guard is not None:
-                guard.patch_jac(jac)
-                guard.scrub_rhs(rhs)
-            try:
-                delta = backend.solve(jac, rhs)
-            except np.linalg.LinAlgError as exc:
-                delta = _solve_isolated(
-                    lambda b: backend.solve(jac, b), lambda: jac, rhs,
-                    guard, t_k, compiled.circuit.name, exc)
-        _clip_step(delta, newton.max_step)
-        if guard is not None:
-            guard.absorb_bad_delta(delta, x_pad, x_prev)
-        x_pad[..., :n] -= delta
-        worst = (guard.worst(delta) if guard is not None
-                 else _max_abs(delta))
-        if worst <= newton.vntol:
-            return
-    if guard is not None:
-        guard.quarantine(np.max(np.abs(delta), axis=-1) > newton.vntol,
-                         x_pad, x_prev)
-        return
+            return lu.solve(rhs)
+        return compiled.backend.solve(step_matrix(), rhs)
+
+    def singular(rhs, exc, it):
+        return _solve_isolated(solve, step_matrix, rhs, guard, compiled,
+                               state, t_k, it, exc)
+
+    if cache is not None:
+        cache.new_sequence()
+    if not newton_iterate(x_pad, residual, solve, newton, singular,
+                          guard=guard, x_prev=x_prev):
+        _no_convergence(compiled, state, t_k, newton)
+
+
+def _no_convergence(compiled: CompiledCircuit, state: ParamState,
+                    t_k: float, newton: NewtonOptions) -> None:
     raise ConvergenceError(
         f"transient Newton failed at t={t_k:.4e} on "
         f"'{compiled.circuit.name}'",
@@ -1052,123 +1056,42 @@ def _newton_step(compiled: CompiledCircuit, state: ParamState,
         theta_fingerprint=state.theta_fingerprint())
 
 
-def _newton_step_reuse_csr(compiled: CompiledCircuit, asm, x_pad, x_prev,
-                           f_prev, t_k: float, theta: np.ndarray,
-                           one_minus: np.ndarray, coh_data,
-                           f_pad: np.ndarray, cache: FactorizationCache,
-                           newton: NewtonOptions, work: _NewtonWork,
-                           src: "np.ndarray | None" = None) -> None:
-    """One implicit time step on the native-CSR assembly path.
-
-    Semantically identical to :func:`_newton_step_reuse` (modified
-    Newton against the factorization cache, ``f_pad`` left at the last
-    assembled iterate), but every residual is a CSR mat-vec over the
-    circuit's sparsity plan and the step matrix is assembled by value
-    scatter - no dense ``(n+1)^2`` buffer exists on this path.
-    Batchless only (batched Monte-Carlo stacks keep the dense path),
-    so no lane guard is threaded through.
-    """
+def _newton_step_csr(compiled: CompiledCircuit, state: ParamState, asm,
+                     x_pad: np.ndarray, x_prev: np.ndarray,
+                     f_prev: np.ndarray, t_k: float, theta: np.ndarray,
+                     one_minus: np.ndarray, coh_data: np.ndarray,
+                     f_pad: np.ndarray, cache: FactorizationCache,
+                     newton: NewtonOptions, work: _NewtonWork,
+                     src: "np.ndarray | None" = None) -> None:
+    """:func:`_newton_step` with *cache* on the native-CSR path:
+    residuals are CSR mat-vecs over the circuit's sparsity plan and the
+    step matrix is assembled by value scatter, so no dense ``(n+1)^2``
+    buffer exists.  Batchless only, so no lane guard."""
     n = compiled.n
     thn, omn = theta[:n], one_minus[:n]
+    dx, rhs, tmp = work.dx[:n], work.rhs, work.tmp[:n]
 
-    def jac():
+    def residual() -> np.ndarray:
+        asm.assemble(x_pad, t_k, f_pad, jacobian=False, sources=src)
+        np.subtract(x_pad[:n], x_prev[:n], out=dx)
+        asm.plan.matvec(coh_data, dx, rhs)
+        np.multiply(thn, f_pad[:n], out=tmp)
+        np.add(rhs, tmp, out=rhs)
+        np.multiply(omn, f_prev[:n], out=tmp)
+        np.add(rhs, tmp, out=rhs)
+        return rhs
+
+    def step_matrix():
         asm.assemble(x_pad, t_k, f_pad, sources=src)
         return asm.step_matrix(theta, coh_data)
 
-    cache.new_sequence()
-    plan = asm.plan
-    dx, rhs, tmp = work.dx[:n], work.rhs, work.tmp[:n]
-    for _ in range(newton.max_iterations):
-        asm.assemble(x_pad, t_k, f_pad, jacobian=False, sources=src)
-        np.subtract(x_pad[:n], x_prev[:n], out=dx)
-        plan.matvec(coh_data, dx, rhs)
-        np.multiply(thn, f_pad[:n], out=tmp)
-        rhs += tmp
-        np.multiply(omn, f_prev[:n], out=tmp)
-        rhs += tmp
-        try:
-            delta = cache.solve(rhs, jac)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrixError(
-                f"singular transient Jacobian at t={t_k:.4e} on "
-                f"'{compiled.circuit.name}'") from exc
-        _clip_step(delta, newton.max_step)
-        x_pad[:n] -= delta
-        if _max_abs(delta) <= newton.vntol:
-            return
-    raise ConvergenceError(
-        f"transient Newton failed at t={t_k:.4e} on "
-        f"'{compiled.circuit.name}'",
-        iterations=newton.max_iterations)
+    def solve(b: np.ndarray) -> np.ndarray:
+        return cache.solve(b, step_matrix)
 
-
-def _newton_step_reuse(compiled: CompiledCircuit, state: ParamState,
-                       x_pad: np.ndarray, x_prev: np.ndarray,
-                       f_prev: np.ndarray, t_k: float, theta: np.ndarray,
-                       one_minus: np.ndarray, c_over_h: np.ndarray,
-                       g_pad: np.ndarray, f_pad: np.ndarray,
-                       cache: FactorizationCache, newton: NewtonOptions,
-                       work: _NewtonWork,
-                       guard: _LaneGuard | None = None,
-                       src: "np.ndarray | None" = None) -> None:
-    """One implicit time step with modified-Newton factorization reuse.
-
-    Differences from :func:`_newton_step`:
-
-    * the step matrix is only materialised when the cache re-factors
-      (policy in :mod:`repro.linalg`), every other iteration is a
-      back-substitution against the cached factorization;
-    * on acceptance ``f_pad`` is left at the last *assembled* iterate,
-      which trails the accepted state by the final sub-``vntol``
-      update.  The resulting ``f_prev`` error is O(G * vntol) - orders
-      of magnitude below the Newton tolerance - and skipping the
-      refresh assembly removes one full device evaluation per step,
-      the single largest cost of batched Monte-Carlo transients.
-    """
-    n = compiled.n
-    scratch, j_buf = work.scratch, work.jac
-
-    def jac() -> np.ndarray:
-        # only called when the cache re-factors: one full assembly
-        # (with device derivatives) at the current iterate; every
-        # factorization copies its operand, so the buffer is reusable
-        compiled.assemble(state, x_pad, t_k, g_pad, f_pad, sources=src,
-                          scratch=scratch)
-        np.multiply(theta[:n, None], g_pad[..., :n, :n], out=j_buf)
-        np.add(j_buf, c_over_h[..., :n, :n], out=j_buf)
-        if guard is not None:
-            guard.patch_jac(j_buf)
-        return j_buf
+    def singular(b, exc, it):
+        return _solve_isolated(solve, step_matrix, b, None, compiled,
+                               state, t_k, it, exc)
 
     cache.new_sequence()
-    rhs = work.rhs
-    for _ in range(newton.max_iterations):
-        compiled.assemble(state, x_pad, t_k, g_pad, f_pad, jacobian=False,
-                          sources=src, scratch=scratch)
-        _residual(x_pad, x_prev, f_pad, f_prev, theta, one_minus,
-                  c_over_h, work)
-        if guard is not None:
-            guard.scrub_rhs(rhs)
-        try:
-            delta = cache.solve(rhs, jac)
-        except np.linalg.LinAlgError as exc:
-            delta = _solve_isolated(lambda b: cache.solve(b, jac), jac,
-                                    rhs, guard, t_k,
-                                    compiled.circuit.name, exc)
-        _clip_step(delta, newton.max_step)
-        if guard is not None:
-            guard.absorb_bad_delta(delta, x_pad, x_prev)
-        x_pad[..., :n] -= delta
-        worst = (guard.worst(delta) if guard is not None
-                 else _max_abs(delta))
-        if worst <= newton.vntol:
-            return
-    if guard is not None:
-        guard.quarantine(np.max(np.abs(delta), axis=-1) > newton.vntol,
-                         x_pad, x_prev)
-        return
-    raise ConvergenceError(
-        f"transient Newton failed at t={t_k:.4e} on "
-        f"'{compiled.circuit.name}'",
-        iterations=newton.max_iterations,
-        theta_fingerprint=state.theta_fingerprint())
+    if not newton_iterate(x_pad, residual, solve, newton, singular):
+        _no_convergence(compiled, state, t_k, newton)

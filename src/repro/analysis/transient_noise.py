@@ -14,7 +14,9 @@ Gaussian current with variance ``S0 / (2 dt)`` (single-sided PSD folded
 to the Nyquist band of the step), flicker sources are synthesised by
 FFT spectral shaping, and the stochastic currents ride on a batched
 transient - each ensemble member is one batch lane, so an M-run ensemble
-costs one stacked integration.
+costs one stacked integration.  Each step is the transient integrator's
+own Newton step (backend, per-run buffers and all) with the injected
+currents added to its residual.
 
 Scope note: source modulations are evaluated on the *nominal* (noise-
 free) trajectory, i.e. the analysis is exact for noise that is small
@@ -30,7 +32,9 @@ import numpy as np
 
 from ..errors import AnalysisError
 from ..circuit.elements import PsdShape
+from .dcop import dc_operating_point
 from .mna import CompiledCircuit, NoiseInjection, ParamState
+from .transient import TransientOptions, _StepSolver
 
 
 @dataclass
@@ -94,6 +98,13 @@ def transient_noise_analysis(compiled: CompiledCircuit, t_stop: float,
     Returns
     -------
     TransientNoiseResult
+
+    Raises
+    ------
+    ConvergenceError
+        When a step's Newton iteration does not converge (the step runs
+        on the transient integrator's Newton step, see
+        :func:`~repro.analysis.transient.transient`).
     """
     state = state or compiled.nominal
     if state.batched:
@@ -101,9 +112,10 @@ def transient_noise_analysis(compiled: CompiledCircuit, t_stop: float,
     n_steps = int(round(t_stop / dt))
     rng = np.random.default_rng(seed)
 
+    # one DC solve serves the default injections and the start point
+    dc = (None if injections is not None and compiled.circuit.ic
+          else dc_operating_point(compiled, state))
     if injections is None:
-        from .dcop import dc_operating_point
-        dc = dc_operating_point(compiled, state)
         injections = compiled.noise_injections(state, dc.x[None, :])
     if not injections:
         raise AnalysisError("no noise sources to inject")
@@ -121,66 +133,35 @@ def transient_noise_analysis(compiled: CompiledCircuit, t_stop: float,
     # incidence vectors (constant direction x DC modulation)
     b = np.stack([src.b[0] for src in injections], axis=0)   # (m, n)
 
-    # wrap the noise into per-batch current sources by monkey-adding a
-    # time-indexed injection to the source assembly: we reuse the
-    # standard transient by registering a hook through ParamState's
-    # source_values is not possible, so integrate manually here.
-    from .dcop import NewtonOptions
-
     n = compiled.n
     batch = (n_runs,)
-    x_pad = np.broadcast_to(compiled.initial_padded(()),
-                            batch + (n + 1,)).copy()
-    if not compiled.circuit.ic:
-        from .dcop import dc_operating_point
-        dc = dc_operating_point(compiled, state)
-        x_pad = np.broadcast_to(compiled.pad(dc.x),
-                                batch + (n + 1,)).copy()
+    x0 = (compiled.initial_padded(()) if compiled.circuit.ic
+          else compiled.pad(dc.x))
+    x_pad = np.broadcast_to(x0, batch + (n + 1,)).copy()
 
-    _, g_pad, f_pad = compiled.buffers(batch)
-    j_pad = np.empty_like(g_pad)
-    c_over_h = compiled.capacitance(state) / dt
+    # the ordinary transient step; the injected currents n_k ride on
+    # its residual as the offset theta * n_k, and on the next step's
+    # previous residual as f + n_k
     theta = np.append(compiled.theta_rows(state, method), 1.0)
-    newton = NewtonOptions(max_step=1.0, max_iterations=50)
-
+    solver = _StepSolver(compiled, state, TransientOptions(method=method),
+                         batch, theta, theta)
+    solver.set_step(False, dt)
     rec_idx = {name: compiled.node_index[name] for name in record}
     store = {name: np.empty((n_steps + 1, n_runs)) for name in record}
-    for name, idx in rec_idx.items():
-        store[name][0] = x_pad[..., idx]
 
-    def noise_rhs(k: int) -> np.ndarray:
-        """Injected currents at step k: (n_runs, n+1), sign like f."""
-        out = np.zeros(batch + (n + 1,))
-        cur = amp[k]                       # (m, n_runs)
-        out[..., :n] = np.einsum("mr,mn->rn", cur, b)
-        return out
-
-    compiled.assemble(state, x_pad, 0.0, g_pad, f_pad)
-    f_prev = f_pad + noise_rhs(0)
+    nk = np.zeros(batch + (n + 1,))     # n_k, (n_runs, n+1), sign like f
+    offset = np.empty(batch + (n,))
+    solver.residual_only(x_pad, 0.0)
+    f_prev = solver.f_pad.copy()
     x_prev = x_pad.copy()
-
-    for k in range(1, n_steps + 1):
-        t_k = k * dt
-        nk = noise_rhs(k)
-        # Newton on the noisy residual: fold the injection into f via a
-        # shifted previous residual and a post-assembly correction
-        for _ in range(newton.max_iterations):
-            compiled.assemble(state, x_pad, t_k, g_pad, f_pad)
-            f_pad += nk
-            dx = x_pad - x_prev
-            res = np.matmul(c_over_h, dx[..., None])[..., 0]
-            res += theta * f_pad + (1.0 - theta) * f_prev
-            np.multiply(g_pad, theta[..., :, None], out=j_pad)
-            j_pad += c_over_h
-            delta = np.linalg.solve(j_pad[..., :n, :n],
-                                    res[..., :n, None])[..., 0]
-            np.clip(delta, -newton.max_step, newton.max_step, out=delta)
-            x_pad[..., :n] -= delta
-            if float(np.max(np.abs(delta))) <= newton.vntol:
-                break
-        compiled.assemble(state, x_pad, t_k, g_pad, f_pad)
-        f_prev = f_pad + nk
-        np.copyto(x_prev, x_pad)
+    for k in range(n_steps + 1):
+        nk[..., :n] = np.einsum("mr,mn->rn", amp[k], b)
+        if k:
+            np.multiply(theta[:n], nk[..., :n], out=offset)
+            solver.step(x_pad, x_prev, f_prev, k * dt, None, offset=offset)
+            np.copyto(f_prev, solver.f_pad)
+            np.copyto(x_prev, x_pad)
+        f_prev += nk
         for name, idx in rec_idx.items():
             store[name][k] = x_pad[..., idx]
 

@@ -53,13 +53,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from repro.analysis import compile_circuit, pss
+from repro.analysis import compile_circuit, dcop, pss
 from repro.analysis import mna
 from repro.analysis.mna import _BIDX_CACHE_MAX, CompiledCircuit
 from repro.analysis.orbit import ORBIT_BLOCK, OrbitLinearization
-from repro.analysis.pss import PssOptions
+from repro.analysis.pss import PssOptions, integrate_period
 from repro.analysis.stamps import SourceTable
-from repro.analysis.transient import _NewtonWork, _residual
+from repro.analysis.dcop import NewtonOptions, dc_operating_point
+from repro.analysis.transient import (TransientOptions, _NewtonWork,
+                                      _residual, _StepSolver, transient)
+from repro.analysis.transient_noise import transient_noise_analysis
 from repro.api import transient_mismatch_analysis
 from repro.circuit import Circuit, Sine
 from repro.circuit.mosfet import (EkvWork, MosConstants, ekv_ids,
@@ -67,10 +70,11 @@ from repro.circuit.mosfet import (EkvWork, MosConstants, ekv_ids,
 from repro.circuit.sources import Pwl
 from repro.circuits import (five_transistor_ota, logic_path_testbench,
                             ring_oscillator, strongarm_offset_testbench)
-from repro.constants import PHI_T
+from repro.constants import GMIN_DEFAULT, PHI_T
 from repro.core.analysis import run_transient_mismatch
 from repro.core.measures import DcLevel, EdgeDelay, Frequency
-from repro.linalg import reuse
+from repro.errors import ConvergenceError, SingularMatrixError
+from repro.linalg import FactorizationCache, mark_singular_lanes, reuse
 from repro.linalg.backends import DenseLuFactorization
 from repro.linalg.krylov import use_matrix_free
 from repro.service import AnalysisSession
@@ -953,3 +957,583 @@ def test_threads_on_one_cached_compile_match_serial(tech):
         vars(compiled.nominal).values())
     assert not [v for v in held
                 if isinstance(v, (mna.AssemblyScratch, EkvWork))]
+
+
+# ---------------------------------------------------------------------------
+# one Newton loop: every analysis against frozen copies of its old loop
+# ---------------------------------------------------------------------------
+# DC, the transient step (full Newton, factorization reuse, native CSR)
+# and the PSS period each ran their own inner Newton loop before
+# dcop.newton_iterate.  The copies below are those loops; each is
+# monkeypatched in where the analysis calls its loop, and the run must
+# equal the live one with np.array_equal.  Transient noise's loop is
+# frozen too; its bits moved by design (it now runs the transient step
+# on the circuit's backend), so it is held to roundoff, not to the bit.
+def _frozen_clip_step(delta, max_step):
+    np.minimum(delta, max_step, out=delta)
+    np.maximum(delta, -max_step, out=delta)
+
+
+def _frozen_max_abs(delta):
+    return float(np.maximum.reduce(np.abs(delta), axis=None))
+
+
+def _frozen_newton_solve(compiled, state, x_pad, t, options=None,
+                         source_scale=1.0, gmin=GMIN_DEFAULT):
+    opts = options or NewtonOptions()
+    n = compiled.n
+    batch = x_pad.shape[:-1]
+    backend = compiled.backend
+    cache = (FactorizationCache(backend,
+                                jac_constant=not compiled.has_nonlinear)
+             if backend.policy.reuse else None)
+    use_csr = (cache is not None and backend.wants_csr and not batch
+               and not state.batched)
+    if use_csr:
+        asm = compiled.csr_assembler(state)
+        f_pad = np.zeros(n + 1)
+        jac = None
+
+        def assemble(jacobian):
+            asm.assemble(x_pad, t, f_pad, source_scale=source_scale,
+                         gmin=gmin, jacobian=jacobian)
+
+        def jac_fresh():
+            assemble(True)
+            return asm.jac_matrix()
+    else:
+        _, g_pad, f_pad = compiled.buffers(batch)
+        jac = g_pad[..., :n, :n]
+        scratch = None if state.batched else compiled.scratch(batch)
+
+        def assemble(jacobian):
+            compiled.assemble(state, x_pad, t, g_pad, f_pad,
+                              source_scale=source_scale, gmin=gmin,
+                              jacobian=jacobian, scratch=scratch)
+
+        def jac_fresh():
+            assemble(True)
+            return jac
+
+    for it in range(opts.max_iterations):
+        assemble(cache is None)
+        res = f_pad[..., :n]
+        try:
+            if cache is not None:
+                delta = cache.solve(res, jac_fresh)
+            else:
+                delta = backend.solve(jac, res)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(
+                f"singular DC Jacobian for '{compiled.circuit.name}' "
+                f"(floating node or voltage-source loop?): {exc}",
+                iterations=it,
+                theta_fingerprint=state.theta_fingerprint()) from exc
+        np.clip(delta, -opts.max_step, opts.max_step, out=delta)
+        x_pad[..., :n] -= delta
+        worst = float(np.max(np.abs(delta))) if delta.size else 0.0
+        if worst <= opts.vntol:
+            assemble(False)
+            worst_f = float(np.max(np.abs(f_pad[..., :n])))
+            if worst_f <= opts.abstol:
+                return x_pad
+    raise ConvergenceError(
+        f"Newton failed on '{compiled.circuit.name}' after "
+        f"{opts.max_iterations} iterations",
+        iterations=opts.max_iterations,
+        residual=float(np.max(np.abs(f_pad[..., :n]))),
+        theta_fingerprint=state.theta_fingerprint())
+
+
+def _frozen_solve_isolated(solve, jac_builder, rhs, guard, t_k,
+                           circuit_name, exc):
+    if guard is None:
+        raise SingularMatrixError(
+            f"singular transient Jacobian at t={t_k:.4e} on "
+            f"'{circuit_name}'") from exc
+    jac = jac_builder()
+    if mark_singular_lanes(jac, guard.failed) == 0:
+        raise SingularMatrixError(
+            f"singular transient Jacobian at t={t_k:.4e} on "
+            f"'{circuit_name}' (no offending lane found)") from exc
+    guard.patch_jac(jac)
+    guard.scrub_rhs(rhs)
+    return solve(rhs)
+
+
+def _frozen_newton_step(compiled, state, x_pad, x_prev, f_prev, t_k,
+                        theta, one_minus, c_over_h, g_pad, f_pad, j_pad,
+                        newton, work, guard=None, src=None, lu=None):
+    n = compiled.n
+    backend = compiled.backend
+    rhs = work.rhs
+    for _ in range(newton.max_iterations):
+        compiled.assemble(state, x_pad, t_k, g_pad, f_pad,
+                          jacobian=lu is None, sources=src,
+                          scratch=work.scratch)
+        _residual(x_pad, x_prev, f_pad, f_prev, theta, one_minus,
+                  c_over_h, work)
+        if lu is not None:
+            delta = lu.solve(rhs)
+        else:
+            np.multiply(g_pad, theta[..., :, None], out=j_pad)
+            j_pad += c_over_h
+            jac = j_pad[..., :n, :n]
+            if guard is not None:
+                guard.patch_jac(jac)
+                guard.scrub_rhs(rhs)
+            try:
+                delta = backend.solve(jac, rhs)
+            except np.linalg.LinAlgError as exc:
+                delta = _frozen_solve_isolated(
+                    lambda b: backend.solve(jac, b), lambda: jac, rhs,
+                    guard, t_k, compiled.circuit.name, exc)
+        _frozen_clip_step(delta, newton.max_step)
+        if guard is not None:
+            guard.absorb_bad_delta(delta, x_pad, x_prev)
+        x_pad[..., :n] -= delta
+        worst = (guard.worst(delta) if guard is not None
+                 else _frozen_max_abs(delta))
+        if worst <= newton.vntol:
+            return
+    if guard is not None:
+        guard.quarantine(np.max(np.abs(delta), axis=-1) > newton.vntol,
+                         x_pad, x_prev)
+        return
+    raise ConvergenceError(
+        f"transient Newton failed at t={t_k:.4e} on "
+        f"'{compiled.circuit.name}'",
+        iterations=newton.max_iterations,
+        theta_fingerprint=state.theta_fingerprint())
+
+
+def _frozen_newton_step_reuse_csr(compiled, asm, x_pad, x_prev, f_prev,
+                                  t_k, theta, one_minus, coh_data, f_pad,
+                                  cache, newton, work, src=None):
+    n = compiled.n
+    thn, omn = theta[:n], one_minus[:n]
+
+    def jac():
+        asm.assemble(x_pad, t_k, f_pad, sources=src)
+        return asm.step_matrix(theta, coh_data)
+
+    cache.new_sequence()
+    plan = asm.plan
+    dx, rhs, tmp = work.dx[:n], work.rhs, work.tmp[:n]
+    for _ in range(newton.max_iterations):
+        asm.assemble(x_pad, t_k, f_pad, jacobian=False, sources=src)
+        np.subtract(x_pad[:n], x_prev[:n], out=dx)
+        plan.matvec(coh_data, dx, rhs)
+        np.multiply(thn, f_pad[:n], out=tmp)
+        rhs += tmp
+        np.multiply(omn, f_prev[:n], out=tmp)
+        rhs += tmp
+        try:
+            delta = cache.solve(rhs, jac)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(
+                f"singular transient Jacobian at t={t_k:.4e} on "
+                f"'{compiled.circuit.name}'") from exc
+        _frozen_clip_step(delta, newton.max_step)
+        x_pad[:n] -= delta
+        if _frozen_max_abs(delta) <= newton.vntol:
+            return
+    raise ConvergenceError(
+        f"transient Newton failed at t={t_k:.4e} on "
+        f"'{compiled.circuit.name}'",
+        iterations=newton.max_iterations)
+
+
+def _frozen_newton_step_reuse(compiled, state, x_pad, x_prev, f_prev, t_k,
+                              theta, one_minus, c_over_h, g_pad, f_pad,
+                              cache, newton, work, guard=None, src=None):
+    n = compiled.n
+    scratch, j_buf = work.scratch, work.jac
+
+    def jac():
+        compiled.assemble(state, x_pad, t_k, g_pad, f_pad, sources=src,
+                          scratch=scratch)
+        np.multiply(theta[:n, None], g_pad[..., :n, :n], out=j_buf)
+        np.add(j_buf, c_over_h[..., :n, :n], out=j_buf)
+        if guard is not None:
+            guard.patch_jac(j_buf)
+        return j_buf
+
+    cache.new_sequence()
+    rhs = work.rhs
+    for _ in range(newton.max_iterations):
+        compiled.assemble(state, x_pad, t_k, g_pad, f_pad, jacobian=False,
+                          sources=src, scratch=scratch)
+        _residual(x_pad, x_prev, f_pad, f_prev, theta, one_minus,
+                  c_over_h, work)
+        if guard is not None:
+            guard.scrub_rhs(rhs)
+        try:
+            delta = cache.solve(rhs, jac)
+        except np.linalg.LinAlgError as exc:
+            delta = _frozen_solve_isolated(
+                lambda b: cache.solve(b, jac), jac, rhs, guard, t_k,
+                compiled.circuit.name, exc)
+        _frozen_clip_step(delta, newton.max_step)
+        if guard is not None:
+            guard.absorb_bad_delta(delta, x_pad, x_prev)
+        x_pad[..., :n] -= delta
+        worst = (guard.worst(delta) if guard is not None
+                 else _frozen_max_abs(delta))
+        if worst <= newton.vntol:
+            return
+    if guard is not None:
+        guard.quarantine(np.max(np.abs(delta), axis=-1) > newton.vntol,
+                         x_pad, x_prev)
+        return
+    raise ConvergenceError(
+        f"transient Newton failed at t={t_k:.4e} on "
+        f"'{compiled.circuit.name}'",
+        iterations=newton.max_iterations,
+        theta_fingerprint=state.theta_fingerprint())
+
+
+def _frozen_solver_step(self, x_pad, x_prev, f_prev, t_k, guard,
+                        src=None, offset=None):
+    """``_StepSolver.step`` dispatching to the frozen loops, with the
+    full-Newton ``j_pad`` buffer the solver used to own."""
+    assert offset is None
+    if self.cache is not None:
+        if self.use_csr:
+            _frozen_newton_step_reuse_csr(
+                self.compiled, self.asm, x_pad, x_prev, f_prev, t_k,
+                self.theta, self.one_minus, self.coh_data, self.f_pad,
+                self.cache, self.opts.newton, self.work, src)
+        else:
+            _frozen_newton_step_reuse(
+                self.compiled, self.state, x_pad, x_prev, f_prev, t_k,
+                self.theta, self.one_minus, self.c_over_h, self.g_pad,
+                self.f_pad, self.cache, self.opts.newton, self.work,
+                guard, src)
+        return
+    j_pad = vars(self).setdefault("_frozen_j_pad",
+                                  np.empty_like(self.g_pad))
+    _frozen_newton_step(self.compiled, self.state, x_pad, x_prev, f_prev,
+                        t_k, self.theta, self.one_minus, self.c_over_h,
+                        self.g_pad, self.f_pad, j_pad, self.opts.newton,
+                        self.work, guard=guard, src=src)
+    self.residual_only(x_pad, t_k, src)
+
+
+def _frozen_integrate_period(compiled, state, x0_pad, t0, period, n_steps,
+                             method, newton):
+    n = compiled.n
+    h = period / n_steps
+    _, g_pad, f_pad = compiled.buffers(())
+    j_pad = np.empty_like(g_pad)
+    c_over_h = compiled.capacitance(state) / h
+    orbit = np.empty((n_steps + 1, n))
+    x_pad = x0_pad.copy()
+    orbit[0] = x_pad[:-1]
+    theta = np.append(compiled.theta_rows(state, method), 1.0)
+    one_minus = 1.0 - theta
+    work = _NewtonWork(compiled, state, ())
+    sources = compiled.source_table(state, t0 + h * np.arange(n_steps + 1))
+    backend = compiled.backend
+    one_lu = backend.policy.reuse and not compiled.has_nonlinear
+    compiled.assemble(state, x_pad, t0, g_pad, f_pad, jacobian=one_lu,
+                      sources=sources.row(0), scratch=work.scratch)
+    lu = None
+    if one_lu:
+        np.multiply(g_pad, theta[:, None], out=j_pad)
+        j_pad += c_over_h
+        lu = backend.factor(j_pad[:n, :n])
+    f_prev = f_pad.copy()
+    x_prev = x_pad.copy()
+    for k in range(1, n_steps + 1):
+        t_k = t0 + k * h
+        src_k = sources.row(k)
+        _frozen_newton_step(compiled, state, x_pad, x_prev, f_prev, t_k,
+                            theta, one_minus, c_over_h, g_pad, f_pad,
+                            j_pad, newton, work, src=src_k, lu=lu)
+        compiled.assemble(state, x_pad, t_k, g_pad, f_prev,
+                          jacobian=False, sources=src_k,
+                          scratch=work.scratch)
+        np.copyto(x_prev, x_pad)
+        orbit[k] = x_pad[:-1]
+    return orbit
+
+
+def _frozen_transient_noise(compiled, t_stop, dt, n_runs, record, seed,
+                            method="trap"):
+    """The inline loop of ``transient_noise_analysis``: full Newton on
+    ``np.linalg.solve`` with the noise folded into ``f``."""
+    state = compiled.nominal
+    n_steps = int(round(t_stop / dt))
+    rng = np.random.default_rng(seed)
+    dc = dc_operating_point(compiled, state)
+    injections = compiled.noise_injections(state, dc.x[None, :])
+    amp = np.zeros((n_steps + 1, len(injections), n_runs))
+    for j, src in enumerate(injections):
+        sigma = np.sqrt(src.psd0 / (2.0 * dt))
+        amp[:, j, :] = rng.normal(0.0, sigma, (n_steps + 1, n_runs))
+    b = np.stack([src.b[0] for src in injections], axis=0)
+    n = compiled.n
+    batch = (n_runs,)
+    x_pad = np.broadcast_to(compiled.pad(dc.x), batch + (n + 1,)).copy()
+    _, g_pad, f_pad = compiled.buffers(batch)
+    j_pad = np.empty_like(g_pad)
+    c_over_h = compiled.capacitance(state) / dt
+    theta = np.append(compiled.theta_rows(state, method), 1.0)
+    newton = NewtonOptions(max_step=1.0, max_iterations=50)
+    store = {name: np.empty((n_steps + 1, n_runs)) for name in record}
+    for name in record:
+        store[name][0] = x_pad[..., compiled.node_index[name]]
+
+    def noise_rhs(k):
+        out = np.zeros(batch + (n + 1,))
+        out[..., :n] = np.einsum("mr,mn->rn", amp[k], b)
+        return out
+
+    compiled.assemble(state, x_pad, 0.0, g_pad, f_pad)
+    f_prev = f_pad + noise_rhs(0)
+    x_prev = x_pad.copy()
+    for k in range(1, n_steps + 1):
+        t_k = k * dt
+        nk = noise_rhs(k)
+        for _ in range(newton.max_iterations):
+            compiled.assemble(state, x_pad, t_k, g_pad, f_pad)
+            f_pad += nk
+            dx = x_pad - x_prev
+            res = np.matmul(c_over_h, dx[..., None])[..., 0]
+            res += theta * f_pad + (1.0 - theta) * f_prev
+            np.multiply(g_pad, theta[..., :, None], out=j_pad)
+            j_pad += c_over_h
+            delta = np.linalg.solve(j_pad[..., :n, :n],
+                                    res[..., :n, None])[..., 0]
+            np.clip(delta, -newton.max_step, newton.max_step, out=delta)
+            x_pad[..., :n] -= delta
+            if float(np.max(np.abs(delta))) <= newton.vntol:
+                break
+        compiled.assemble(state, x_pad, t_k, g_pad, f_pad)
+        f_prev = f_pad + nk
+        np.copyto(x_prev, x_pad)
+        for name in record:
+            store[name][k] = x_pad[..., compiled.node_index[name]]
+    return store
+
+
+def _outcome(run):
+    """What *run* returned (arrays, scalars) or the error it raised."""
+    try:
+        out = run()
+    except (ConvergenceError, SingularMatrixError) as exc:
+        return ("raised", type(exc), str(exc), exc.iterations,
+                exc.residual)
+    return ("returned", out)
+
+
+def _assert_same(want, have):
+    assert want[0] == have[0], (want, have)
+    if want[0] == "raised":
+        assert want == have
+        return
+    for w, h in zip(want[1], have[1], strict=True):
+        if isinstance(w, dict):
+            assert w.keys() == h.keys()
+            for key in w:
+                assert np.array_equal(w[key], h[key], equal_nan=True), key
+        elif w is None:
+            assert h is None
+        else:
+            assert np.array_equal(w, h, equal_nan=True)
+
+
+def _cs_amp(tech) -> Circuit:
+    ckt = Circuit("cs_amp")
+    ckt.add_vsource("VDD", "vdd", "0", dc=tech.vdd)
+    ckt.add_vsource("VG", "g", "0",
+                    wave=Sine(amplitude=0.25, freq=1e6, offset=0.7))
+    ckt.add_resistor("RL", "vdd", "d", 2e3, sigma_rel=0.02)
+    ckt.add_mosfet("M1", "d", "g", "0", "0", w=2e-6, l=0.26e-6, tech=tech)
+    ckt.add_capacitor("CL", "d", "0", 20e-15)
+    return ckt
+
+
+def _transient_outcome(compiled, state, **kw):
+    def run():
+        res = transient(compiled, 2e-6, 1e-8, state=state, **kw)
+        return (res.t, res.signals, res.x_final_pad, res.failed_lanes,
+                np.array([res.n_accepted, res.n_rejected]))
+    return _outcome(run)
+
+
+BACKENDS = ["dense", "cached", "sparse"]
+
+
+class TestFrozenLoops:
+    """Every analysis equals its frozen pre-``newton_iterate`` loop."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("name", ["ota", "logic_path", "rc"])
+    def test_newton_solve_plain_gmin_and_source_stepping(self, tech, name,
+                                                         backend):
+        circuit, _ = _lean_case(tech, name)
+        compiled = compile_circuit(circuit, backend=backend)
+        state = compiled.nominal
+        start = compiled.initial_padded(())
+        # vntol=1 accepts every clipped update, so only the abstol
+        # residual check stands between an iterate and the answer
+        for kw in ({}, {"gmin": 1e-4}, {"source_scale": 0.35},
+                   {"options": NewtonOptions(max_iterations=3)},
+                   {"options": NewtonOptions(vntol=1.0)}):
+            want = _outcome(lambda: (_frozen_newton_solve(
+                compiled, state, start.copy(), 0.0, **kw),))
+            have = _outcome(lambda: (dcop.newton_solve(
+                compiled, state, start.copy(), 0.0, **kw),))
+            _assert_same(want, have)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_dc_operating_point_and_sweep(self, tech, backend, monkeypatch):
+        ota = compile_circuit(_lean_case(tech, "ota")[0], backend=backend)
+        osc = compile_circuit(ring_oscillator(tech), backend=backend)
+        sweep_src = ota.vsources[-1].name
+        values = np.linspace(0.2, 1.0, 6)
+        runs = [
+            # plain Newton
+            lambda: (dcop.dc_operating_point(ota).x,),
+            # plain Newton fails at this cap; gmin stepping succeeds
+            lambda: (dcop.dc_operating_point(
+                osc, options=NewtonOptions(max_iterations=14)).x,),
+            # plain, gmin and source stepping all fail at this cap
+            lambda: (dcop.dc_operating_point(
+                ota, options=NewtonOptions(max_iterations=4)).x,),
+            # one batched solve over the sweep
+            lambda: (dcop.dc_sweep(ota, sweep_src, values).x,)]
+        for run in runs:
+            with monkeypatch.context() as m:
+                m.setattr(dcop, "newton_solve", _frozen_newton_solve)
+                want = _outcome(run)
+            _assert_same(want, _outcome(run))
+
+    @pytest.mark.parametrize("adaptive", [False, True])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_transient_fixed_and_adaptive(self, tech, backend, adaptive,
+                                          monkeypatch):
+        compiled = compile_circuit(_cs_amp(tech), backend=backend)
+        opts = TransientOptions(adaptive=adaptive)
+        with monkeypatch.context() as m:
+            m.setattr(_StepSolver, "step", _frozen_solver_step)
+            want = _transient_outcome(compiled, compiled.nominal,
+                                      options=opts)
+        have = _transient_outcome(compiled, compiled.nominal, options=opts)
+        assert have[0] == "returned"
+        _assert_same(want, have)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_transient_one_iteration_per_step(self, tech, backend,
+                                              monkeypatch):
+        # a converged step absorbs rounding in its last, sub-vntol
+        # update; one iteration per step keeps every update's bits
+        compiled = compile_circuit(_cs_amp(tech), backend=backend)
+        opts = TransientOptions(newton=NewtonOptions(
+            max_step=1.0, max_iterations=1, vntol=np.inf))
+        with monkeypatch.context() as m:
+            m.setattr(_StepSolver, "step", _frozen_solver_step)
+            want = _transient_outcome(compiled, compiled.nominal,
+                                      options=opts)
+        have = _transient_outcome(compiled, compiled.nominal, options=opts)
+        assert have[0] == "returned"
+        _assert_same(want, have)
+
+    @pytest.mark.parametrize("fault", ["nan", "singular", "moving"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_isolated_lanes_with_one_quarantined(self, tech, backend, fault,
+                                                 monkeypatch):
+        compiled = compile_circuit(_cs_amp(tech), backend=backend)
+        state = _mc_state(compiled, lanes=5)
+        assemble = compiled.assemble
+
+        flip = [1.0]
+
+        def poisoned(state, x_pad, t, g_pad, f_pad, *args, **kw):
+            # mid-run, lane 2 goes non-finite (residual and Jacobian),
+            # its Jacobian goes exactly singular (the lane probe), or
+            # its residual keeps flipping so its Newton never settles
+            # (quarantined when the iterations run out)
+            assemble(state, x_pad, t, g_pad, f_pad, *args, **kw)
+            if f_pad.ndim == 2 and t >= 0.9e-6:
+                if fault == "moving":
+                    flip[0] = -flip[0]
+                    f_pad[2, :compiled.n] += 1e-3 * flip[0]
+                elif fault == "nan":
+                    f_pad[2] = np.nan
+                if fault != "moving" and kw.get("jacobian", True):
+                    g_pad[2] = np.nan if fault == "nan" else 0.0
+
+        monkeypatch.setattr(compiled, "assemble", poisoned)
+        opts = TransientOptions(isolate_lanes=True)
+        with monkeypatch.context() as m:
+            m.setattr(_StepSolver, "step", _frozen_solver_step)
+            want = _transient_outcome(compiled, state, options=opts)
+        have = _transient_outcome(compiled, state, options=opts)
+        _assert_same(want, have)
+        assert have[1][3].tolist() == [False, False, True, False, False]
+
+    @pytest.mark.parametrize("name, backend", [("rc", "cached"),
+                                               ("rc", "dense"),
+                                               ("logic_path", "cached")])
+    def test_integrate_period(self, tech, name, backend):
+        circuit, period = _lean_case(tech, name)
+        compiled = compile_circuit(circuit, backend=backend)
+        state = compiled.nominal
+        x0 = compiled.pad(dcop.dc_operating_point(compiled).x)
+        newton = NewtonOptions(max_step=1.0, max_iterations=50)
+        want = _frozen_integrate_period(compiled, state, x0, 0.0, period,
+                                        200, "trap", newton)
+        have, _ = integrate_period(compiled, state, x0, 0.0, period, 200,
+                                   "trap", newton)
+        assert np.array_equal(want, have)
+
+    def test_transient_noise_within_roundoff_of_its_old_loop(self):
+        ckt = Circuit("ktc")
+        ckt.add_vsource("V", "in", "0", dc=0.5)
+        ckt.add_resistor("R", "in", "out", 10e3)
+        ckt.add_capacitor("C", "out", "0", 1e-12)
+        compiled = compile_circuit(ckt)
+        want = _frozen_transient_noise(compiled, 40e-9, 0.25e-9, 64,
+                                       ["out"], seed=2)["out"]
+        have = transient_noise_analysis(compiled, 40e-9, 0.25e-9, 64,
+                                        ["out"], seed=2).signals["out"]
+        dev = have - have.mean(axis=1, keepdims=True)
+        ref = want - want.mean(axis=1, keepdims=True)
+        assert np.max(np.abs(have - want)) <= 1e-14
+        assert np.max(np.abs(dev - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+class TestFailureContext:
+    """Every error out of the Newton loop names its iteration count and
+    the parameter sample, on every step path."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unconverged_step(self, backend):
+        compiled = compile_circuit(_rc_circuit(), backend=backend)
+        opts = TransientOptions(
+            newton=NewtonOptions(max_iterations=1, vntol=1e-300))
+        with pytest.raises(ConvergenceError,
+                           match="transient Newton failed at t=") as err:
+            transient(compiled, 1e-6, 1e-8, options=opts)
+        assert err.value.iterations == 1
+        assert (err.value.theta_fingerprint
+                == compiled.nominal.theta_fingerprint())
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_singular_step(self, backend):
+        ckt = Circuit("vloop")
+        ckt.add_vsource("V1", "a", "0", dc=1.0)
+        ckt.add_vsource("V2", "a", "0", dc=1.0)
+        ckt.add_resistor("R", "a", "b", 1e3)
+        ckt.add_capacitor("C", "b", "0", 1e-12)
+        ckt.set_ic({"a": 0.0, "b": 0.0})
+        compiled = compile_circuit(ckt, backend=backend)
+        with pytest.raises(SingularMatrixError,
+                           match="singular transient Jacobian") as err:
+            transient(compiled, 1e-9, 1e-11)
+        assert err.value.iterations == 0
+        assert (err.value.theta_fingerprint
+                == compiled.nominal.theta_fingerprint())

@@ -7,7 +7,7 @@ from repro.analysis import compile_circuit
 from repro.analysis.transient_noise import transient_noise_analysis
 from repro.circuit import Circuit
 from repro.constants import BOLTZMANN, T_NOMINAL
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConvergenceError
 
 
 def ktc_circuit(r=10e3, c=1e-12):
@@ -69,3 +69,28 @@ class TestKtc:
         with pytest.raises(AnalysisError):
             transient_noise_analysis(compiled, 1e-9, 1e-12, 4,
                                      record=["a"])
+
+
+def test_unconverged_step_raises():
+    """A step whose Newton iteration never converges is an error, not a
+    silently kept last iterate: one lane's assembly goes NaN at one
+    step and the run names that step and the circuit."""
+    compiled = ktc_circuit()
+    dt = 0.25e-9
+    t_bad = 7 * dt
+    assemble = compiled.assemble
+
+    def poisoned(state, x_pad, t, g_pad, f_pad, *args, **kw):
+        assemble(state, x_pad, t, g_pad, f_pad, *args, **kw)
+        if t == t_bad:
+            f_pad[3] = np.nan
+
+    compiled.assemble = poisoned
+    with pytest.raises(ConvergenceError,
+                       match=r"transient Newton failed at t=1\.7500e-09 "
+                             r"on 'ktc'") as err:
+        transient_noise_analysis(compiled, t_stop=5e-9, dt=dt, n_runs=8,
+                                 record=["out"], seed=1)
+    assert err.value.iterations == 50
+    assert (err.value.theta_fingerprint
+            == compiled.nominal.theta_fingerprint())
