@@ -15,6 +15,7 @@ Quick start::
     print(result.report())
 """
 
+from ._lazy import lazy_exports
 from .circuit import (Circuit, Technology, default_technology,
                       Dc, Sine, SmoothPulse, Pwl, GateWindow)
 from .analysis import (compile_circuit, dc_operating_point, dc_sweep,
@@ -34,9 +35,12 @@ from .circuits import (ring_oscillator, strongarm_offset_testbench,
                        five_transistor_ota, resistor_string_dac)
 from .variation import (CorrelationGroup, ParameterVariation,
                         VariationSpec, spec_for_circuit)
-from .service import (AnalysisRequest, AnalysisResult, AnalysisSession,
-                      JobQueue, default_session, register_engine,
-                      registered_kinds)
+
+# the service layer loads on first access (see repro.api)
+_SERVICE_NAMES = ("AnalysisRequest", "AnalysisResult", "AnalysisSession",
+                  "JobQueue", "default_session", "register_engine",
+                  "registered_kinds")
+__getattr__, __dir__ = lazy_exports(globals(), {".service": _SERVICE_NAMES})
 
 __version__ = "1.0.0"
 
@@ -57,7 +61,6 @@ __all__ = [
     "resistor_string_dac",
     "CorrelationGroup", "ParameterVariation", "VariationSpec",
     "spec_for_circuit",
-    "AnalysisRequest", "AnalysisResult", "AnalysisSession", "JobQueue",
-    "default_session", "register_engine", "registered_kinds",
+    *_SERVICE_NAMES,
     "__version__",
 ]

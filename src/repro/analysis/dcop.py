@@ -15,7 +15,7 @@ import numpy as np
 
 from ..constants import (ABSTOL_DEFAULT, GMIN_DEFAULT,
                          MAX_NEWTON_ITERATIONS, VNTOL_DEFAULT)
-from ..errors import ConvergenceError, SingularMatrixError
+from ..errors import AnalysisError, ConvergenceError, SingularMatrixError
 from ..linalg import FactorizationCache
 from .mna import CompiledCircuit, ParamState
 
@@ -34,6 +34,13 @@ class NewtonOptions:
     max_iterations: int = MAX_NEWTON_ITERATIONS
     #: Per-iteration cap on any unknown's update magnitude [V or A].
     max_step: float = 0.5
+
+    def __post_init__(self):
+        # a loop of zero iterations has no update to test or quarantine
+        if self.max_iterations < 1:
+            raise AnalysisError(
+                "NewtonOptions.max_iterations must be >= 1, got "
+                f"{self.max_iterations}")
 
 
 @dataclass

@@ -47,9 +47,25 @@ service
     :class:`RemoteSession` plus the ``scatter_*`` fan-out helpers and
     the fault-tolerant :class:`WorkerPool` / :class:`ScatterPolicy`
     dispatch layer on the client side.
+
+What an import loads
+--------------------
+Importing this module loads the engine only: circuits, analyses,
+linear algebra and variation, which is everything
+:func:`transient_mismatch_analysis` and :func:`monte_carlo_transient`
+run, so a cold call never pays for an import inside its own timer.
+The service names load :mod:`repro.service` on first access (PEP 562),
+and each of them only its own submodule: touching
+:class:`AnalysisSession` does not load the HTTP server or client.
+``scipy.sparse`` loads with the first sparse factorization and
+``scipy.special`` with the first confidence interval.  ``__all__``,
+``dir()``, ``from repro.api import *`` and identity with the
+:mod:`repro.service` objects are as with an eager import.
 """
 
 from __future__ import annotations
+
+from ._lazy import lazy_exports
 
 # -- circuits ----------------------------------------------------------
 from .circuit import (Circuit, Dc, GateWindow, Pwl, Sine, SmoothPulse,
@@ -86,17 +102,23 @@ from .errors import (AnalysisError, AuthenticationError,
                      ReproError, SolverError, TransportError)
 
 # -- service -----------------------------------------------------------
-from .service import (REQUEST_FORMAT_VERSION, SHARD_PROTOCOL_VERSION,
-                      AnalysisRequest, AnalysisResult, AnalysisServer,
-                      AnalysisSession, ENGINE_CACHE_BYTES, FaultPlan,
-                      FaultRule, JobQueue,
-                      RemoteJob, RemoteSession, RetryPolicy,
-                      ScatterPolicy, ScatterResult, ShardResult,
-                      ShardSpec, WorkerPool, default_session,
-                      from_jsonable, mc_dc_shards, mc_transient_shards,
-                      merge_shard_results, registered_kinds, run_shard,
-                      scatter_monte_carlo_transient, scatter_shards,
-                      serve, to_jsonable, TenantConfig)
+#: Loaded from :mod:`repro.service` on first access (PEP 562), so an
+#: engine-only process never imports the service layer.
+_SERVICE_NAMES = (
+    "AnalysisRequest", "AnalysisResult", "AnalysisSession",
+    "ENGINE_CACHE_BYTES", "default_session", "registered_kinds",
+    "JobQueue", "RetryPolicy",
+    "FaultPlan", "FaultRule",
+    "REQUEST_FORMAT_VERSION", "SHARD_PROTOCOL_VERSION",
+    "ShardSpec", "ShardResult", "mc_transient_shards", "mc_dc_shards",
+    "run_shard", "merge_shard_results",
+    "to_jsonable", "from_jsonable",
+    "serve", "AnalysisServer", "TenantConfig",
+    "RemoteSession", "RemoteJob",
+    "ScatterResult", "scatter_shards", "scatter_monte_carlo_transient",
+    "WorkerPool", "ScatterPolicy",
+)
+__getattr__, __dir__ = lazy_exports(globals(), {".service": _SERVICE_NAMES})
 
 #: The facade's own version (see the module docstring for the policy).
 API_VERSION = "2.1"
@@ -129,15 +151,5 @@ __all__ = [
     "QuotaExceededError", "TransportError", "DrainingError",
     "FailureRecord",
     # service
-    "AnalysisRequest", "AnalysisResult", "AnalysisSession",
-    "ENGINE_CACHE_BYTES", "default_session", "registered_kinds", "JobQueue", "RetryPolicy",
-    "FaultPlan", "FaultRule",
-    "REQUEST_FORMAT_VERSION", "SHARD_PROTOCOL_VERSION",
-    "ShardSpec", "ShardResult", "mc_transient_shards", "mc_dc_shards",
-    "run_shard", "merge_shard_results",
-    "to_jsonable", "from_jsonable",
-    "serve", "AnalysisServer", "TenantConfig",
-    "RemoteSession", "RemoteJob",
-    "ScatterResult", "scatter_shards", "scatter_monte_carlo_transient",
-    "WorkerPool", "ScatterPolicy",
+    *_SERVICE_NAMES,
 ]

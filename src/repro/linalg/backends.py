@@ -12,8 +12,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 from scipy.linalg.lapack import dgetrf as _dgetrf, dgetrs as _dgetrs
 
 #: ``"auto"`` switches from the cached dense backend to the sparse
@@ -127,9 +125,15 @@ class BatchedInverseFactorization(Factorization):
 
 
 class SparseLuFactorization(Factorization):
-    """``scipy.sparse.linalg.splu`` of one 2-D system in CSR/CSC form."""
+    """``scipy.sparse.linalg.splu`` of one 2-D system in CSR/CSC form.
+
+    SciPy's sparse package is imported here, on the first sparse
+    factorization, so a dense-only process never loads it.
+    """
 
     def __init__(self, a):
+        import scipy.sparse
+        import scipy.sparse.linalg
         if scipy.sparse.issparse(a):
             if not np.all(np.isfinite(a.data)):
                 raise np.linalg.LinAlgError("non-finite matrix entries")
@@ -263,7 +267,7 @@ class SparseBackend(LinearSolverBackend):
         self.policy = policy or NewtonPolicy(reuse=True)
 
     def factor(self, a: np.ndarray) -> Factorization:
-        if scipy.sparse.issparse(a) or a.ndim == 2:
+        if a.ndim == 2:     # a dense or a scipy.sparse 2-D system
             return SparseLuFactorization(a)
         return BatchedSparseLuFactorization(a)
 

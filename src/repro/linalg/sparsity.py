@@ -30,13 +30,13 @@ index arrays.
 
 from __future__ import annotations
 
-import numpy as np
-import scipy.sparse
+from functools import cached_property
+from typing import TYPE_CHECKING
 
-try:  # fast path: SciPy's CSR mat-vec kernel without dispatch overhead
-    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-except ImportError:  # pragma: no cover - SciPy layout change
-    _csr_matvec = None
+import numpy as np
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 
 class CsrPlan:
@@ -111,15 +111,30 @@ class CsrPlan:
             out = np.zeros(self.n)
         else:
             out[:self.n] = 0.0
-        if _csr_matvec is not None:
-            _csr_matvec(self.n, self.n, self.indptr, self.indices,
-                        data[:self.nnz], x, out[:self.n])
+        kernel = self._csr_matvec
+        if kernel is not None:
+            kernel(self.n, self.n, self.indptr, self.indices,
+                   data[:self.nnz], x, out[:self.n])
         else:  # pragma: no cover - exercised only without the kernel
             np.add.at(out, self.rows, data[:self.nnz] * x[self.cols])
         return out
 
+    @cached_property
+    def _csr_matvec(self):
+        """SciPy's CSR mat-vec kernel, looked up once per plan.
+
+        Only the sparse Newton step multiplies on the plan, so a dense
+        run never imports :mod:`scipy.sparse`.
+        """
+        try:
+            from scipy.sparse._sparsetools import csr_matvec
+        except ImportError:  # pragma: no cover - SciPy layout change
+            return None
+        return csr_matvec
+
     def csr_view(self, data: np.ndarray) -> scipy.sparse.csr_matrix:
         """CSR matrix *sharing* ``data[:nnz]`` - mutate data, reuse it."""
+        import scipy.sparse
         return scipy.sparse.csr_matrix(
             (data[:self.nnz], self.indices, self.indptr),
             shape=(self.n, self.n))
@@ -127,6 +142,7 @@ class CsrPlan:
     def csc_matrix(self, data: np.ndarray) -> scipy.sparse.csc_matrix:
         """Factorable CSC matrix from a value array (data is copied by
         the permutation gather, so the caller may keep mutating)."""
+        import scipy.sparse
         return scipy.sparse.csc_matrix(
             (data[:self.nnz][self._csc_perm], self._csc_indices,
              self._csc_indptr), shape=(self.n, self.n))

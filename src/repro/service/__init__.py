@@ -33,24 +33,31 @@ One file still does: ``repro.core.montecarlo`` runs its shards through
 lint allows it those two modules and no other.
 """
 
+from .._lazy import lazy_exports
 from ..errors import DrainingError, FailureRecord, TransportError
-from .client import RemoteJob, RemoteSession
-from .engines import (AnalysisEngine, engine_for, register_engine,
-                      registered_kinds, unregister_engine)
-from .faults import FaultPlan, FaultRule
-from .jobs import Job, JobQueue, RetryPolicy
-from .net import AnalysisServer, TenantConfig, serve
-from .resilience import (CircuitBreaker, ScatterPolicy, ScatterResult,
-                         WorkerPool, scatter_monte_carlo_transient,
-                         scatter_shards)
-from .requests import (REQUEST_FORMAT_VERSION, AnalysisRequest,
-                       AnalysisResult)
-from .serialize import (circuit_from_dict, circuit_to_dict, from_jsonable,
-                        to_jsonable)
-from .session import ENGINE_CACHE_BYTES, AnalysisSession, default_session
-from .shards import (SHARD_PROTOCOL_VERSION, MergedShards, ShardResult,
-                     ShardSpec, degraded_shard_result, mc_dc_shards,
-                     mc_transient_shards, merge_shard_results, run_shard)
+
+# Each name loads its own module on first access, so the Monte-Carlo
+# fan-out (``repro.service.jobs`` and what it imports) never loads the
+# client, server or resilience modules.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".client": ("RemoteJob", "RemoteSession"),
+    ".engines": ("AnalysisEngine", "engine_for", "register_engine",
+                 "registered_kinds", "unregister_engine"),
+    ".faults": ("FaultPlan", "FaultRule"),
+    ".jobs": ("Job", "JobQueue", "RetryPolicy"),
+    ".net": ("AnalysisServer", "TenantConfig", "serve"),
+    ".resilience": ("CircuitBreaker", "ScatterPolicy", "ScatterResult",
+                    "WorkerPool", "scatter_monte_carlo_transient",
+                    "scatter_shards"),
+    ".requests": ("REQUEST_FORMAT_VERSION", "AnalysisRequest",
+                  "AnalysisResult"),
+    ".serialize": ("circuit_from_dict", "circuit_to_dict", "from_jsonable",
+                   "to_jsonable"),
+    ".session": ("ENGINE_CACHE_BYTES", "AnalysisSession", "default_session"),
+    ".shards": ("SHARD_PROTOCOL_VERSION", "MergedShards", "ShardResult",
+                "ShardSpec", "degraded_shard_result", "mc_dc_shards",
+                "mc_transient_shards", "merge_shard_results", "run_shard"),
+})
 
 __all__ = [
     "AnalysisRequest", "AnalysisResult", "REQUEST_FORMAT_VERSION",

@@ -312,6 +312,10 @@ class ServiceApp:
         # misses and shards on the engine processes, all under `retry`
         # supervision.  Its workers start now, before this app's server
         # starts its threads (see worker_pool for what that guarantees).
+        # They fork from this process, so the one module an engine
+        # loads on first use, scipy.special (the Monte-Carlo summaries'
+        # quantiles), is loaded here: no request pays it in a worker.
+        import scipy.special  # noqa: F401
         self.queue = JobQueue(session=self.session, n_workers=job_workers,
                               retry=retry)
         self._open = tenants is None

@@ -25,9 +25,12 @@ caller without being kept.  The result memo is bounded in entries
 (``result_capacity``): the network front-end counts results in keys,
 per tenant.
 
-Eviction and :meth:`AnalysisSession.clear` cascade through the evicted
-objects' own ``clear_caches()`` so that a bounded store means bounded
-memory, not just a bounded entry count.
+Engine-store eviction and :meth:`AnalysisSession.clear` cascade
+through the evicted objects' own ``clear_caches()`` so that a bounded
+store means bounded memory, not just a bounded entry count.  Dropping
+a memoized result cascades through nothing: its compile and orbit are
+the very objects the engine stores still hold and charge, and their
+own eviction clears them.
 
 Execution is registry-driven: :meth:`AnalysisSession.run` looks the
 request kind up in :mod:`repro.service.engines` and runs the registered
@@ -45,7 +48,6 @@ import threading
 import time
 import warnings
 from collections import OrderedDict
-from typing import Callable
 
 from .requests import AnalysisRequest, AnalysisResult
 
@@ -58,7 +60,7 @@ ENGINE_CACHE_BYTES = 48 * 2 ** 20
 
 
 class _LruStore:
-    """A bounded mapping with LRU eviction and an eviction callback.
+    """A bounded mapping with LRU eviction.
 
     Individual operations are thread-safe (one lock per store), which
     is what lets a :class:`AnalysisSession` be shared by the concurrent
@@ -68,12 +70,10 @@ class _LruStore:
     harmless.
     """
 
-    def __init__(self, capacity: int,
-                 on_evict: "Callable | None" = None):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("store capacity must be >= 1")
         self.capacity = capacity
-        self.on_evict = on_evict
         self._data: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -91,33 +91,20 @@ class _LruStore:
             return value
 
     def put(self, key, value) -> None:
-        evicted = []
         with self._lock:
             self._data[key] = value
             self._data.move_to_end(key)
             while len(self._data) > self.capacity:
-                _, old = self._data.popitem(last=False)
-                evicted.append(old)
-        if self.on_evict is not None:
-            for old in evicted:
-                self.on_evict(old)
+                self._data.popitem(last=False)
 
     def pop(self, key):
-        """Remove *key* (cascading through the eviction callback) and
-        return its value, or ``None`` when absent."""
+        """Remove *key* and return its value, or ``None`` when absent."""
         with self._lock:
-            value = self._data.pop(key, None)
-        if value is not None and self.on_evict is not None:
-            self.on_evict(value)
-        return value
+            return self._data.pop(key, None)
 
     def clear(self) -> None:
         with self._lock:
-            values = list(self._data.values())
             self._data.clear()
-        if self.on_evict is not None:
-            for value in values:
-                self.on_evict(value)
 
     def __len__(self) -> int:
         with self._lock:
@@ -225,14 +212,6 @@ class _BudgetStore:
                     "misses": self.misses}
 
 
-def _clear_detail_caches(result: AnalysisResult) -> None:
-    detail = getattr(result, "detail", None)
-    for attr in ("compiled", "pss"):
-        obj = getattr(detail, attr, None)
-        if obj is not None and hasattr(obj, "clear_caches"):
-            obj.clear_caches()
-
-
 class AnalysisSession:
     """Synchronous executor of analysis work over shared bounded caches.
 
@@ -272,8 +251,7 @@ class AnalysisSession:
         self.compiled = _BudgetStore(budget, compiled_capacity)
         self.states = _BudgetStore(budget, state_capacity)
         self.pss_store = _BudgetStore(budget, pss_capacity)
-        self.results = _LruStore(result_capacity,
-                                 on_evict=_clear_detail_caches)
+        self.results = _LruStore(result_capacity)
 
     # -- domain-object caches ------------------------------------------
     def compile(self, circuit, cmin: float | None = None,
@@ -390,8 +368,10 @@ class AnalysisSession:
         return result.detached()
 
     def evict_result(self, key: str) -> bool:
-        """Drop one memoized result by request key (cascading through
-        its detail caches); returns whether the key was present.
+        """Drop one memoized result by request key; returns whether the
+        key was present.  The compile and orbit behind it stay in the
+        engine stores, intact, so a rerun of the request is an orbit
+        hit.
 
         This is the seam the network front-end's per-tenant quotas use:
         a tenant over its result budget evicts *its own* oldest keys

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.analysis import compile_circuit, dc_operating_point, dc_sweep
+from repro.analysis import (compile_circuit, dc_operating_point, dc_sweep,
+                            transient)
+from repro.analysis.dcop import NewtonOptions
+from repro.analysis.transient import TransientOptions
 from repro.circuit import Circuit
-from repro.errors import NetlistError
+from repro.errors import AnalysisError, NetlistError
 
 
 class TestLinearDc:
@@ -128,3 +131,22 @@ class TestCompilerErrors:
         state = c.make_state(source_values={"V1": 2.0})
         with pytest.raises(NetlistError):
             dc_operating_point(c, state)
+
+
+class TestNewtonOptions:
+    """A Newton loop of zero iterations is refused up front, on the
+    lane-guarded path (which used to raise ``UnboundLocalError``) and
+    on the plain one (which used to report non-convergence)."""
+
+    def test_zero_iterations_refused_under_a_lane_guard(self, rc_divider):
+        c = compile_circuit(rc_divider)
+        with pytest.raises(AnalysisError, match="max_iterations must be"):
+            transient(c, 1e-7, 1e-8, batch_shape=(3,),
+                      options=TransientOptions(
+                          isolate_lanes=True,
+                          newton=NewtonOptions(max_iterations=0)))
+
+    def test_zero_iterations_refused_without_a_guard(self, rc_divider):
+        c = compile_circuit(rc_divider)
+        with pytest.raises(AnalysisError, match="max_iterations must be"):
+            dc_operating_point(c, options=NewtonOptions(max_iterations=0))

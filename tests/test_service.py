@@ -247,6 +247,29 @@ class TestCacheHygiene:
         assert compiled._nominal_state is None
         assert res.pss._lin is None
 
+    @pytest.mark.parametrize("drop", ["lru", "evict_result"])
+    def test_memo_drop_keeps_the_stored_orbit(self, drop):
+        """Dropping a memo entry leaves the orbit the pss store still
+        holds (and charges) intact: linearisation and kept closure."""
+        s = AnalysisSession(result_capacity=1)
+        req = AnalysisRequest.transient_mismatch(
+            _rc(), MEAS, period=1e-6, pss_options=PSS_OPTS)
+        first = s.run(req)
+        (orbit,) = s.pss_store._data.values()
+        assert orbit._lin is not None and orbit._lin.closure is not None
+        if drop == "lru":
+            s.run(AnalysisRequest.transient_mismatch(
+                _rc(r=2e3), MEAS, period=1e-6, pss_options=PSS_OPTS))
+        else:
+            assert s.evict_result(req.key())
+        assert req.key() not in s.results
+        assert orbit._lin is not None and orbit._lin.closure is not None
+        hits = s.stats()["pss"]["hits"]
+        again = s.run(req)
+        assert not again.from_cache
+        assert s.stats()["pss"]["hits"] == hits + 1
+        assert again.sigma("vout") == first.sigma("vout")
+
 
 class _Entry:
     """A store value of a declared size that records its eviction."""

@@ -191,13 +191,23 @@ class TestSummarizeSamples:
             summarize_samples(vals)
 
 
+def _fresh(script: str) -> str:
+    """Run *script* in a fresh interpreter on ``src``; its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(script)],
+                         env=env, capture_output=True, text=True,
+                         check=True)
+    return out.stdout.strip()
+
+
 class TestColdStart:
-    """``import repro.api`` and a Monte-Carlo summary never load
-    scipy.stats (the ``no-scipy-stats`` lint pins the spelling; this
-    pins the module graph, transitive imports included)."""
+    """``import repro.api`` loads the engine only: the service layer,
+    scipy.sparse and scipy.special load on first use, and scipy.stats
+    never (the ``no-scipy-stats`` lint pins the spelling; these pin the
+    module graph, transitive imports included)."""
 
     def test_scipy_stats_is_never_imported(self):
-        script = textwrap.dedent("""
+        assert _fresh("""
             import sys
             import numpy as np
             import repro.api as api
@@ -209,8 +219,122 @@ class TestColdStart:
             mc = api.monte_carlo_dc(ckt, {"v": "out"}, n=8)
             assert mc.stats["v"].n == 8
             print("scipy.stats" in sys.modules)
+        """) == "False"
+
+    def test_import_loads_the_engine_only(self):
+        out = _fresh("""
+            import sys
+            import repro.api
+            print(sorted(m for m in ("repro.service", "scipy.sparse",
+                                     "scipy.special", "http.client",
+                                     "http.server", "ssl")
+                         if m in sys.modules))
         """)
-        env = dict(os.environ, PYTHONPATH=str(SRC))
-        out = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out == "[]"
+
+    def test_cold_transient_mismatch_loads_no_module(self):
+        """The proposed call runs on what the import loaded, so no
+        operation's timer pays for an import."""
+        out = _fresh("""
+            import sys
+            import repro.api as api
+            ckt = api.Circuit("rc")
+            ckt.add_vsource("VS", "in", "0", wave=api.Sine(
+                amplitude=0.3, freq=1e6, offset=0.6))
+            ckt.add_resistor("R", "in", "out", 1e3, sigma_rel=0.05)
+            ckt.add_capacitor("C", "out", "0", 1e-9, sigma_rel=0.02)
+            before = set(sys.modules)
+            res = api.transient_mismatch_analysis(
+                ckt, [api.DcLevel("vout", "out")], period=1e-6,
+                pss_options=api.PssOptions(n_steps=64, settle_periods=2))
+            assert res.sigma("vout") >= 0.0
+            print(sorted(set(sys.modules) - before),
+                  "repro.service" in sys.modules)
+        """)
+        assert out == "[] False"
+
+    def test_every_exported_name_resolves_as_before(self):
+        out = _fresh("""
+            import sys
+            import repro
+            import repro.api as api
+            import repro.service as service
+            # each service name loads its own module, not the package
+            api.AnalysisSession
+            assert "repro.service.session" in sys.modules
+            assert "repro.service.net" not in sys.modules
+            for module in (repro, api):
+                listed = set(dir(module))
+                for name in module.__all__:
+                    value = getattr(module, name)
+                    assert name in listed, name
+                    if hasattr(service, name):
+                        assert value is getattr(service, name), name
+            for name in service.__all__:
+                getattr(service, name)
+                assert name in dir(service), name
+            for module in (repro, api, service):
+                try:
+                    module.no_such_name
+                except AttributeError:
+                    pass
+                else:
+                    raise AssertionError(module.__name__)
+            print("ok")
+        """)
+        assert out == "ok"
+
+    def test_star_import(self):
+        out = _fresh("""
+            from repro.api import *
+            import repro.api as api
+            import repro.service
+            assert AnalysisSession is repro.service.AnalysisSession
+            assert Circuit is api.Circuit
+            print(API_VERSION == api.API_VERSION)
+        """)
+        assert out == "True"
+
+    def test_daemon_loads_scipy_special_before_its_engines_fork(self):
+        """A daemon's engine processes inherit scipy.special, so no
+        worker's first Monte-Carlo summary pays the import."""
+        out = _fresh("""
+            import sys
+            from repro.service import net
+            assert "scipy.special" not in sys.modules
+            app = net.ServiceApp(job_workers=1)
+            app.close()
+            print("scipy.special" in sys.modules)
+        """)
+        assert out == "True"
+
+    def test_sparse_transient_and_mc_summary_run_cold(self):
+        out = _fresh("""
+            import sys
+            import numpy as np
+            import repro.api as api
+            ckt = api.Circuit("rc")
+            ckt.add_vsource("VS", "in", "0", wave=api.Sine(
+                amplitude=0.3, freq=1e6, offset=0.6))
+            ckt.add_resistor("R", "in", "out", 1e3, sigma_rel=0.05)
+            ckt.add_capacitor("C", "out", "0", 1e-9, sigma_rel=0.02)
+            assert "scipy.sparse" not in sys.modules
+            runs = [api.transient(api.compile_circuit(ckt, backend=b),
+                                  2e-6, 1e-8)
+                    for b in ("sparse", "cached")]
+            assert "scipy.sparse" in sys.modules
+            np.testing.assert_allclose(runs[0].signal("out"),
+                                       runs[1].signal("out"), rtol=1e-9)
+            assert "scipy.special" not in sys.modules
+            mc = api.monte_carlo_transient(
+                ckt, [api.DcLevel("vout", "out")], n=8, t_stop=2e-6,
+                dt=1e-8, window=(1e-6, 2e-6))
+            st = mc.stats["vout"]
+            assert st.n == 8 and st.std_ci_low < st.std < st.std_ci_high
+            # the fan-out loads its supervisor, not the network layers
+            print("scipy.special" in sys.modules, sorted(
+                m for m in ("repro.service.client", "repro.service.net",
+                            "repro.service.resilience", "http.client")
+                if m in sys.modules))
+        """)
+        assert out == "True []"
