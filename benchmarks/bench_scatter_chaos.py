@@ -39,7 +39,7 @@ from conftest import WallClock, mc_samples, publish
 from repro.circuit import Circuit, Sine
 from repro.core import monte_carlo_transient
 from repro.core.measures import DcLevel
-from repro.service import (RemoteSession, ScatterPolicy, WorkerPool,
+from repro.service import (RemoteSession, RetryPolicy, WorkerPool,
                            mc_transient_shards, merge_shard_results,
                            scatter_monte_carlo_transient)
 
@@ -110,7 +110,7 @@ def test_scatter_chaos(results_dir):
             with WallClock() as w:
                 static = _scatter_static(sessions, specs)
             t_static = min(t_static, w.seconds)
-            with WorkerPool(urls, policy=ScatterPolicy()) as pool:
+            with WorkerPool(urls, policy=RetryPolicy()) as pool:
                 with WallClock() as w:
                     pooled = pool.scatter(specs)
             t_pool = min(t_pool, w.seconds)
@@ -130,9 +130,9 @@ def test_scatter_chaos(results_dir):
             f"{t_pool:.3f} s)")
 
         # -- the storm: kill one daemon, drain another, scatter -------
-        policy = ScatterPolicy(base_delay=0.0, failure_threshold=1,
-                               hedge=True, hedge_percentile=95.0,
-                               hedge_min_samples=4)
+        policy = RetryPolicy(base_delay=0.0, failure_threshold=1,
+                             hedge=True, hedge_percentile=95.0,
+                             hedge_min_samples=4)
         with WorkerPool(urls, policy=policy) as pool:
             pool.probe()  # all three look healthy right now
             RemoteSession(urls[2]).drain()

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.api import (AnalysisRequest, AnalysisServer, Circuit,
                        DcLevel, PssOptions, RemoteSession,
-                       ScatterPolicy, Sine, TenantConfig, WorkerPool,
+                       RetryPolicy, Sine, TenantConfig, WorkerPool,
                        monte_carlo_transient,
                        scatter_monte_carlo_transient)
 
@@ -114,7 +114,7 @@ def main() -> None:
     procs = [p for p, _ in daemons]
     urls = [u for _, u in daemons]
     try:
-        policy = ScatterPolicy(base_delay=0.0, failure_threshold=1)
+        policy = RetryPolicy(base_delay=0.0, failure_threshold=1)
         with WorkerPool(urls, policy=policy) as pool:
             pool.probe()                        # everyone looks healthy
             RemoteSession(urls[2]).drain()      # rolling restart begins

@@ -71,11 +71,12 @@ factorizations instead of each re-assembling the orbit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ..errors import AnalysisError, ConvergenceError, MeasurementError
+from ..errors import (AnalysisError, ConvergenceError, MeasurementError,
+                      warn_deprecated)
 from ..linalg.krylov import GMRES_MAXITER, gmres_blocked, use_matrix_free
 from ..waveform import Waveform, WaveformSet
 from .dcop import NewtonOptions, dc_operating_point
@@ -107,6 +108,7 @@ class PssOptions:
     matrix_free: bool | None = None
     #: Relative GMRES tolerance of the matrix-free shooting update.
     krylov_tol: float = 1e-11
+    #: Deprecated since API 2.2, with the two tolerances below.
     #: Run the pre-shooting settle phase on the adaptive LTE-controlled
     #: stepper instead of the fixed ``period / n_steps`` grid.  The
     #: settle inherits the transient breakpoint schedule
@@ -123,6 +125,14 @@ class PssOptions:
     settle_atol: float = 1e-6
     newton: NewtonOptions = field(default_factory=lambda: NewtonOptions(
         max_step=1.0, max_iterations=50))
+
+    def __post_init__(self):
+        used = [f"PssOptions.{f.name}" for f in fields(self)
+                if f.name in ("settle_adaptive", "settle_rtol", "settle_atol")
+                and getattr(self, f.name) != f.default]
+        if used:
+            warn_deprecated("/".join(used), "cap the settle with "
+                            "settle_periods instead", stacklevel=3)
 
 
 def _validate(opts: PssOptions, period: "float | None") -> None:

@@ -19,10 +19,14 @@ Versioning policy
   :class:`DeprecationWarning` (warn first, break later - e.g. the
   legacy positional call shapes of ``*_mismatch_analysis`` warned
   through 1.x and were removed in 2.0: they now raise
-  :class:`TypeError`).  Since 2.1 :class:`AnalysisSession`'s
-  ``compiled_capacity``, ``state_capacity`` and ``pss_capacity`` warn:
-  the engine stores share one byte budget, ``cache_bytes``, and the
-  three keywords go in 3.0.
+  :class:`TypeError`).  A deprecation warns with a
+  :class:`~repro.errors.ReproDeprecationWarning` naming its successor.
+  API 3.0 removes :class:`AnalysisSession`'s ``compiled_capacity``,
+  ``state_capacity`` and ``pss_capacity`` (since 2.1: one byte budget,
+  ``cache_bytes``); since 2.2, :class:`ScatterPolicy` (use
+  :class:`RetryPolicy`), :meth:`AnalysisSession.state`,
+  ``WorkerPool.run_shard`` and :class:`PssOptions`' ``settle_adaptive``,
+  ``settle_rtol`` and ``settle_atol``; and ``default_session()``.
 
 Wire formats version independently (``REQUEST_FORMAT_VERSION``,
 ``SHARD_PROTOCOL_VERSION``); ``GET /health`` on a daemon reports all
@@ -45,8 +49,8 @@ service
     Requests/results/sessions/queues, and the network front-end:
     :func:`serve` / :class:`AnalysisServer` on the daemon side,
     :class:`RemoteSession` plus the ``scatter_*`` fan-out helpers and
-    the fault-tolerant :class:`WorkerPool` / :class:`ScatterPolicy`
-    dispatch layer on the client side.
+    the fault-tolerant :class:`WorkerPool` dispatch layer on the client
+    side, all under one :class:`RetryPolicy`.
 
 What an import loads
 --------------------
@@ -121,7 +125,7 @@ _SERVICE_NAMES = (
 __getattr__, __dir__ = lazy_exports(globals(), {".service": _SERVICE_NAMES})
 
 #: The facade's own version (see the module docstring for the policy).
-API_VERSION = "2.1"
+API_VERSION = "2.2"
 
 __all__ = [
     "API_VERSION",

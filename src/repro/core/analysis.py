@@ -153,9 +153,9 @@ def check_uniform_keywords(retry=None, n_workers: int | None = None,
     :class:`CompiledCircuit`, a free function or an
     :class:`~repro.service.requests.AnalysisRequest`:
 
-    * *retry* must be a retry policy (anything with ``to_dict()``, such
-      as :class:`~repro.service.jobs.RetryPolicy`), its dict form, or
-      ``None`` - otherwise :class:`TypeError`;
+    * *retry* must be a :class:`~repro.service.jobs.RetryPolicy`
+      (known here by its ``to_dict()``), its dict form, or ``None`` -
+      otherwise :class:`TypeError`;
     * *n_workers* below 1 raises :class:`AnalysisError`;
     * *param_covariance* and *variations* are mutually exclusive -
       :class:`ValueError`.

@@ -11,6 +11,7 @@ analysis results (see :mod:`repro.service.shards`).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 
@@ -159,6 +160,16 @@ class QuotaExceededError(ReproError):
     """Raised by the network front-end when a tenant exceeds one of its
     :class:`~repro.service.net.TenantConfig` quotas (e.g. pending
     asynchronous jobs).  Maps to HTTP 429 on the wire."""
+
+
+class ReproDeprecationWarning(DeprecationWarning):
+    """A public name or keyword that API 3.0 removes (see repro.api)."""
+
+
+def warn_deprecated(what: str, instead: str, stacklevel: int = 2) -> None:
+    """Warn that API 3.0 removes *what*; *instead* names its successor."""
+    warnings.warn(f"{what} is deprecated and will be removed in API 3.0; "
+                  f"{instead}", ReproDeprecationWarning, stacklevel + 1)
 
 
 #: Error classes a supervised job retry can plausibly fix: numerical

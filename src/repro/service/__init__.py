@@ -16,11 +16,12 @@ top-level ``README.md``):
   serializable Monte-Carlo shard protocol whose merge is bit-identical
   to the in-process run.
 
-Every queue submission and Monte-Carlo shard runs under one
-:class:`RetryPolicy` - ``retry=None`` is one attempt - which sets its
-deadlines, retries with exponential backoff and deterministic
-degradation (NaN-frozen spans with structured
-:class:`~repro.errors.FailureRecord` reporting); a crashed pool worker
+Every queue submission and Monte-Carlo shard, in process or across
+hosts, runs under one :class:`RetryPolicy` - ``retry=None`` is one
+attempt - which sets its deadlines, retries with exponential backoff
+and deterministic degradation (NaN-frozen spans with structured
+:class:`~repro.errors.FailureRecord` reporting), and on a
+:class:`WorkerPool` its breakers and hedging; a crashed pool worker
 fails only its in-flight jobs and the pool respawns.
 :mod:`repro.service.faults` injects reproducible faults at the
 execution sites to prove all of it.

@@ -45,8 +45,7 @@ import numpy as np
 from ..errors import AnalysisError
 from .serialize import (circuit_from_dict, clean_options,
                         covariance_payload, from_jsonable, output_map,
-                        retry_payload, to_jsonable, variation_payload,
-                        variation_spec)
+                        to_jsonable, variation_payload, variation_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +372,17 @@ def _uniform_keywords(retry, n_workers) -> None:
     """
     from ..core.analysis import check_uniform_keywords
     check_uniform_keywords(retry, n_workers)
+    _retry_option(retry)
 
 
-def _retry_policy(options: dict):
-    """Decode a request's ``retry`` option (a plain dict) back into a
-    live :class:`~repro.service.jobs.RetryPolicy`."""
-    spec = options.get("retry")
-    if spec is None:
+def _retry_option(retry) -> dict | None:
+    """A request's ``retry`` option, canonical: decoded through
+    :class:`~repro.service.jobs.RetryPolicy` (refused if malformed or
+    endpoint-selecting) and encoded again, so equal policies key alike."""
+    if retry is None:
         return None
     from .jobs import RetryPolicy
-    return RetryPolicy.from_dict(spec)
+    return RetryPolicy.for_placement(retry).to_dict()
 
 
 def mc_summary(detail, ctx=None) -> dict:
@@ -486,7 +486,7 @@ def _canon_mc_transient(n=None, t_stop=None, dt=None, window=None,
         "extra_record": list(extra_record) if extra_record else None,
         "adaptive": adaptive or None, "rtol": rtol, "atol": atol,
         "dt_min": dt_min, "dt_max": dt_max, "n_workers": n_workers,
-        "cmin": cmin, "backend": backend, "retry": retry_payload(retry),
+        "cmin": cmin, "backend": backend, "retry": _retry_option(retry),
         **_mismatch_payloads(param_covariance, variations),
     })
 
@@ -506,7 +506,7 @@ def _run_mc_transient(session, ctx):
         n_workers=o.get("n_workers"), adaptive=o.get("adaptive", False),
         rtol=o.get("rtol", 1e-3), atol=o.get("atol", 1e-6),
         dt_min=o.get("dt_min"), dt_max=o.get("dt_max"),
-        cmin=o.get("cmin"), retry=_retry_policy(o))
+        cmin=o.get("cmin"), retry=o.get("retry"))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +519,7 @@ def _canon_mc_dc(n=None, seed=0, sigma_scale=1.0, param_covariance=None,
         "n": int(n), "seed": int(seed),
         "sigma_scale": float(sigma_scale),
         "chunk_size": chunk_size, "n_workers": n_workers,
-        "cmin": cmin, "backend": backend, "retry": retry_payload(retry),
+        "cmin": cmin, "backend": backend, "retry": _retry_option(retry),
         **_mismatch_payloads(param_covariance, variations),
     })
 
@@ -532,7 +532,7 @@ def _run_mc_dc(session, ctx):
         param_covariance=ctx.covariance,
         chunk_size=o.get("chunk_size"), n_workers=o.get("n_workers"),
         backend=o.get("backend"), cmin=o.get("cmin"),
-        retry=_retry_policy(o))
+        retry=o.get("retry"))
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,8 @@ Every submission runs under a :class:`RetryPolicy` - the queue's
 :func:`run_with_retry`: an inline job in the caller, a pooled one on a
 supervising thread of the queue, a cross-host shard on a
 :class:`~repro.service.resilience.WorkerPool` coordinator.  Only the
-attempt differs.  A pooled attempt is one blocking call: dispatch to
-the process pool, then wait for that one future.
+attempt differs, and what :meth:`RetryPolicy.for_placement` lets it
+honour.  A pooled attempt is one blocking call: dispatch, then wait.
 
 * each pooled attempt gets a wall-clock **deadline**, a timed wait on
   its future (inline execution cannot be preempted).  An overrun attempt is cancelled if still queued, or
@@ -84,13 +84,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from ..core.workers import (shard_runner, worker_pids, worker_pool,
                             worker_state)
@@ -105,9 +106,10 @@ from .shards import (ShardResult, ShardSpec, degraded_shard_result,
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Supervision parameters of one :class:`JobQueue` (or one
-    Monte-Carlo run); ``retry=None`` everywhere means
-    :data:`ONE_ATTEMPT`.
+    """Supervision parameters of every placement (a :class:`JobQueue`,
+    a Monte-Carlo run, a :class:`~repro.service.resilience.WorkerPool`;
+    ``None`` is :data:`ONE_ATTEMPT`); :data:`ENDPOINT_FIELDS` steer
+    only a ``WorkerPool``'s choice of endpoint.
 
     ``delay(k)`` after the *k*-th failed attempt is
     ``base_delay * backoff**(k-1)`` seconds - classic exponential
@@ -121,24 +123,36 @@ class RetryPolicy:
     #: Backoff growth factor per further retry.
     backoff: float = 2.0
     #: Per-attempt wall-clock limit [s]: ``None`` (unbounded) or a
-    #: positive finite number.  Only enforceable on pooled queues;
-    #: measured from dispatch, so it includes time queued behind busy
-    #: workers.
+    #: positive finite number.  Only pooled queues enforce it, from
+    #: dispatch, so it includes time queued behind busy workers.
     deadline: float | None = None
     #: Degrade shard jobs that exhaust their attempts into NaN-frozen
     #: spans (:func:`~repro.service.shards.degraded_shard_result`)
     #: instead of raising.  Request jobs always raise.
     degrade: bool = True
+    #: Consecutive infrastructure failures that open a breaker.
+    failure_threshold: int = 3
+    #: Seconds an open breaker waits before one half-open probe.
+    cooldown: float = 1.0
+    #: Once a shard outlives the pool's observed latency percentile,
+    #: dispatch a duplicate elsewhere; the first result wins.
+    hedge: bool = False
+    #: Latency percentile (of recent clean calls) of a straggler.
+    hedge_percentile: float = 95.0
+    #: Clean calls observed before hedging arms (a percentile of two
+    #: points is noise).
+    hedge_min_samples: int = 3
+    #: Hedge no earlier than this [s], whatever the percentile: a fast,
+    #: jittery workload would otherwise hedge every shard.
+    hedge_floor: float = 0.05
 
     def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("RetryPolicy.max_attempts must be >= 1")
-        if self.deadline is not None and not (
-                isinstance(self.deadline, (int, float))
-                and math.isfinite(self.deadline) and self.deadline > 0):
-            raise ValueError(
-                f"RetryPolicy.deadline must be None or a positive finite "
-                f"number of seconds, got {self.deadline!r}")
+        for names, valid, rule in _RULES:
+            for name in names:
+                value = getattr(self, name)
+                if not valid(value):
+                    raise ValueError(f"{type(self).__name__}.{name} must "
+                                     f"be {rule}, got {value!r}")
 
     def delay(self, failed_attempts: int) -> float:
         """Backoff [s] after *failed_attempts* failures (>= 1)."""
@@ -147,14 +161,54 @@ class RetryPolicy:
         return self.base_delay * self.backoff ** (failed_attempts - 1)
 
     def to_dict(self) -> dict:
-        return {"max_attempts": self.max_attempts,
-                "base_delay": self.base_delay, "backoff": self.backoff,
-                "deadline": self.deadline, "degrade": self.degrade}
+        """The retry-loop fields, plus endpoint-selection fields off
+        their defaults: so a process placement's policy encodes (and
+        keys a request) as before API 2.2."""
+        return {name: value for name, value in vars(self).items()
+                if name not in ENDPOINT_FIELDS or value != _DEFAULTS[name]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RetryPolicy":
         return cls(**data)
 
+    @classmethod
+    def for_placement(cls, policy, endpoints: bool = False
+                      ) -> "RetryPolicy":
+        """*policy* (or its dict form) for a pool of HTTP endpoints
+        (*endpoints*) or a process placement: a field the placement
+        cannot honour is a :class:`ValueError` (a 400 on the wire)."""
+        if not isinstance(policy, RetryPolicy):
+            policy = cls.from_dict(policy)
+        names, why = ((("deadline",), "a WorkerPool has no deadline")
+                      if endpoints else
+                      (ENDPOINT_FIELDS, "only a WorkerPool selects endpoints"))
+        for name in names:
+            value = getattr(policy, name)
+            if value != _DEFAULTS[name]:
+                raise ValueError(f"RetryPolicy.{name}={value!r} cannot be "
+                                 f"honoured here: {why}")
+        return policy
+
+
+_DEFAULTS = {f.name: f.default for f in fields(RetryPolicy)}
+
+#: The fields only a :class:`~repro.service.resilience.WorkerPool`
+#: reads: its circuit breakers and hedging.
+ENDPOINT_FIELDS = ("failure_threshold", "cooldown", "hedge",
+                   "hedge_percentile", "hedge_min_samples", "hedge_floor")
+
+#: ``(fields, test, rule)``: what a :class:`RetryPolicy` refuses.
+_RULES = (
+    (("max_attempts", "failure_threshold", "hedge_min_samples"),
+     lambda v: isinstance(v, numbers.Integral) and v >= 1, "an integer >= 1"),
+    (("base_delay", "backoff", "cooldown", "hedge_floor"),
+     lambda v: isinstance(v, numbers.Real) and 0 <= v < math.inf,
+     "a finite number >= 0"),
+    (("hedge_percentile",),
+     lambda v: isinstance(v, numbers.Real) and 0 < v <= 100, "in (0, 100]"),
+    (("deadline",), lambda v: v is None or (
+        isinstance(v, numbers.Real) and 0 < v < math.inf),
+     "None or a positive finite number of seconds"))
 
 #: The policy of ``retry=None``: one attempt, and a failure raises.
 ONE_ATTEMPT = RetryPolicy(max_attempts=1, degrade=False)
@@ -304,8 +358,9 @@ class JobQueue:
         ``cache_bytes`` budget, and up to
         :data:`SUPERVISORS_PER_WORKER` supervising threads per worker.
     retry:
-        The :class:`RetryPolicy` of every submission (deadlines, retry
-        with backoff, shard degradation - see the module docstring).
+        The :class:`RetryPolicy` (or its dict form) of every submission
+        (deadlines, retry with backoff, shard degradation - see the
+        module docstring).
         ``None`` (default) is :data:`ONE_ATTEMPT`: a failure raises,
         and a crashed worker fails only its in-flight jobs while the
         pool respawns.
@@ -319,7 +374,8 @@ class JobQueue:
             session = AnalysisSession()
         self.session = session
         self.n_workers = n_workers
-        self.retry = ONE_ATTEMPT if retry is None else retry
+        self.retry = (ONE_ATTEMPT if retry is None
+                      else RetryPolicy.for_placement(retry))
         if n_workers is not None and n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self._inline = n_workers is None
@@ -502,11 +558,12 @@ class JobQueue:
         return self._supervise(spec, policy, attempt_fn, degrade_fn)
 
     def _run_shards(self, specs, compiled, retry) -> list:
-        """Run *specs* with *compiled* under *retry* (else the queue's
-        policy); results in spec (= merge) order.  The
+        """Run *specs* with *compiled* under *retry* (or its dict form;
+        else the queue's policy); results in spec (= merge) order.  The
         :data:`~repro.core.workers.shard_runner` of a fan-out request
         run in this process, and the body of :func:`run_shards`."""
-        policy = self.retry if retry is None else retry
+        policy = (self.retry if retry is None
+                  else RetryPolicy.for_placement(retry))
         jobs = [self._submit_shard(spec, policy, compiled)
                 for spec in specs]
         return [job.result() for job in jobs]
@@ -613,13 +670,14 @@ def _resolved(fn) -> Future:
 def run_shards(specs, compiled, n_workers: int | None = None,
                retry: RetryPolicy | None = None) -> list:
     """Execute Monte-Carlo shard *specs* with the caller's *compiled*
-    circuit, under *retry* (``None``: :data:`ONE_ATTEMPT`), returning
-    results in spec (= merge) order.
+    circuit, under *retry* (or its dict form; ``None``:
+    :data:`ONE_ATTEMPT`), returning results in spec (= merge) order.
 
     The shards run on a private pool of *n_workers* processes when
     that is more than one and there is more than one shard, else
     inline; either way through :meth:`JobQueue._run_shards`, the path
     a daemon's fan-out requests take."""
     pooled = n_workers is not None and n_workers > 1 and len(specs) > 1
-    with JobQueue(n_workers=n_workers if pooled else None) as queue:
-        return queue._run_shards(specs, compiled, retry)
+    with JobQueue(n_workers=n_workers if pooled else None,
+                  retry=retry) as queue:
+        return queue._run_shards(specs, compiled, None)

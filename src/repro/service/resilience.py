@@ -14,10 +14,10 @@ each attempt goes:
   success closes the breaker, failure re-opens it).  Breakers stop a
   dead endpoint from charging every shard a connection timeout before
   the pool routes around it.
-* :class:`ScatterPolicy` - the client-side supervision parameters:
-  per-shard attempt budget with exponential backoff, breaker
-  thresholds, optional hedged dispatch, degrade-vs-raise.
-  ``policy=None`` everywhere means :data:`ONE_ATTEMPT`.
+* :class:`~repro.service.jobs.RetryPolicy` - every placement's policy:
+  attempt budget, backoff, degrade-vs-raise, and the fields only a pool
+  reads (breaker thresholds, hedged dispatch); a pool refuses a
+  ``deadline``.  ``ScatterPolicy`` is its deprecated alias.
 * :class:`WorkerPool` - N endpoints behind one ``scatter``: shards are
   dispatched dynamically to the least-loaded healthy endpoint (not
   round-robin, so a lost endpoint's share redistributes), a shard whose
@@ -56,11 +56,11 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 
-from ..errors import DrainingError, TransportError
+from ..errors import DrainingError, TransportError, warn_deprecated
 from ..stats import summarize_samples
 from .client import RemoteSession, annotate_shard_failure
 from .engines import mc_summary
-from .jobs import RetryPolicy, retry_pause, run_with_retry
+from .jobs import ONE_ATTEMPT, RetryPolicy, retry_pause, run_with_retry
 from .shards import (ShardResult, ShardSpec, degraded_shard_result,
                      mc_transient_shards, merge_shard_results)
 
@@ -83,86 +83,14 @@ def is_infrastructure_failure(exc: BaseException) -> bool:
     return getattr(exc, "http_status", 0) >= 500
 
 
-@dataclass(frozen=True)
-class ScatterPolicy:
-    """Client-side supervision of one :class:`WorkerPool` (the
-    cross-host sibling of :class:`~repro.service.jobs.RetryPolicy`).
-
-    ``delay(k)`` after the *k*-th failed attempt is
-    ``base_delay * backoff**(k-1)`` - the job supervisor's own
-    :meth:`~repro.service.jobs.RetryPolicy.delay`.
-    """
-
-    #: Dispatch attempts per shard across the pool (first + retries;
-    #: each attempt prefers an endpoint the shard has not just failed
-    #: on).
-    max_attempts: int = 3
-    #: Backoff before the first re-dispatch [s]; 0 disables sleeping.
-    base_delay: float = 0.05
-    #: Backoff growth factor per further re-dispatch.
-    backoff: float = 2.0
-    #: Degrade a shard that exhausts every endpoint into NaN-frozen
-    #: lanes with a ``site="transport"`` :class:`~repro.errors.
-    #: FailureRecord` instead of raising.
-    degrade: bool = True
-    #: Consecutive infrastructure failures that open an endpoint's
-    #: breaker.
-    failure_threshold: int = 3
-    #: Seconds an open breaker waits before letting one half-open
-    #: probe through.
-    cooldown: float = 1.0
-    #: Hedge stragglers: once a shard outlives the pool's observed
-    #: latency percentile, dispatch a duplicate on another endpoint
-    #: and take whichever result lands first.
-    hedge: bool = False
-    #: Latency percentile (of recent clean calls) after which a shard
-    #: counts as a straggler.
-    hedge_percentile: float = 95.0
-    #: Clean calls observed before hedging arms (a percentile of two
-    #: points is noise).
-    hedge_min_samples: int = 3
-    #: Hedge no earlier than this many seconds regardless of the
-    #: percentile - guards against hedging everything when the
-    #: workload itself is fast and jittery.
-    hedge_floor: float = 0.05
+class ScatterPolicy(RetryPolicy):
+    """Deprecated alias (API 2.2, removed in 3.0) of
+    :class:`~repro.service.jobs.RetryPolicy`."""
 
     def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("ScatterPolicy.max_attempts must be >= 1")
-        if self.failure_threshold < 1:
-            raise ValueError(
-                "ScatterPolicy.failure_threshold must be >= 1")
-        if self.cooldown < 0.0:
-            raise ValueError("ScatterPolicy.cooldown must be >= 0")
-        if not 0.0 < self.hedge_percentile <= 100.0:
-            raise ValueError(
-                "ScatterPolicy.hedge_percentile must be in (0, 100]")
-        if self.hedge_min_samples < 1:
-            raise ValueError(
-                "ScatterPolicy.hedge_min_samples must be >= 1")
-
-    #: The job supervisor's backoff, shared rather than copied: it
-    #: reads only ``base_delay`` and ``backoff``.
-    delay = RetryPolicy.delay
-
-    def to_dict(self) -> dict:
-        return {"max_attempts": self.max_attempts,
-                "base_delay": self.base_delay, "backoff": self.backoff,
-                "degrade": self.degrade,
-                "failure_threshold": self.failure_threshold,
-                "cooldown": self.cooldown, "hedge": self.hedge,
-                "hedge_percentile": self.hedge_percentile,
-                "hedge_min_samples": self.hedge_min_samples,
-                "hedge_floor": self.hedge_floor}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScatterPolicy":
-        return cls(**data)
-
-
-#: The policy of ``policy=None``: each shard is sent once, and a
-#: failure raises.
-ONE_ATTEMPT = ScatterPolicy(max_attempts=1, degrade=False)
+        warn_deprecated("ScatterPolicy", "use RetryPolicy, which every "
+                        "placement accepts", stacklevel=3)
+        super().__post_init__()
 
 
 class CircuitBreaker:
@@ -238,7 +166,7 @@ class CircuitBreaker:
 class _Endpoint:
     """One worker daemon inside the pool: session + breaker + flags."""
 
-    def __init__(self, session: RemoteSession, policy: ScatterPolicy):
+    def __init__(self, session: RemoteSession, policy: RetryPolicy):
         self.session = session
         self.breaker = CircuitBreaker(
             failure_threshold=policy.failure_threshold,
@@ -270,7 +198,8 @@ class WorkerPool:
         objects.  Sessions the pool builds from URLs close with it;
         sessions passed in stay the caller's.
     policy:
-        A :class:`ScatterPolicy`; default :class:`ScatterPolicy()`.
+        A :class:`~repro.service.jobs.RetryPolicy` (or its dict form)
+        without a ``deadline``; default ``RetryPolicy()``.
     probe_interval:
         When set, a background daemon thread probes every endpoint's
         ``GET /health`` this often [s]: a healthy probe closes the
@@ -282,9 +211,10 @@ class WorkerPool:
     Use as a context manager, or call :meth:`close`.
     """
 
-    def __init__(self, workers, policy: ScatterPolicy | None = None,
+    def __init__(self, workers, policy: RetryPolicy | None = None,
                  probe_interval: float | None = None):
-        self.policy = policy if policy is not None else ScatterPolicy()
+        self.policy = (RetryPolicy() if policy is None else
+                       RetryPolicy.for_placement(policy, endpoints=True))
         #: Sessions this pool built from URLs, closed with it.
         self._owned: list[RemoteSession] = []
         self._endpoints = []
@@ -468,26 +398,23 @@ class WorkerPool:
                                retryable=is_infrastructure_failure)
 
         def exhausted(last: BaseException, attempts: int) -> ShardResult:
-            exc = self._exhausted(spec, last_exc or last, tried)
+            # tagged like a terminal failure, chained to the last
+            # endpoint error
+            last = last_exc or last
+            exc = TransportError(
+                f"shard [{spec.start}, {spec.stop}) exhausted {attempts} "
+                f"attempts across the pool "
+                f"({', '.join(tried) or 'no endpoint reachable'}); "
+                f"last error: {last}",
+                endpoint=tried[-1] if tried else None)
+            exc.shard_span = (spec.start, spec.stop)
+            exc.__cause__ = last
             if not policy.degrade:
                 raise exc
             return degraded_shard_result(spec, exc, attempts,
                                          site="transport")
 
         return run_with_retry(policy, attempt_fn, exhausted, pause)
-
-    def _exhausted(self, spec: ShardSpec, last_exc, tried) -> TransportError:
-        """Out of attempts: tagged like a terminal failure, chained
-        to the last error."""
-        where = ", ".join(tried) if tried else "no endpoint reachable"
-        exc = TransportError(
-            f"shard [{spec.start}, {spec.stop}) exhausted "
-            f"{self.policy.max_attempts} attempts across the pool "
-            f"({where}); last error: {last_exc}",
-            endpoint=tried[-1] if tried else None)
-        exc.shard_span = (spec.start, spec.stop)
-        exc.__cause__ = last_exc
-        return exc
 
     def scatter(self, specs: list[ShardSpec]) -> list[ShardResult]:
         """Execute *specs* across the pool; results return in spec
@@ -505,8 +432,10 @@ class WorkerPool:
             raise
 
     def run_shard(self, spec: ShardSpec) -> ShardResult:
-        """One shard through the pool's full supervision (the
-        session-shaped convenience)."""
+        """One shard through the pool's full supervision (deprecated
+        since API 2.2)."""
+        warn_deprecated("WorkerPool.run_shard()",
+                        "use WorkerPool.scatter([spec])[0]")
         return self._run_one(spec)
 
     # -- health probing ------------------------------------------------
@@ -569,7 +498,7 @@ class WorkerPool:
 # cross-host Monte-Carlo
 # ---------------------------------------------------------------------------
 def scatter_shards(workers, specs: list[ShardSpec],
-                   policy: ScatterPolicy | None = None
+                   policy: RetryPolicy | None = None
                    ) -> list[ShardResult]:
     """Execute *specs* across *workers*, concurrently; results return
     in spec order, ready for
@@ -579,8 +508,8 @@ def scatter_shards(workers, specs: list[ShardSpec],
     policy (passing *policy* too is a :class:`ValueError`), or URLs /
     :class:`~repro.service.client.RemoteSession` objects, scattered
     through a temporary pool under *policy*; ``None`` is
-    :data:`ONE_ATTEMPT`, so each shard goes once to the least-loaded
-    endpoint and the first failure raises.
+    :data:`~repro.service.jobs.ONE_ATTEMPT`, so each shard goes once to
+    the least-loaded endpoint and the first failure raises.
 
     A terminal shard failure cancels the not-yet-started shards and
     propagates - a workload error as itself, an exhausted shard as a

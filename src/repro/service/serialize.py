@@ -203,21 +203,6 @@ def variation_spec(payload):
     return from_jsonable(payload)
 
 
-def retry_payload(retry) -> dict | None:
-    """Canonicalise a retry policy (or its dict form) for an options
-    map; duck-typed so this module need not import the jobs layer."""
-    if retry is None:
-        return None
-    if isinstance(retry, dict):
-        return dict(retry)
-    to_dict = getattr(retry, "to_dict", None)
-    if to_dict is None:
-        raise TypeError(
-            f"retry must be a RetryPolicy, its dict form, or None - "
-            f"got {type(retry).__name__!r}")
-    return to_dict()
-
-
 def output_triples(outputs) -> tuple:
     """Canonicalise a dcmatch output map into sorted
     ``(name, pos, neg)`` triples - a hashable, JSON-stable shape.

@@ -7,7 +7,8 @@ four LRU stores, all keyed on content hashes from the domain layer
 
 * **compiled** - :class:`~repro.analysis.mna.CompiledCircuit` by
   (fingerprint, cmin, backend spec);
-* **states** - :class:`~repro.analysis.mna.ParamState` by state key;
+* **states** - :class:`~repro.analysis.mna.ParamState` by state key,
+  filled only by the deprecated :meth:`AnalysisSession.state`;
 * **pss** - :class:`~repro.analysis.pss.PssResult` orbits (and with
   them the lazily built orbit linearizations) by (cache key, backend,
   drive spec, options);
@@ -46,9 +47,9 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from collections import OrderedDict
 
+from ..errors import warn_deprecated
 from .requests import AnalysisRequest, AnalysisResult
 
 #: Default byte budget of a session's engine stores.  Eight orbits of
@@ -240,11 +241,9 @@ class AnalysisSession:
                 "pss_capacity": pss_capacity}
         for name, cap in caps.items():
             if cap is not None:
-                warnings.warn(
-                    f"AnalysisSession({name}=) is deprecated and will be "
-                    f"removed in API 3.0; the engine stores share one "
-                    f"byte budget, cache_bytes=", DeprecationWarning,
-                    stacklevel=2)
+                warn_deprecated(f"AnalysisSession({name}=)",
+                                "the engine stores share one byte "
+                                "budget, cache_bytes=")
         self.backend = backend
         self.cache_bytes = cache_bytes
         budget = _ByteBudget(cache_bytes)
@@ -264,7 +263,10 @@ class AnalysisSession:
     def state(self, compiled, deltas=None, source_values=None,
               batch_shape=None):
         """Parameter state through the session cache (see
-        :meth:`~repro.analysis.mna.CompiledCircuit.make_state`)."""
+        :meth:`~repro.analysis.mna.CompiledCircuit.make_state`); no
+        engine reads it, so deprecated since API 2.2."""
+        warn_deprecated("AnalysisSession.state()",
+                        "use compiled.make_state(...)")
         key = compiled.state_key(deltas=deltas,
                                  source_values=source_values,
                                  batch_shape=batch_shape)

@@ -121,9 +121,10 @@ class TestAdaptiveSettle:
         compiled = compile_circuit(ckt)
         fixed = pss(compiled, 1e-6,
                     options=PssOptions(n_steps=128, settle_periods=3))
-        adapt = pss(compiled, 1e-6,
-                    options=PssOptions(n_steps=128, settle_periods=3,
-                                       settle_adaptive=True))
+        with pytest.warns(DeprecationWarning, match="settle_adaptive"):
+            options = PssOptions(n_steps=128, settle_periods=3,
+                                 settle_adaptive=True)
+        adapt = pss(compiled, 1e-6, options=options)
         # the shooting Newton polishes both to the same orbit
         assert np.allclose(adapt.x, fixed.x, rtol=1e-6, atol=1e-9)
         assert adapt.residual <= 1e-6

@@ -178,9 +178,19 @@ class TestRetryPolicy:
                              [(0.05, 2.0), (0.0, 2.0), (0.3, 1.5),
                               (-1.0, 3.0)])
     def test_scatter_policy_shares_the_backoff(self, base_delay, backoff):
-        retry = RetryPolicy(base_delay=base_delay, backoff=backoff)
-        scatter = ScatterPolicy(base_delay=base_delay, backoff=backoff)
+        """The deprecated alias warns, then accepts, refuses and backs
+        off exactly as RetryPolicy does (a negative delay is refused)."""
         assert ScatterPolicy.delay is RetryPolicy.delay
+        if base_delay < 0:
+            with pytest.raises(ValueError, match="base_delay"):
+                RetryPolicy(base_delay=base_delay, backoff=backoff)
+            with pytest.raises(ValueError, match="base_delay"), \
+                    pytest.warns(DeprecationWarning, match="ScatterPolicy"):
+                ScatterPolicy(base_delay=base_delay, backoff=backoff)
+            return
+        retry = RetryPolicy(base_delay=base_delay, backoff=backoff)
+        with pytest.warns(DeprecationWarning, match="ScatterPolicy"):
+            scatter = ScatterPolicy(base_delay=base_delay, backoff=backoff)
         assert ([scatter.delay(k) for k in range(1, 7)]
                 == [retry.delay(k) for k in range(1, 7)])
 

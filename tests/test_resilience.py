@@ -54,7 +54,7 @@ from repro.service.resilience import (CircuitBreaker, ScatterPolicy,
                                       is_infrastructure_failure)
 
 MEAS = [DcLevel("vout", "out")]
-FAST = ScatterPolicy(base_delay=0.0)
+FAST = RetryPolicy(base_delay=0.0)
 #: Every process start method this platform offers.
 START_METHODS = multiprocessing.get_all_start_methods()
 
@@ -208,17 +208,24 @@ class TestCircuitBreaker:
 
 
 class TestScatterPolicy:
+    """The deprecated alias: it warns, and is a RetryPolicy."""
+
     def test_backoff_shape(self):
-        policy = ScatterPolicy(base_delay=0.05, backoff=2.0)
+        with pytest.warns(DeprecationWarning, match="ScatterPolicy"):
+            policy = ScatterPolicy(base_delay=0.05, backoff=2.0)
+        assert isinstance(policy, RetryPolicy)
         assert policy.delay(1) == pytest.approx(0.05)
         assert policy.delay(2) == pytest.approx(0.10)
         assert policy.delay(3) == pytest.approx(0.20)
-        assert ScatterPolicy(base_delay=0.0).delay(3) == 0.0
+        assert RetryPolicy(base_delay=0.0).delay(3) == 0.0
 
     def test_round_trips_through_dict(self):
-        policy = ScatterPolicy(max_attempts=5, hedge=True,
-                               hedge_percentile=90.0)
-        assert ScatterPolicy.from_dict(policy.to_dict()) == policy
+        policy = RetryPolicy(max_attempts=5, hedge=True,
+                             hedge_percentile=90.0)
+        assert RetryPolicy.from_dict(policy.to_dict()) == policy
+        with pytest.warns(DeprecationWarning, match="ScatterPolicy"):
+            alias = ScatterPolicy.from_dict(policy.to_dict())
+        assert alias.to_dict() == policy.to_dict()
 
     @pytest.mark.parametrize("bad", [
         {"max_attempts": 0}, {"failure_threshold": 0},
@@ -226,6 +233,8 @@ class TestScatterPolicy:
         {"hedge_percentile": 101.0}, {"hedge_min_samples": 0}])
     def test_validates(self, bad):
         with pytest.raises(ValueError):
+            RetryPolicy(**bad)
+        with pytest.raises(ValueError), pytest.warns(DeprecationWarning):
             ScatterPolicy(**bad)
 
     def test_infrastructure_classification(self):
@@ -260,7 +269,7 @@ class TestWorkerPool:
             plan = FaultPlan(rules=[FaultRule(
                 site="transport", kind="crash",
                 start=f"{w1.url} POST /shard")])
-            policy = ScatterPolicy(base_delay=0.0, failure_threshold=1)
+            policy = RetryPolicy(base_delay=0.0, failure_threshold=1)
             with plan.active():
                 with WorkerPool([w1.url, w2.url],
                                 policy=policy) as pool:
@@ -294,7 +303,7 @@ class TestWorkerPool:
         with AnalysisServer() as live:
             with WorkerPool([live.url,
                              RemoteSession(dead, timeout=1.0)],
-                            policy=ScatterPolicy(failure_threshold=1),
+                            policy=RetryPolicy(failure_threshold=1),
                             probe_interval=0.05) as pool:
                 deadline = time.monotonic() + 5.0
                 while time.monotonic() < deadline:
@@ -338,8 +347,8 @@ class TestWorkerPool:
                     chunk_size=4)
 
     def test_degrade_false_raises_naming_the_span(self):
-        policy = ScatterPolicy(base_delay=0.0, degrade=False,
-                               max_attempts=2)
+        policy = RetryPolicy(base_delay=0.0, degrade=False,
+                             max_attempts=2)
         with WorkerPool([RemoteSession(_dead_url(), timeout=1.0)],
                         policy=policy) as pool:
             with pytest.raises(TransportError,
@@ -388,9 +397,9 @@ class TestWorkerPool:
         result wins, the merge stays exact, and the scatter finishes
         long before the straggler would have."""
         hang = 3.0
-        policy = ScatterPolicy(hedge=True, hedge_percentile=50.0,
-                               hedge_min_samples=2, hedge_floor=0.01,
-                               base_delay=0.0)
+        policy = RetryPolicy(hedge=True, hedge_percentile=50.0,
+                             hedge_min_samples=2, hedge_floor=0.01,
+                             base_delay=0.0)
         local = _local(n=16, chunk=4)
         with AnalysisServer() as w1, AnalysisServer() as w2:
             with WorkerPool([w1.url, w2.url], policy=policy) as pool:
@@ -447,8 +456,8 @@ class TestPlainScatter:
         with WorkerPool([RemoteSession(_dead_url(), timeout=1.0)],
                         policy=FAST) as pool:
             with pytest.raises(ValueError, match="own policy"):
-                scatter(pool, ScatterPolicy(max_attempts=1,
-                                            degrade=False))
+                scatter(pool, RetryPolicy(max_attempts=1,
+                                          degrade=False))
             assert pool.stats()["endpoints"][0]["dispatched"] == 0
 
     def test_exhausted_plain_scatter_names_span_endpoint_and_cause(self):
@@ -586,8 +595,8 @@ class TestSubprocessFailover:
         urls = [u for _, u in daemons]
         try:
             with WorkerPool(urls,
-                            policy=ScatterPolicy(base_delay=0.0,
-                                                 failure_threshold=1)
+                            policy=RetryPolicy(base_delay=0.0,
+                                               failure_threshold=1)
                             ) as pool:
                 pool.probe()   # all three look healthy right now
                 RemoteSession(urls[2]).drain()

@@ -400,7 +400,8 @@ class TestEngineBudget:
             s.transient_mismatch(_rc(r=r), MEAS, period=1e-6,
                                  pss_options=PSS_OPTS)
             compiled = s.compile(_rc(r=r))
-            s.state(compiled, deltas={("R", "r"): r})
+            with pytest.warns(DeprecationWarning, match="state"):
+                s.state(compiled, deltas={("R", "r"): r})
         st = s.stats()
         assert [st[k]["size"] for k in ("compiled", "states", "pss")] \
             == [1, 1, 1]
