@@ -28,8 +28,7 @@ settle's own time grid, *is* the orbit, and no shooting period is
 integrated (:attr:`PssResult.shooting_periods` is 0).  Period 1 starts
 at the DC point or the ICs - not an integrated state - so it is never
 accepted.  A settle that never closes runs to the cap and hands its
-final state to Newton shooting unchanged.  The adaptive settle
-(:attr:`PssOptions.settle_adaptive`), the ``settle`` engine and
+final state to Newton shooting unchanged.  The ``settle`` engine and
 :func:`pss_oscillator`'s ``t_settle`` keep their full settle length.
 
 Matrix-free shooting and the dense fallback
@@ -71,12 +70,11 @@ factorizations instead of each re-assembling the orbit.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import (AnalysisError, ConvergenceError, MeasurementError,
-                      warn_deprecated)
+from ..errors import AnalysisError, ConvergenceError, MeasurementError
 from ..linalg.krylov import GMRES_MAXITER, gmres_blocked, use_matrix_free
 from ..waveform import Waveform, WaveformSet
 from .dcop import NewtonOptions, dc_operating_point
@@ -108,31 +106,8 @@ class PssOptions:
     matrix_free: bool | None = None
     #: Relative GMRES tolerance of the matrix-free shooting update.
     krylov_tol: float = 1e-11
-    #: Deprecated since API 2.2, with the two tolerances below.
-    #: Run the pre-shooting settle phase on the adaptive LTE-controlled
-    #: stepper instead of the fixed ``period / n_steps`` grid.  The
-    #: settle inherits the transient breakpoint schedule
-    #: (:func:`~repro.analysis.transient.source_breakpoints`), landing
-    #: exactly on every clock edge instead of burning LTE rejections
-    #: rediscovering them.  Only the *approach* to the orbit changes -
-    #: the shooting iteration itself stays on the fixed grid and
-    #: converges to the same steady state (within :attr:`tol`).
-    settle_adaptive: bool = False
-    #: Relative/absolute LTE targets of the adaptive settle phase.
-    #: The defaults favour speed: the settle only needs to reach the
-    #: orbit's basin of attraction - shooting Newton does the polishing.
-    settle_rtol: float = 1e-3
-    settle_atol: float = 1e-6
     newton: NewtonOptions = field(default_factory=lambda: NewtonOptions(
         max_step=1.0, max_iterations=50))
-
-    def __post_init__(self):
-        used = [f"PssOptions.{f.name}" for f in fields(self)
-                if f.name in ("settle_adaptive", "settle_rtol", "settle_atol")
-                and getattr(self, f.name) != f.default]
-        if used:
-            warn_deprecated("/".join(used), "cap the settle with "
-                            "settle_periods instead", stacklevel=3)
 
 
 def _validate(opts: PssOptions, period: "float | None") -> None:
@@ -451,8 +426,8 @@ def _settle_start(compiled: CompiledCircuit, state: ParamState,
                   closure: "_PeriodClosure | None" = None
                   ) -> tuple[np.ndarray, np.ndarray | None]:
     """Padded state after the settle, and the settle's time grid
-    (``None`` without a settle).  With *closure* the fixed-grid settle
-    stops at the first period it accepts."""
+    (``None`` without a settle).  With *closure* the settle stops at the
+    first period it accepts."""
     if compiled.circuit.ic:
         x_pad = compiled.initial_padded()
     else:
@@ -460,17 +435,12 @@ def _settle_start(compiled: CompiledCircuit, state: ParamState,
         x_pad = compiled.pad(dc.x)
     if opts.settle_periods <= 0:
         return x_pad, None
-    if opts.settle_adaptive:
-        topts = TransientOptions(
-            method=opts.method, record=[], newton=opts.newton,
-            adaptive=True, rtol=opts.settle_rtol, atol=opts.settle_atol)
-    else:
-        topts = TransientOptions(method=opts.method, record=[],
-                                 newton=opts.newton)
     res = transient(
         compiled, t_stop=opts.settle_periods * period,
         dt=period / opts.n_steps, state=state, x0_pad=x_pad,
-        options=topts, stop_at=closure)
+        options=TransientOptions(method=opts.method, record=[],
+                                 newton=opts.newton),
+        stop_at=closure)
     return res.x_final_pad, res.t
 
 
@@ -490,8 +460,7 @@ def pss(compiled: CompiledCircuit, period: float,
         raise AnalysisError("PSS analyses are batchless")
     mf = use_matrix_free(compiled.backend, compiled.n, opts.matrix_free)
     closure = (_PeriodClosure(opts.n_steps, compiled.n, opts.tol)
-               if opts.engine != "settle" and not opts.settle_adaptive
-               else None)
+               if opts.engine != "settle" else None)
     x_pad, t_settle = _settle_start(compiled, state, period, opts, closure)
     if closure is not None and closure.residual is not None:
         return PssResult(compiled, state, period,

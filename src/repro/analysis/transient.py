@@ -719,9 +719,7 @@ def source_breakpoints(compiled: CompiledCircuit, t_start: float,
 
     Collects :meth:`~repro.circuit.sources.TimeFunction.breakpoints`
     from every independent source and every VCCS gate window, sorted
-    and de-duplicated to a relative tolerance.  The PSS settle phase
-    inherits the same schedule through
-    :attr:`~repro.analysis.pss.PssOptions.settle_adaptive`.
+    and de-duplicated to a relative tolerance.
     """
     chunks = []
     waves = [el.wave for el in compiled.vsources + compiled.isources]

@@ -21,12 +21,18 @@ Versioning policy
   through 1.x and were removed in 2.0: they now raise
   :class:`TypeError`).  A deprecation warns with a
   :class:`~repro.errors.ReproDeprecationWarning` naming its successor.
-  API 3.0 removes :class:`AnalysisSession`'s ``compiled_capacity``,
-  ``state_capacity`` and ``pss_capacity`` (since 2.1: one byte budget,
-  ``cache_bytes``); since 2.2, :class:`ScatterPolicy` (use
-  :class:`RetryPolicy`), :meth:`AnalysisSession.state`,
-  ``WorkerPool.run_shard`` and :class:`PssOptions`' ``settle_adaptive``,
-  ``settle_rtol`` and ``settle_atol``; and ``default_session()``.
+  API 3.0 removed what 2.1 and 2.2 deprecated: :class:`AnalysisSession`'s
+  ``compiled_capacity``, ``state_capacity`` and ``pss_capacity`` (one
+  byte budget, ``cache_bytes``), ``AnalysisSession.state()`` and its
+  ``states`` store (use ``compiled.make_state(...)``), ``ScatterPolicy``
+  (use :class:`RetryPolicy`), ``WorkerPool.run_shard`` (use
+  ``scatter([spec])[0]``) and :class:`PssOptions`' ``settle_adaptive``,
+  ``settle_rtol`` and ``settle_atol`` (cap the settle with
+  ``settle_periods``).  Request format v1 still carries the three
+  settle fields at their old defaults, so a 2.x request keeps its key;
+  any other value is refused.  ``default_session()`` stays, and does
+  not warn, while perfbench's ``run_op`` calls it; once that moves to
+  an explicit session it warns for a minor release before it can go.
 
 Wire formats version independently (``REQUEST_FORMAT_VERSION``,
 ``SHARD_PROTOCOL_VERSION``); ``GET /health`` on a daemon reports all
@@ -120,12 +126,12 @@ _SERVICE_NAMES = (
     "serve", "AnalysisServer", "TenantConfig",
     "RemoteSession", "RemoteJob",
     "ScatterResult", "scatter_shards", "scatter_monte_carlo_transient",
-    "WorkerPool", "ScatterPolicy",
+    "WorkerPool",
 )
 __getattr__, __dir__ = lazy_exports(globals(), {".service": _SERVICE_NAMES})
 
 #: The facade's own version (see the module docstring for the policy).
-API_VERSION = "2.2"
+API_VERSION = "3.0"
 
 __all__ = [
     "API_VERSION",

@@ -11,7 +11,6 @@ analysis results (see :mod:`repro.service.shards`).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 
@@ -163,13 +162,8 @@ class QuotaExceededError(ReproError):
 
 
 class ReproDeprecationWarning(DeprecationWarning):
-    """A public name or keyword that API 3.0 removes (see repro.api)."""
-
-
-def warn_deprecated(what: str, instead: str, stacklevel: int = 2) -> None:
-    """Warn that API 3.0 removes *what*; *instead* names its successor."""
-    warnings.warn(f"{what} is deprecated and will be removed in API 3.0; "
-                  f"{instead}", ReproDeprecationWarning, stacklevel + 1)
+    """A public name or keyword that the next major API version removes
+    (see the versioning policy in repro.api)."""
 
 
 #: Error classes a supervised job retry can plausibly fix: numerical

@@ -47,9 +47,8 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     ".faults": ("FaultPlan", "FaultRule"),
     ".jobs": ("Job", "JobQueue", "RetryPolicy"),
     ".net": ("AnalysisServer", "TenantConfig", "serve"),
-    ".resilience": ("CircuitBreaker", "ScatterPolicy", "ScatterResult",
-                    "WorkerPool", "scatter_monte_carlo_transient",
-                    "scatter_shards"),
+    ".resilience": ("CircuitBreaker", "ScatterResult", "WorkerPool",
+                    "scatter_monte_carlo_transient", "scatter_shards"),
     ".requests": ("REQUEST_FORMAT_VERSION", "AnalysisRequest",
                   "AnalysisResult"),
     ".serialize": ("circuit_from_dict", "circuit_to_dict", "from_jsonable",
@@ -76,6 +75,6 @@ __all__ = [
     "AnalysisServer", "TenantConfig", "serve",
     "RemoteSession", "RemoteJob", "ScatterResult",
     "scatter_shards", "scatter_monte_carlo_transient",
-    "WorkerPool", "ScatterPolicy", "CircuitBreaker",
+    "WorkerPool", "CircuitBreaker",
     "TransportError", "DrainingError",
 ]

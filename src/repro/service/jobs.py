@@ -150,7 +150,14 @@ class RetryPolicy:
         for names, valid, rule in _RULES:
             for name in names:
                 value = getattr(self, name)
-                if not valid(value):
+                try:
+                    ok = not isinstance(value, bool) and valid(value)
+                    # equal policies encode, and key a request, the same
+                    if ok and name in _FLOAT_FIELDS and value is not None:
+                        object.__setattr__(self, name, float(value))
+                except OverflowError:   # an int too large for a float
+                    ok = False
+                if not ok:
                     raise ValueError(f"{type(self).__name__}.{name} must "
                                      f"be {rule}, got {value!r}")
 
@@ -197,7 +204,12 @@ _DEFAULTS = {f.name: f.default for f in fields(RetryPolicy)}
 ENDPOINT_FIELDS = ("failure_threshold", "cooldown", "hedge",
                    "hedge_percentile", "hedge_min_samples", "hedge_floor")
 
-#: ``(fields, test, rule)``: what a :class:`RetryPolicy` refuses.
+#: The times and factors, stored as ``float`` whatever their spelling.
+_FLOAT_FIELDS = ("base_delay", "backoff", "deadline", "cooldown",
+                 "hedge_percentile", "hedge_floor")
+
+#: ``(fields, test, rule)``: what a :class:`RetryPolicy` refuses (a
+#: ``bool`` in any of these numeric fields, too).
 _RULES = (
     (("max_attempts", "failure_threshold", "hedge_min_samples"),
      lambda v: isinstance(v, numbers.Integral) and v >= 1, "an integer >= 1"),
@@ -247,7 +259,7 @@ def _report(session) -> tuple[int, dict]:
     """This worker's PID and its engine stores' counters."""
     stats = session.stats()
     return os.getpid(), {kind: {f: stats[kind][f] for f in _REPORTED}
-                         for kind in ("compiled", "states", "pss")}
+                         for kind in ("compiled", "pss")}
 
 
 def _run_request(request: AnalysisRequest, key: str, attempt: int = 0,
@@ -482,8 +494,8 @@ class JobQueue:
                     "epoch": self._pool_epoch}
 
     def worker_stats(self) -> dict:
-        """Each live worker's engine stores (``compiled``, ``states``,
-        ``pss``: ``size``, ``bytes``, ``hits``, ``misses``) as it last
+        """Each live worker's engine stores (``compiled`` and ``pss``:
+        ``size``, ``bytes``, ``hits``, ``misses``) as it last
         reported them with a result, keyed by PID as a string (empty
         inline)."""
         with self._pool_lock:

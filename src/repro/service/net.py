@@ -27,9 +27,9 @@ Endpoints
     Session store counters, the ``body_index`` (``size``,
     ``capacity``, ``hits``, ``misses``), the engine pool (``workers``,
     ``pids``, ``dispatched``, respawn ``epoch``), each engine
-    process's stores under ``workers`` (by PID: ``compiled``,
-    ``states`` and ``pss``, each ``size``, ``bytes``, ``hits``,
-    ``misses``, as last reported with a result), per-tenant quota
+    process's stores under ``workers`` (by PID: ``compiled`` and
+    ``pss``, each ``size``, ``bytes``, ``hits``, ``misses``, as last
+    reported with a result), per-tenant quota
     counters, the asynchronous job count and the HTTP ``connections``
     (``open`` now, ``accepted`` in all).
 ``POST /run``

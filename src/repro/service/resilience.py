@@ -17,7 +17,7 @@ each attempt goes:
 * :class:`~repro.service.jobs.RetryPolicy` - every placement's policy:
   attempt budget, backoff, degrade-vs-raise, and the fields only a pool
   reads (breaker thresholds, hedged dispatch); a pool refuses a
-  ``deadline``.  ``ScatterPolicy`` is its deprecated alias.
+  ``deadline``.
 * :class:`WorkerPool` - N endpoints behind one ``scatter``: shards are
   dispatched dynamically to the least-loaded healthy endpoint (not
   round-robin, so a lost endpoint's share redistributes), a shard whose
@@ -56,7 +56,7 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
 
-from ..errors import DrainingError, TransportError, warn_deprecated
+from ..errors import DrainingError, TransportError
 from ..stats import summarize_samples
 from .client import RemoteSession, annotate_shard_failure
 from .engines import mc_summary
@@ -81,16 +81,6 @@ def is_infrastructure_failure(exc: BaseException) -> bool:
     if isinstance(exc, TransportError):
         return True
     return getattr(exc, "http_status", 0) >= 500
-
-
-class ScatterPolicy(RetryPolicy):
-    """Deprecated alias (API 2.2, removed in 3.0) of
-    :class:`~repro.service.jobs.RetryPolicy`."""
-
-    def __post_init__(self):
-        warn_deprecated("ScatterPolicy", "use RetryPolicy, which every "
-                        "placement accepts", stacklevel=3)
-        super().__post_init__()
 
 
 class CircuitBreaker:
@@ -430,13 +420,6 @@ class WorkerPool:
             for f in futures:
                 f.cancel()
             raise
-
-    def run_shard(self, spec: ShardSpec) -> ShardResult:
-        """One shard through the pool's full supervision (deprecated
-        since API 2.2)."""
-        warn_deprecated("WorkerPool.run_shard()",
-                        "use WorkerPool.scatter([spec])[0]")
-        return self._run_one(spec)
 
     # -- health probing ------------------------------------------------
     def probe(self) -> dict:

@@ -31,6 +31,16 @@ from ..circuit.netlist import Circuit
 #: drag :mod:`repro.core` into every service import).
 _REGISTRY: dict[str, type] | None = None
 
+#: Fields API 3.0 removed that request format v1 still carries:
+#: type -> (the field they precede, {field: the value v1 writes}).
+#: :func:`to_jsonable` writes them where v1 did, so a record's bytes
+#: and a request's key stay v1's; :func:`from_jsonable` drops them and
+#: refuses any other value.  The table goes with format v1.
+RETIRED_FIELDS = {
+    "PssOptions": ("newton", {"settle_adaptive": False,
+                              "settle_rtol": 1e-3, "settle_atol": 1e-6}),
+}
+
 
 def _registry() -> dict[str, type]:
     global _REGISTRY
@@ -88,9 +98,13 @@ def to_jsonable(obj):
                     f"JSON object keys must be strings, got {k!r}")
             out[k] = to_jsonable(v)
         return out
-    if _is_dataclass(obj) and type(obj).__name__ in _registry():
-        rec = {"__type__": type(obj).__name__}
+    name = type(obj).__name__
+    if _is_dataclass(obj) and name in _registry():
+        rec = {"__type__": name}
+        before, retired = RETIRED_FIELDS.get(name, (None, {}))
         for f in _dataclass_fields(obj):
+            if f.name == before:
+                rec.update(retired)
             if f.init:
                 rec[f.name] = to_jsonable(getattr(obj, f.name))
         return rec
@@ -112,8 +126,17 @@ def from_jsonable(obj):
             except KeyError:
                 raise TypeError(
                     f"unknown serialized type '{name}'") from None
-            kwargs = {k: from_jsonable(v) for k, v in obj.items()
-                      if k != "__type__"}
+            retired = RETIRED_FIELDS.get(name, (None, {}))[1]
+            kwargs = {}
+            for k, v in obj.items():
+                if k in retired:
+                    if type(v) is not type(retired[k]) or v != retired[k]:
+                        raise ValueError(
+                            f"{name}.{k} was removed in API 3.0; "
+                            f"request format v1 accepts only "
+                            f"{k}={retired[k]!r}, got {v!r}")
+                elif k != "__type__":
+                    kwargs[k] = from_jsonable(v)
             return cls(**kwargs)
         return {k: from_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, list):

@@ -1,21 +1,18 @@
 """The analysis session: bounded, content-addressed caches + execution.
 
 :class:`AnalysisSession` is the application-layer entry point.  It owns
-four LRU stores, all keyed on content hashes from the domain layer
-(:meth:`Circuit.fingerprint` / ``CompiledCircuit.cache_key`` /
-``CompiledCircuit.state_key``):
+three LRU stores, all keyed on content hashes from the domain layer
+(:meth:`Circuit.fingerprint` / ``CompiledCircuit.cache_key``):
 
 * **compiled** - :class:`~repro.analysis.mna.CompiledCircuit` by
   (fingerprint, cmin, backend spec);
-* **states** - :class:`~repro.analysis.mna.ParamState` by state key,
-  filled only by the deprecated :meth:`AnalysisSession.state`;
 * **pss** - :class:`~repro.analysis.pss.PssResult` orbits (and with
   them the lazily built orbit linearizations) by (cache key, backend,
   drive spec, options);
 * **results** - memoized :class:`~repro.service.requests.AnalysisResult`
   values by request key.
 
-The three engine stores share one byte budget and one LRU order
+The two engine stores share one byte budget and one LRU order
 (``cache_bytes``, default :data:`ENGINE_CACHE_BYTES`).  Each entry is
 charged its ``nbytes()`` once, when it is stored: what it holds plus
 what it can still grow to, so an orbit is charged for its
@@ -49,14 +46,12 @@ import threading
 import time
 from collections import OrderedDict
 
-from ..errors import warn_deprecated
 from .requests import AnalysisRequest, AnalysisResult
 
 #: Default byte budget of a session's engine stores.  Eight orbits of
 #: the largest bundled Table II row (the logic path at 800 steps, whose
-#: ``PssResult.nbytes()`` is 5.1 MB with its linearisation) fit, as
-#: under the old ``pss_capacity=8``; an RC orbit of ``service_mix`` is
-#: ~12 kB, so thousands of those fit too.
+#: ``PssResult.nbytes()`` is 5.1 MB with its linearisation) fit; an RC
+#: orbit of ``service_mix`` is ~12 kB, so thousands of those fit too.
 ENGINE_CACHE_BYTES = 48 * 2 ** 20
 
 
@@ -142,15 +137,11 @@ class _BudgetStore:
     the lock) and evicts the budget's least recently used entries - of
     this store or any other sharing the budget - until the total fits,
     calling each evicted value's ``clear_caches()``.  A value larger
-    than the whole budget is not kept.  *max_entries* additionally caps
-    this store's entry count (the deprecated per-kind capacities).
+    than the whole budget is not kept.
     """
 
-    def __init__(self, budget: _ByteBudget, max_entries: int | None = None):
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("store capacity must be >= 1")
+    def __init__(self, budget: _ByteBudget):
         self.budget = budget
-        self.max_entries = max_entries
         self._data: OrderedDict = OrderedDict()
         self.bytes = 0
         self.hits = 0
@@ -188,9 +179,6 @@ class _BudgetStore:
             budget.order[(self, key)] = nbytes
             self.bytes += nbytes
             budget.held += nbytes
-            while (self.max_entries is not None
-                   and len(self._data) > self.max_entries):
-                evicted.append(self._remove(next(iter(self._data))))
             while budget.held > budget.capacity:
                 store, old = next(iter(budget.order))
                 evicted.append(store._remove(old))
@@ -222,34 +210,19 @@ class AnalysisSession:
         Default linear-solver backend spec (name string) for compiles
         that do not override it.
     cache_bytes:
-        Byte budget shared by the compiled, states and pss stores.
+        Byte budget shared by the compiled and pss stores.
     result_capacity:
         Entry bound of the result memo.
-    compiled_capacity, state_capacity, pss_capacity:
-        Deprecated since API 2.1 (removed in 3.0): per-store entry caps,
-        applied on top of the byte budget.
     """
 
     def __init__(self, backend: str | None = None,
                  cache_bytes: int = ENGINE_CACHE_BYTES,
-                 result_capacity: int = 64, *,
-                 compiled_capacity: int | None = None,
-                 state_capacity: int | None = None,
-                 pss_capacity: int | None = None):
-        caps = {"compiled_capacity": compiled_capacity,
-                "state_capacity": state_capacity,
-                "pss_capacity": pss_capacity}
-        for name, cap in caps.items():
-            if cap is not None:
-                warn_deprecated(f"AnalysisSession({name}=)",
-                                "the engine stores share one byte "
-                                "budget, cache_bytes=")
+                 result_capacity: int = 64):
         self.backend = backend
         self.cache_bytes = cache_bytes
         budget = _ByteBudget(cache_bytes)
-        self.compiled = _BudgetStore(budget, compiled_capacity)
-        self.states = _BudgetStore(budget, state_capacity)
-        self.pss_store = _BudgetStore(budget, pss_capacity)
+        self.compiled = _BudgetStore(budget)
+        self.pss_store = _BudgetStore(budget)
         self.results = _LruStore(result_capacity)
 
     # -- domain-object caches ------------------------------------------
@@ -259,25 +232,6 @@ class AnalysisSession:
         :func:`~repro.service.engines.compile_cached`)."""
         from .engines import compile_cached
         return compile_cached(self, circuit, cmin=cmin, backend=backend)
-
-    def state(self, compiled, deltas=None, source_values=None,
-              batch_shape=None):
-        """Parameter state through the session cache (see
-        :meth:`~repro.analysis.mna.CompiledCircuit.make_state`); no
-        engine reads it, so deprecated since API 2.2."""
-        warn_deprecated("AnalysisSession.state()",
-                        "use compiled.make_state(...)")
-        key = compiled.state_key(deltas=deltas,
-                                 source_values=source_values,
-                                 batch_shape=batch_shape)
-        hit = self.states.get(key)
-        if hit is not None:
-            return hit
-        state = compiled.make_state(deltas=deltas,
-                                    source_values=source_values,
-                                    batch_shape=batch_shape)
-        self.states.put(key, state)
-        return state
 
     def pss(self, compiled, period: float | None = None,
             state=None, options=None,
@@ -384,11 +338,10 @@ class AnalysisSession:
     # -- hygiene -------------------------------------------------------
     def clear(self) -> None:
         """Drop every store, cascading through the cached objects' own
-        ``clear_caches()`` (compiled circuits, parameter states, orbit
-        linearizations) so the memory actually comes back."""
+        ``clear_caches()`` (compiled circuits, orbit linearizations) so
+        the memory actually comes back."""
         self.results.clear()
         self.pss_store.clear()
-        self.states.clear()
         self.compiled.clear()
 
     def stats(self) -> dict:
@@ -396,7 +349,6 @@ class AnalysisSession:
         also report their ``bytes`` and share one ``capacity``, the
         byte budget."""
         return {"compiled": self.compiled.stats(),
-                "states": self.states.stats(),
                 "pss": self.pss_store.stats(),
                 "results": self.results.stats()}
 

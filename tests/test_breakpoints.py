@@ -8,8 +8,7 @@ stops paying rejected steps to *discover* each edge.
 import numpy as np
 import pytest
 
-from repro.analysis import compile_circuit, pss, transient
-from repro.analysis.pss import PssOptions
+from repro.analysis import compile_circuit, transient
 from repro.analysis.transient import TransientOptions, source_breakpoints
 from repro.circuit import Circuit, Sine, SmoothPulse
 from repro.circuit.controlled import GateWindow
@@ -110,21 +109,3 @@ class TestSourceBreakpoints:
         assert np.isclose(on.x_final_pad[:-1][0], off.x_final_pad[:-1][0],
                           rtol=1e-2, atol=1e-3)
 
-
-class TestAdaptiveSettle:
-    def test_settle_adaptive_matches_fixed_orbit(self):
-        ckt = Circuit("rc_lp")
-        ckt.add_vsource("VS", "in", "0",
-                        wave=Sine(amplitude=0.3, freq=1e6, offset=0.6))
-        ckt.add_resistor("R", "in", "out", 1e3)
-        ckt.add_capacitor("C", "out", "0", 1e-9)
-        compiled = compile_circuit(ckt)
-        fixed = pss(compiled, 1e-6,
-                    options=PssOptions(n_steps=128, settle_periods=3))
-        with pytest.warns(DeprecationWarning, match="settle_adaptive"):
-            options = PssOptions(n_steps=128, settle_periods=3,
-                                 settle_adaptive=True)
-        adapt = pss(compiled, 1e-6, options=options)
-        # the shooting Newton polishes both to the same orbit
-        assert np.allclose(adapt.x, fixed.x, rtol=1e-6, atol=1e-9)
-        assert adapt.residual <= 1e-6

@@ -38,7 +38,6 @@ from repro.service import (AnalysisRequest, AnalysisResult, FaultPlan,
                            merge_shard_results, to_jsonable)
 from repro.service.faults import FAULTS_ENV, maybe_inject
 from repro.service.jobs import run_with_retry
-from repro.service.resilience import ScatterPolicy
 
 
 def _divider():
@@ -178,19 +177,19 @@ class TestRetryPolicy:
                              [(0.05, 2.0), (0.0, 2.0), (0.3, 1.5),
                               (-1.0, 3.0)])
     def test_scatter_policy_shares_the_backoff(self, base_delay, backoff):
-        """The deprecated alias warns, then accepts, refuses and backs
-        off exactly as RetryPolicy does (a negative delay is refused)."""
-        assert ScatterPolicy.delay is RetryPolicy.delay
+        """A scatter's policy (a RetryPolicy with endpoint fields set)
+        accepts, refuses and backs off exactly as a process placement's
+        does (a negative delay is refused)."""
+        endpoint = {"failure_threshold": 1, "cooldown": 0.5, "hedge": True}
         if base_delay < 0:
-            with pytest.raises(ValueError, match="base_delay"):
-                RetryPolicy(base_delay=base_delay, backoff=backoff)
-            with pytest.raises(ValueError, match="base_delay"), \
-                    pytest.warns(DeprecationWarning, match="ScatterPolicy"):
-                ScatterPolicy(base_delay=base_delay, backoff=backoff)
+            for extra in ({}, endpoint):
+                with pytest.raises(ValueError, match="base_delay"):
+                    RetryPolicy(base_delay=base_delay, backoff=backoff,
+                                **extra)
             return
         retry = RetryPolicy(base_delay=base_delay, backoff=backoff)
-        with pytest.warns(DeprecationWarning, match="ScatterPolicy"):
-            scatter = ScatterPolicy(base_delay=base_delay, backoff=backoff)
+        scatter = RetryPolicy(base_delay=base_delay, backoff=backoff,
+                              **endpoint)
         assert ([scatter.delay(k) for k in range(1, 7)]
                 == [retry.delay(k) for k in range(1, 7)])
 

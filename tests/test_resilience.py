@@ -49,8 +49,7 @@ from repro.service import (AnalysisRequest, AnalysisServer,
                            merge_shard_results,
                            scatter_monte_carlo_transient, scatter_shards,
                            to_jsonable)
-from repro.service.resilience import (CircuitBreaker, ScatterPolicy,
-                                      WorkerPool,
+from repro.service.resilience import (CircuitBreaker, WorkerPool,
                                       is_infrastructure_failure)
 
 MEAS = [DcLevel("vout", "out")]
@@ -208,12 +207,10 @@ class TestCircuitBreaker:
 
 
 class TestScatterPolicy:
-    """The deprecated alias: it warns, and is a RetryPolicy."""
+    """The policy a scatter runs under is a RetryPolicy."""
 
     def test_backoff_shape(self):
-        with pytest.warns(DeprecationWarning, match="ScatterPolicy"):
-            policy = ScatterPolicy(base_delay=0.05, backoff=2.0)
-        assert isinstance(policy, RetryPolicy)
+        policy = RetryPolicy(base_delay=0.05, backoff=2.0, hedge=True)
         assert policy.delay(1) == pytest.approx(0.05)
         assert policy.delay(2) == pytest.approx(0.10)
         assert policy.delay(3) == pytest.approx(0.20)
@@ -223,9 +220,6 @@ class TestScatterPolicy:
         policy = RetryPolicy(max_attempts=5, hedge=True,
                              hedge_percentile=90.0)
         assert RetryPolicy.from_dict(policy.to_dict()) == policy
-        with pytest.warns(DeprecationWarning, match="ScatterPolicy"):
-            alias = ScatterPolicy.from_dict(policy.to_dict())
-        assert alias.to_dict() == policy.to_dict()
 
     @pytest.mark.parametrize("bad", [
         {"max_attempts": 0}, {"failure_threshold": 0},
@@ -234,8 +228,6 @@ class TestScatterPolicy:
     def test_validates(self, bad):
         with pytest.raises(ValueError):
             RetryPolicy(**bad)
-        with pytest.raises(ValueError), pytest.warns(DeprecationWarning):
-            ScatterPolicy(**bad)
 
     def test_infrastructure_classification(self):
         assert is_infrastructure_failure(TransportError("x"))

@@ -219,7 +219,8 @@ class TestMemoRuntime:
 
 class TestCacheHygiene:
     def test_eviction_bounds_and_cascades(self):
-        s = AnalysisSession(compiled_capacity=2)
+        one = compile_circuit(_rc()).nbytes()
+        s = AnalysisSession(cache_bytes=2 * one + one // 2)  # two fit
         first = s.compile(_rc(r=1e3))
         first.nominal  # populate the cache eviction must drop
         assert first._nominal_state is not None
@@ -297,19 +298,19 @@ def _ladder(r=100.0, n=12):
 
 def _engine_bytes(session):
     st = session.stats()
-    return sum(st[kind]["bytes"] for kind in ("compiled", "states", "pss"))
+    return sum(st[kind]["bytes"] for kind in ("compiled", "pss"))
 
 
 class TestEngineBudget:
-    """The compiled, states and pss stores share one byte budget and
-    one LRU order; the result memo stays bounded in entries."""
+    """The compiled and pss stores share one byte budget and one LRU
+    order; the result memo stays bounded in entries."""
 
     def test_mixed_sizes_evict_by_bytes_in_lru_order_across_kinds(self):
         s = AnalysisSession(cache_bytes=100)
         a, b, c = _Entry(40), _Entry(30), _Entry(20)
         s.compiled.put("a", a)
         s.pss_store.put("b", b)
-        s.states.put("c", c)
+        s.pss_store.put("c", c)
         assert s.compiled.get("a") is a  # a is now the most recent
         d = _Entry(30)
         s.pss_store.put("d", d)          # 120 bytes: b (LRU) goes
@@ -320,8 +321,8 @@ class TestEngineBudget:
         assert c.cleared and a.cleared and not d.cleared
         st = s.stats()
         assert {k: (st[k]["size"], st[k]["bytes"])
-                for k in ("compiled", "states", "pss")} == {
-            "compiled": (1, 50), "states": (0, 0), "pss": (1, 30)}
+                for k in ("compiled", "pss")} == {
+            "compiled": (1, 50), "pss": (1, 30)}
         assert st["compiled"]["capacity"] == 100
         assert st["results"] == {"size": 0, "capacity": 64,
                                  "hits": 0, "misses": 0}
@@ -345,8 +346,7 @@ class TestEngineBudget:
     def test_logic_orbit_estimate_covers_what_it_holds(self, logic_path_x):
         """The largest bundled Table II orbit: its estimate is within a
         few percent above what the built linearisation holds, and
-        eight of them fit the default budget, as under the old
-        ``pss_capacity=8``."""
+        eight of them fit the default budget."""
         tb = logic_path_x
         orbit = pss(compile_circuit(tb.circuit), tb.period,
                     options=PssOptions(n_steps=800, settle_periods=2))
@@ -387,24 +387,6 @@ class TestEngineBudget:
         assert first.pss._lin is None
         assert compiled._nominal_state is None
         assert _engine_bytes(s) <= s.cache_bytes
-
-    def test_deprecated_capacities_warn_and_still_cap_entries(self):
-        for name in ("compiled_capacity", "state_capacity",
-                     "pss_capacity"):
-            with pytest.warns(DeprecationWarning, match=name):
-                AnalysisSession(**{name: 1})
-        with pytest.warns(DeprecationWarning):
-            s = AnalysisSession(compiled_capacity=1, state_capacity=1,
-                                pss_capacity=1)
-        for r in (1e3, 2e3):
-            s.transient_mismatch(_rc(r=r), MEAS, period=1e-6,
-                                 pss_options=PSS_OPTS)
-            compiled = s.compile(_rc(r=r))
-            with pytest.warns(DeprecationWarning, match="state"):
-                s.state(compiled, deltas={("R", "r"): r})
-        st = s.stats()
-        assert [st[k]["size"] for k in ("compiled", "states", "pss")] \
-            == [1, 1, 1]
 
     def test_bounded_retention_after_table2_and_ladder_calls(
             self, logic_path_x):

@@ -286,11 +286,12 @@ class TestEnginePool:
             stats = client.server_stats()
         assert not cold.from_cache and not warm.from_cache
         assert _numbers(warm.summary) == _numbers(cold.summary)
+        assert set(stats["session"]) == {"compiled", "pss", "results"}
         workers = stats["workers"]
         assert list(workers) == [str(pid) for pid in stats["pool"]["pids"]]
         assert sum(w["pss"]["hits"] for w in workers.values()) == 1
         for stores in workers.values():
-            assert set(stores) == {"compiled", "states", "pss"}
+            assert set(stores) == {"compiled", "pss"}
             for counters in stores.values():
                 assert set(counters) == {"size", "bytes", "hits",
                                          "misses"}

@@ -211,11 +211,24 @@ class TestOnePolicyType:
         assert getattr(resilience, "ONE_ATTEMPT",
                        ONE_ATTEMPT) is ONE_ATTEMPT
 
+    def test_times_and_factors_are_floats(self):
+        policy = RetryPolicy(base_delay=0, backoff=1, deadline=2,
+                             cooldown=0, hedge_percentile=50, hedge_floor=0)
+        for name in ("base_delay", "backoff", "deadline", "cooldown",
+                     "hedge_percentile", "hedge_floor"):
+            assert type(getattr(policy, name)) is float
+        assert policy == RetryPolicy(
+            base_delay=0.0, backoff=1.0, deadline=2.0, cooldown=0.0,
+            hedge_percentile=50.0, hedge_floor=0.0)
+
     @pytest.mark.parametrize("bad", [
         {"max_attempts": 2.5}, {"backoff": -1.0}, {"hedge_floor": -1},
         {"hedge_min_samples": 2.5}, {"failure_threshold": 0.5},
         {"base_delay": -0.01}, {"cooldown": float("nan")},
-        {"max_attempts": "3"}], ids=lambda bad: f"{bad}")
+        {"max_attempts": "3"}, {"max_attempts": True}, {"backoff": True},
+        {"deadline": True},
+        pytest.param({"base_delay": 10 ** 400}, id="base_delay-overflow")],
+        ids=lambda bad: f"{bad}")
     def test_values_no_loop_can_run_are_refused(self, bad):
         (name,) = bad
         with pytest.raises(ValueError, match=name):
@@ -284,7 +297,9 @@ class TestOnePolicyType:
 
         assert len({build(retry).key() for retry in (
             RetryPolicy(), {"max_attempts": 3}, RetryPolicy().to_dict(),
-            {"base_delay": 0.05, "max_attempts": 3})}) == 1
+            {"base_delay": 0.05, "max_attempts": 3}, {"backoff": 2})}) == 1
+        assert build(RetryPolicy(base_delay=0)).key() \
+            == build(RetryPolicy(base_delay=0.0)).key()
         session = AnalysisSession()
         assert not session.run(build(RetryPolicy())).from_cache
         assert session.run(build({"max_attempts": 3})).from_cache
