@@ -80,8 +80,7 @@ from ..waveform import Waveform, WaveformSet
 from .dcop import NewtonOptions, dc_operating_point
 from .mna import CompiledCircuit, ParamState
 from .orbit import OrbitLinearization
-from .transient import (TransientOptions, _newton_step, _NewtonWork,
-                        _singular_error, _step_matrix, transient)
+from .transient import TransientOptions, _integrate, transient
 
 
 @dataclass
@@ -248,6 +247,12 @@ def integrate_period(compiled: CompiledCircuit, state: ParamState,
     Returns ``(orbit, monodromy)`` where *orbit* has shape
     ``(n_steps + 1, n)``; *monodromy* is ``dPhi/dx0`` or ``None``.
 
+    A run of the transient's fixed-grid loop, grid ``t0 + k * (period /
+    n_steps)``, on the *exact* step policy: no predictor and full
+    Newton - or, on a constant-Jacobian circuit and a factorization-
+    reuse backend, one LU of the step matrix for the whole pass, the
+    bits of re-factoring it at every iteration.
+
     The integration builds no linearisation: the refresh assembly after
     each step computes the residual only.  With *want_monodromy* the
     monodromy is :func:`_pass_linearization`'s
@@ -255,58 +260,16 @@ def integrate_period(compiled: CompiledCircuit, state: ParamState,
     grid the pass stepped on - what shooting builds for a pass that
     does not close.
 
-    On a constant-Jacobian circuit (``not compiled.has_nonlinear``) and
-    a factorization-reuse backend one LU of the step matrix serves
-    every Newton iteration of the pass.  Such a backend's one-shot
-    solve is ``factor(a).solve(b)``, so the bits are those of
-    re-factoring the same matrix at every iteration.
-
     This is the *dense fallback* integrator: it consumes the
     sparse-native parameter state through the dense escape hatch
     (:meth:`~repro.analysis.mna.ParamState.to_dense`).  Large circuits
     take the matrix-free path instead (:func:`_integrate_period_csr`).
     """
-    n = compiled.n
     h = period / n_steps
-    _, g_pad, f_pad = compiled.buffers(())
-    c_over_h = compiled.capacitance(state) / h
-
-    orbit = np.empty((n_steps + 1, n))
-    x_pad = x0_pad.copy()
-    orbit[0] = x_pad[:-1]
-
-    theta = np.append(compiled.theta_rows(state, method), 1.0)
-    one_minus = 1.0 - theta
-    work = _NewtonWork(compiled, state, (), dense_jac=True)
-    # t0 + k * h, tabulated once for the whole period
-    sources = compiled.source_table(state, t0 + h * np.arange(n_steps + 1))
-
-    backend = compiled.backend
-    one_lu = backend.policy.reuse and not compiled.has_nonlinear
-    compiled.assemble(state, x_pad, t0, g_pad, f_pad, jacobian=one_lu,
-                      sources=sources.row(0), scratch=work.scratch)
-    lu = None
-    if one_lu:
-        try:
-            lu = backend.factor(_step_matrix(theta, g_pad, c_over_h,
-                                             work.jac))
-        except np.linalg.LinAlgError as exc:
-            raise _singular_error(compiled, state, t0, 0) from exc
-    f_prev = f_pad.copy()
-    x_prev = x_pad.copy()
-
-    for k in range(1, n_steps + 1):
-        t_k = t0 + k * h
-        src_k = sources.row(k)
-        _newton_step(compiled, state, x_pad, x_prev, f_prev, t_k, theta,
-                     one_minus, c_over_h, g_pad, f_pad, newton, work,
-                     src=src_k, lu=lu)
-        # the accepted residual lands straight in f_prev
-        compiled.assemble(state, x_pad, t_k, g_pad, f_prev,
-                          jacobian=False, sources=src_k,
-                          scratch=work.scratch)
-        np.copyto(x_prev, x_pad)
-        orbit[k] = x_pad[:-1]
+    orbit = _integrate(
+        compiled, state, TransientOptions(method=method, newton=newton,
+                                          record=[], record_states=True),
+        x0_pad, t0, t0 + n_steps * h, h, exact=True).states
     if not want_monodromy:
         return orbit, None
     lin = _pass_linearization(compiled, state, orbit, t0, period, method,
@@ -643,26 +606,32 @@ def _bordered_jacobian(mono: np.ndarray, xdot_t: np.ndarray,
 
 def _advance_to_crossing(compiled, state, x_pad, t_cur, dt, level, a_idx,
                          period, opts: PssOptions, anchor: str = "?"):
-    """Integrate until the anchor crosses *level* rising (max 2 periods)."""
+    """Integrate until the step where the anchor crosses *level*
+    rising (at most ~2.2 periods)."""
     # a whole number of steps: the ~2.2-period horizon is a heuristic,
     # so round it up rather than have the integrator snap (and warn
     # about) a shortened final step on every oscillator PSS
     n_adv = max(1, int(np.ceil(2.2 * period / dt - 1e-9)))
+    last, crossed = x_pad[a_idx], False
+
+    def rising(k: int, x: np.ndarray) -> bool:
+        nonlocal last, crossed
+        v = x[a_idx]
+        crossed = last < level <= v
+        last = v
+        return crossed
+
     res = transient(compiled, t_stop=t_cur + n_adv * dt, dt=dt,
                     state=state, x0_pad=x_pad, t_start=t_cur,
                     options=TransientOptions(method=opts.method, record=[],
-                                             newton=opts.newton,
-                                             record_states=True))
-    v = res.states[:, a_idx]
-    for k in range(1, v.shape[0]):
-        if v[k - 1] < level <= v[k] and v[k] > v[k - 1]:
-            x_new = compiled.pad(res.states[k])
-            return x_new, float(res.t[k])
-    warnings.warn(
-        f"no rising crossing of anchor node '{anchor}' through "
-        f"{level:.4g} within ~2.2 estimated periods; falling back to "
-        "the final settling state.  A non-swinging (or mis-chosen) "
-        "phase anchor is the usual cause of oscillator shooting "
-        "divergence - pick a node that oscillates, or pass a better "
-        "period_guess", UserWarning, stacklevel=3)
+                                             newton=opts.newton),
+                    stop_at=rising)
+    if not crossed:
+        warnings.warn(
+            f"no rising crossing of anchor node '{anchor}' through "
+            f"{level:.4g} within ~2.2 estimated periods; falling back to "
+            "the final settling state.  A non-swinging (or mis-chosen) "
+            "phase anchor is the usual cause of oscillator shooting "
+            "divergence - pick a node that oscillates, or pass a better "
+            "period_guess", UserWarning, stacklevel=3)
     return res.x_final_pad, float(res.t[-1])

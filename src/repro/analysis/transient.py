@@ -7,15 +7,16 @@ The integrator works on the charge-oriented MNA system
 (all charges in the bundled element set are linear, see
 :mod:`repro.analysis.mna`).  Two step drivers share one per-step solver:
 
-**Fixed uniform grid** (the default).  Shooting PSS needs the one-period
-state-transition map, which falls out of the per-step Jacobians only
-when every Newton step lands on the same grid; the LPTV sensitivity
-engine reuses the same grid, making the linear analysis exact on the
-discretisation; and batched Monte-Carlo lanes must share time points to
-be solved as one stacked system.  When ``t_stop - t_start`` is not an
-integer multiple of ``dt`` the final step is *shortened to land exactly
-on* ``t_stop`` (with a warning) instead of silently truncating or
-overshooting the span.
+**Fixed uniform grid** (the default; the one loop of every uniform
+grid, PSS periods and transient noise included).  Shooting PSS needs
+the one-period state-transition map, which falls out of the per-step
+Jacobians only when every Newton step lands on the same grid; the LPTV
+sensitivity engine reuses the same grid, making the linear analysis
+exact on the discretisation; and batched Monte-Carlo lanes must share
+time points to be solved as one stacked system.  When ``t_stop -
+t_start`` is not an integer multiple of ``dt`` the final step is
+*shortened to land exactly on* ``t_stop`` (with a warning) instead of
+silently truncating or overshooting the span.
 
 **Adaptive stepping** (:attr:`TransientOptions.adaptive`).  A
 local-truncation-error controller grows and shrinks the step within
@@ -47,11 +48,11 @@ after a raw initial condition (it swallows inconsistent ICs within one
 step).
 
 Every step runs :func:`~repro.analysis.dcop.newton_iterate`, the Newton
-loop DC, the PSS period and transient noise share, with its own
-residual and linear policy.  Linear solves go through the circuit's
-pluggable backend (:mod:`repro.linalg`).  Backends whose policy allows
-factorization reuse get a modified-Newton policy that keeps one
-Jacobian factorization alive across iterations *and* time steps.  The
+loop it shares with DC, with its own residual and linear policy.
+Linear solves go through the circuit's pluggable backend
+(:mod:`repro.linalg`).  Backends whose policy allows factorization
+reuse get a modified-Newton policy that keeps one Jacobian
+factorization alive across iterations *and* time steps.  The
 factorization cache is keyed on the *content* of the step-matrix
 ingredients ``(theta, dt)`` (:meth:`~repro.linalg.FactorizationCache.
 set_key`), so a changing step size can never be answered by a stale LU;
@@ -80,8 +81,7 @@ import numpy as np
 from ..circuit.controlled import GateWindow
 from ..circuit.sources import SmoothPulse
 from ..errors import ConvergenceError, SingularMatrixError
-from ..linalg import (Factorization, FactorizationCache,
-                      mark_singular_lanes)
+from ..linalg import FactorizationCache, mark_singular_lanes
 from ..waveform import WaveformSet
 from .dcop import NewtonOptions, dc_operating_point, newton_iterate
 from .mna import CompiledCircuit, ParamState
@@ -341,28 +341,32 @@ class _StepSolver:
     CSR) and the step-size-dependent operands: :meth:`set_step` rescales
     ``C/h`` and re-keys the factorization cache on ``(theta, h)``, so
     both step drivers - fixed grid and adaptive - stay ignorant of the
-    backend underneath.
+    backend underneath.  *exact* is the dense period's policy: full
+    Newton (a reuse backend keeps a constant Jacobian's one LU), no
+    predictor, ``C/h`` formed by division.
     """
 
     def __init__(self, compiled: CompiledCircuit, state: ParamState,
                  opts: TransientOptions, batch_shape: tuple[int, ...],
-                 theta_trap: np.ndarray, theta_be: np.ndarray):
+                 exact: bool = False):
         self.compiled = compiled
         self.state = state
         self.opts = opts
         self.batch_shape = batch_shape
         n = compiled.n
-        # (theta, 1 - theta, content fingerprint) of both schemes,
-        # computed once per run; set_step selects one
+        # (theta, 1 - theta, content fingerprint) of the run's scheme
+        # and of backward Euler, computed once; set_step selects one
+        theta_trap = np.append(compiled.theta_rows(state, opts.method), 1.0)
         self._thetas = {
             be: (theta, 1.0 - theta, theta.tobytes())
-            for be, theta in ((False, theta_trap), (True, theta_be))}
+            for be, theta in ((False, theta_trap), (True, np.ones(n + 1)))}
         self.theta, self.one_minus, _ = self._thetas[False]
 
-        reuse = compiled.backend.policy.reuse
+        self.exact = exact
         self.cache = (FactorizationCache(
             compiled.backend, jac_constant=not compiled.has_nonlinear)
-            if reuse else None)
+            if compiled.backend.policy.reuse
+            and not (exact and compiled.has_nonlinear) else None)
         self.guard = (_LaneGuard(batch_shape, n)
                       if opts.isolate_lanes and batch_shape else None)
 
@@ -370,7 +374,7 @@ class _StepSolver:
         # straight onto the circuit's sparsity plan - the sparse-native
         # state template is consumed as-is, residuals are CSR mat-vecs
         # and no dense (n+1)^2 array (template or buffer) ever exists
-        self.use_csr = (self.cache is not None
+        self.use_csr = (self.cache is not None and not exact
                         and compiled.backend.wants_csr and not batch_shape)
         if self.use_csr:
             self.asm = compiled.csr_assembler(state)
@@ -403,6 +407,8 @@ class _StepSolver:
         if h != self.h:
             if self.use_csr:
                 self.asm.c_over_h_data(h, out=self.coh_data)
+            elif self.exact:
+                np.divide(self._c_mat, h, out=self.c_over_h)
             else:
                 np.multiply(self._c_mat, 1.0 / h, out=self.c_over_h)
             self.h = h
@@ -440,7 +446,7 @@ class _StepSolver:
                      t_k, self.theta, self.one_minus, self.c_over_h,
                      self.g_pad, self.f_pad, self.opts.newton, self.work,
                      guard, src, cache=self.cache, offset=offset)
-        if self.cache is None:
+        if self.cache is None or self.exact:
             # refresh f_pad at the accepted point for the next trap
             # step (residual only - the Jacobian is rebuilt next step);
             # the reuse loop accepts with f_pad already assembled there
@@ -491,7 +497,8 @@ def transient(compiled: CompiledCircuit, t_stop: float, dt: float,
     every accepted step ``k >= 1``; the run ends at the first step for
     which it returns true, and ``t``, the recorded signals, ``states``
     and ``n_accepted`` then describe the run up to that step.  The PSS
-    settle uses it to stop at the first period that closes.
+    settle uses it to stop at the first period that closes, the
+    oscillator PSS at the anchor's rising crossing.
 
     Warns
     -----
@@ -530,20 +537,30 @@ def transient(compiled: CompiledCircuit, t_stop: float, dt: float,
             "t_out requires adaptive=True: the fixed grid cannot land "
             "on arbitrary times (its spacing is the contract)")
 
+    return _integrate(compiled, state, opts, x0_pad, t_start, t_stop, dt,
+                      batch_shape, stop_at=stop_at)
+
+
+def _integrate(compiled: CompiledCircuit, state: ParamState,
+               opts: TransientOptions, x0_pad: np.ndarray | None,
+               t_start: float, t_stop: float, dt: float,
+               batch_shape: tuple[int, ...] = (), *,
+               stop_at: "Callable[[int, np.ndarray], bool] | None" = None,
+               inject: "Callable[[int], np.ndarray] | None" = None,
+               exact: bool = False) -> TransientResult:
+    """Build the run's :class:`_StepSolver` (*exact*: its policy) and
+    drive it on the adaptive controller or :func:`_fixed_loop`."""
     x_pad, first_step_be = _initial_state(compiled, state, x0_pad,
                                           t_start, batch_shape)
     rec = _record_indices(compiled, opts.record)
-    theta_trap = np.append(compiled.theta_rows(state, opts.method), 1.0)
-    theta_be = np.ones(compiled.n + 1)
-    solver = _StepSolver(compiled, state, opts, batch_shape,
-                         theta_trap, theta_be)
+    solver = _StepSolver(compiled, state, opts, batch_shape, exact)
 
     if opts.adaptive:
         return _adaptive_loop(compiled, state, opts, solver, x_pad,
                               first_step_be, t_start, t_stop, dt, rec)
     return _fixed_loop(compiled, state, opts, solver, x_pad,
                        first_step_be, t_start, t_stop, dt, rec,
-                       batch_shape, stop_at)
+                       batch_shape, stop_at, inject)
 
 
 def _finalize(compiled: CompiledCircuit, state: ParamState,
@@ -587,7 +604,7 @@ def _fixed_grid(t_start: float, t_stop: float, dt: float,
         f"integer multiple of dt={dt:.6e} s; the final step is "
         f"shortened to {h_last:.6e} s to land exactly on t_stop "
         f"(the seed integrator silently rounded the span)",
-        UserWarning, stacklevel=4)
+        UserWarning, stacklevel=5)
     return t_grid, h_last
 
 
@@ -596,31 +613,34 @@ def _fixed_loop(compiled: CompiledCircuit, state: ParamState,
                 x_pad: np.ndarray, first_step_be: bool, t_start: float,
                 t_stop: float, dt: float, rec: dict[str, int],
                 batch_shape: tuple[int, ...],
-                stop_at: "Callable[[int, np.ndarray], bool] | None"
+                stop_at: "Callable[[int, np.ndarray], bool] | None",
+                inject: "Callable[[int], np.ndarray] | None"
                 ) -> TransientResult:
+    """The fixed-grid step loop.  ``inject(k)`` returns ``n_k``, the
+    ``(*batch, n+1)`` current injected at point *k* (sign like ``f``):
+    step *k*'s residual gets ``theta * n_k``, the next step's ``f_prev``
+    ``n_k``."""
     n = compiled.n
     t_grid, h_last = _fixed_grid(t_start, t_stop, dt,
                                  compiled.circuit.name)
     n_steps = len(t_grid) - 1
     guard = solver.guard
 
-    kept = range(0, n_steps + 1, opts.stride)
-    n_kept = len(kept)
-    sig_store = {name: np.empty((n_kept,) + batch_shape)
+    stride = opts.stride
+    sig_store = {name: np.empty((n_steps // stride + 1,) + batch_shape)
                  for name in rec}
     states = (np.empty((n_steps + 1, n)) if opts.record_states else None)
     if states is not None and batch_shape:
         raise ValueError("record_states requires a batchless run")
 
-    def store(k_idx: int, k: int) -> None:
-        for name, idx in rec.items():
-            sig_store[name][k_idx] = x_pad[..., idx]
+    def store(k: int) -> None:
+        if k % stride == 0:
+            for name, idx in rec.items():
+                sig_store[name][k // stride] = x_pad[..., idx]
         if states is not None:
             states[k] = x_pad[..., :n]
 
-    kept_set = {k: i for i, k in enumerate(kept)}
-    if 0 in kept_set:
-        store(0, 0)
+    store(0)
 
     # tabulate the sources over the whole grid once; only lanes whose
     # own source values differ (row() is None) keep the per-point path
@@ -629,8 +649,11 @@ def _fixed_loop(compiled: CompiledCircuit, state: ParamState,
     # previous-step static residual, needed by trapezoidal
     solver.residual_only(x_pad, float(t_grid[0]), sources.row(0))
     f_prev = solver.f_pad.copy()
+    if inject is not None:
+        f_prev += inject(0)
     x_prev = x_pad.copy()
     x_prev2 = x_pad.copy()      # one more step back, for the predictor
+    offset = None if inject is None else np.empty(batch_shape + (n,))
 
     n_done = n_steps
     for k in range(1, n_steps + 1):
@@ -638,7 +661,10 @@ def _fixed_loop(compiled: CompiledCircuit, state: ParamState,
         h = dt if k < n_steps else h_last
         be_step = opts.method == "be" or (k == 1 and first_step_be)
         solver.set_step(be_step, h)
-        if solver.cache is not None and k >= 2:
+        if inject is not None:
+            n_k = inject(k)
+            np.multiply(solver.theta[:n], n_k[..., :n], out=offset)
+        if solver.cache is not None and not solver.exact and k >= 2:
             # extrapolation predictor: start Newton from
             # x_prev + r*(x_prev - x_prev2), cheap and second-order
             # (r != 1 only on a shortened final step)
@@ -652,25 +678,25 @@ def _fixed_loop(compiled: CompiledCircuit, state: ParamState,
                 x_pad += x_prev
             if guard is not None and guard.any:
                 x_pad[guard.failed] = x_prev[guard.failed]
-        solver.step(x_pad, x_prev, f_prev, t_k, guard, sources.row(k))
+        solver.step(x_pad, x_prev, f_prev, t_k, guard, sources.row(k),
+                    offset)
         np.copyto(f_prev, solver.f_pad)
+        if inject is not None:
+            f_prev += n_k
         np.copyto(x_prev2, x_prev)
         np.copyto(x_prev, x_pad)
-        if k in kept_set:
-            store(kept_set[k], k)
-        elif states is not None:
-            states[k] = x_pad[..., :n]
+        store(k)
         if stop_at is not None and stop_at(k, x_pad):
             n_done = k
             break
 
     if n_done < n_steps:
-        n_kept = len(range(0, n_done + 1, opts.stride))
+        n_kept = n_done // stride + 1
         sig_store = {name: sig[:n_kept] for name, sig in sig_store.items()}
         if states is not None:
             states = states[:n_done + 1]
     return _finalize(compiled, state, solver,
-                     t_grid[:n_done + 1:opts.stride], sig_store, x_pad,
+                     t_grid[:n_done + 1:stride], sig_store, x_pad,
                      states, n_done, 0)
 
 
@@ -989,7 +1015,6 @@ def _newton_step(compiled: CompiledCircuit, state: ParamState,
                  guard: _LaneGuard | None = None,
                  src: "np.ndarray | None" = None, *,
                  cache: FactorizationCache | None = None,
-                 lu: "Factorization | None" = None,
                  offset: "np.ndarray | None" = None) -> None:
     """One implicit time step into ``x_pad`` by
     :func:`~repro.analysis.dcop.newton_iterate`, with callables built
@@ -1000,14 +1025,12 @@ def _newton_step(compiled: CompiledCircuit, state: ParamState,
     *work* the run's buffers; dense step matrices go to ``work.jac``.
     *src* is the source vector at *t_k* when tabulated; *offset* is
     added to the step residual.  The linear policy is full Newton by
-    default; modified Newton on *cache*, which builds the step matrix
+    default, or modified Newton on *cache*, which builds the step matrix
     only when it re-factors and leaves ``f_pad`` at the last assembled
     iterate (an O(G * vntol) ``f_prev`` error, far below the Newton
-    tolerance, for one device evaluation less per step); or the LU
-    *lu* of a constant-Jacobian circuit's step matrix (batchless, no
-    guard) - the matrix every iteration would build, so the same bits.
+    tolerance, for one device evaluation less per step).
     """
-    full = cache is None and lu is None
+    full = cache is None
 
     def residual() -> np.ndarray:
         compiled.assemble(state, x_pad, t_k, g_pad, f_pad, jacobian=full,
@@ -1030,8 +1053,6 @@ def _newton_step(compiled: CompiledCircuit, state: ParamState,
     def solve(rhs: np.ndarray) -> np.ndarray:
         if cache is not None:
             return cache.solve(rhs, step_matrix)
-        if lu is not None:
-            return lu.solve(rhs)
         return compiled.backend.solve(step_matrix(), rhs)
 
     def singular(rhs, exc, it):

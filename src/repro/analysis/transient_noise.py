@@ -14,9 +14,9 @@ Gaussian current with variance ``S0 / (2 dt)`` (single-sided PSD folded
 to the Nyquist band of the step), flicker sources are synthesised by
 FFT spectral shaping, and the stochastic currents ride on a batched
 transient - each ensemble member is one batch lane, so an M-run ensemble
-costs one stacked integration.  Each step is the transient integrator's
-own Newton step (backend, per-run buffers and all) with the injected
-currents added to its residual.
+costs one stacked integration.  The run is the transient's own
+fixed-grid loop (backend, per-run buffers, predictor and all) with
+each step's injected currents added to its residual.
 
 Scope note: source modulations are evaluated on the *nominal* (noise-
 free) trajectory, i.e. the analysis is exact for noise that is small
@@ -26,6 +26,7 @@ analysis assumes.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ from ..errors import AnalysisError
 from ..circuit.elements import PsdShape
 from .dcop import dc_operating_point
 from .mna import CompiledCircuit, NoiseInjection, ParamState
-from .transient import TransientOptions, _StepSolver
+from .transient import TransientOptions, _integrate
 
 
 @dataclass
@@ -101,15 +102,34 @@ def transient_noise_analysis(compiled: CompiledCircuit, t_stop: float,
 
     Raises
     ------
+    ValueError
+        When ``dt <= 0``, ``n_runs < 1`` or ``round(t_stop / dt) < 1``.
     ConvergenceError
         When a step's Newton iteration does not converge (the step runs
         on the transient integrator's Newton step, see
         :func:`~repro.analysis.transient.transient`).
+
+    Warns
+    -----
+    UserWarning
+        When the run ends at ``round(t_stop / dt) * dt``, not *t_stop*.
     """
     state = state or compiled.nominal
     if state.batched:
         raise AnalysisError("transient noise builds its own batch")
-    n_steps = int(round(t_stop / dt))
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
+    if n_runs < 1:
+        raise ValueError(f"n_runs must be >= 1, got {n_runs!r}")
+    ratio = t_stop / dt
+    n_steps = int(round(ratio)) if np.isfinite(ratio) else 0
+    if n_steps < 1:
+        raise ValueError(f"t_stop={t_stop!r} holds no step of dt={dt!r}")
+    if abs(ratio - n_steps) > 1e-9 * ratio:     # the transient's rule
+        warnings.warn(
+            f"t_stop={t_stop:.6e} s is not a whole number of dt="
+            f"{dt:.6e} s steps; the run ends at {n_steps * dt:.6e} s",
+            UserWarning, stacklevel=2)
     rng = np.random.default_rng(seed)
 
     # one DC solve serves the default injections and the start point
@@ -134,36 +154,17 @@ def transient_noise_analysis(compiled: CompiledCircuit, t_stop: float,
     b = np.stack([src.b[0] for src in injections], axis=0)   # (m, n)
 
     n = compiled.n
-    batch = (n_runs,)
     x0 = (compiled.initial_padded(()) if compiled.circuit.ic
           else compiled.pad(dc.x))
-    x_pad = np.broadcast_to(x0, batch + (n + 1,)).copy()
+    nk = np.zeros((n_runs, n + 1))      # n_k, sign like f
 
-    # the ordinary transient step; the injected currents n_k ride on
-    # its residual as the offset theta * n_k, and on the next step's
-    # previous residual as f + n_k
-    theta = np.append(compiled.theta_rows(state, method), 1.0)
-    solver = _StepSolver(compiled, state, TransientOptions(method=method),
-                         batch, theta, theta)
-    solver.set_step(False, dt)
-    rec_idx = {name: compiled.node_index[name] for name in record}
-    store = {name: np.empty((n_steps + 1, n_runs)) for name in record}
-
-    nk = np.zeros(batch + (n + 1,))     # n_k, (n_runs, n+1), sign like f
-    offset = np.empty(batch + (n,))
-    solver.residual_only(x_pad, 0.0)
-    f_prev = solver.f_pad.copy()
-    x_prev = x_pad.copy()
-    for k in range(n_steps + 1):
+    def inject(k: int) -> np.ndarray:
         nk[..., :n] = np.einsum("mr,mn->rn", amp[k], b)
-        if k:
-            np.multiply(theta[:n], nk[..., :n], out=offset)
-            solver.step(x_pad, x_prev, f_prev, k * dt, None, offset=offset)
-            np.copyto(f_prev, solver.f_pad)
-            np.copyto(x_prev, x_pad)
-        f_prev += nk
-        for name, idx in rec_idx.items():
-            store[name][k] = x_pad[..., idx]
+        return nk
 
-    return TransientNoiseResult(t=dt * np.arange(n_steps + 1),
-                                signals=store, n_runs=n_runs)
+    # the ordinary fixed-grid transient, one lane per run, carrying the
+    # injected currents on its residuals
+    res = _integrate(compiled, state,
+                     TransientOptions(method=method, record=record), x0,
+                     0.0, n_steps * dt, dt, (n_runs,), inject=inject)
+    return TransientNoiseResult(t=res.t, signals=res.signals, n_runs=n_runs)

@@ -57,14 +57,17 @@ from repro.analysis import compile_circuit, dcop, pss
 from repro.analysis import mna
 from repro.analysis.mna import _BIDX_CACHE_MAX, CompiledCircuit
 from repro.analysis.orbit import ORBIT_BLOCK, OrbitLinearization
-from repro.analysis.pss import PssOptions, integrate_period
+from repro.analysis.pss import (PssOptions, _pass_linearization,
+                                integrate_period)
 from repro.analysis.stamps import SourceTable
 from repro.analysis.dcop import NewtonOptions, dc_operating_point
 from repro.analysis.transient import (TransientOptions, _NewtonWork,
                                       _residual, _StepSolver, transient)
-from repro.analysis.transient_noise import transient_noise_analysis
+from repro.analysis.transient_noise import (_flicker_series,
+                                            transient_noise_analysis)
 from repro.api import transient_mismatch_analysis
 from repro.circuit import Circuit, Sine
+from repro.circuit.elements import PsdShape
 from repro.circuit.mosfet import (EkvWork, MosConstants, ekv_ids,
                                   ekv_ids_fused)
 from repro.circuit.sources import Pwl
@@ -1063,7 +1066,8 @@ def _frozen_solve_isolated(solve, jac_builder, rhs, guard, t_k,
 
 def _frozen_newton_step(compiled, state, x_pad, x_prev, f_prev, t_k,
                         theta, one_minus, c_over_h, g_pad, f_pad, j_pad,
-                        newton, work, guard=None, src=None, lu=None):
+                        newton, work, guard=None, src=None, lu=None,
+                        offset=None):
     n = compiled.n
     backend = compiled.backend
     rhs = work.rhs
@@ -1073,6 +1077,8 @@ def _frozen_newton_step(compiled, state, x_pad, x_prev, f_prev, t_k,
                           scratch=work.scratch)
         _residual(x_pad, x_prev, f_pad, f_prev, theta, one_minus,
                   c_over_h, work)
+        if offset is not None:
+            rhs += offset
         if lu is not None:
             delta = lu.solve(rhs)
         else:
@@ -1318,6 +1324,95 @@ def _frozen_transient_noise(compiled, t_stop, dt, n_runs, record, seed,
     return store
 
 
+def _frozen_noise_dense(compiled, t_stop, dt, n_runs, record, seed,
+                        method="trap"):
+    """``transient_noise_analysis``'s own loop on the dense backend, as
+    it stood before the fixed-grid loop took it over: full Newton from
+    the previous point, ``C/h`` by multiplication, the injected currents
+    on the step residual (``theta * n_k``) and on the next ``f_prev``
+    (``+ n_k``)."""
+    state = compiled.nominal
+    n_steps = int(round(t_stop / dt))
+    rng = np.random.default_rng(seed)
+    dc = dc_operating_point(compiled, state)
+    injections = compiled.noise_injections(state, dc.x[None, :])
+    amp = np.zeros((n_steps + 1, len(injections), n_runs))
+    for j, src in enumerate(injections):
+        if src.shape is PsdShape.WHITE:
+            sigma = np.sqrt(src.psd0 / (2.0 * dt))
+            amp[:, j, :] = rng.normal(0.0, sigma, (n_steps + 1, n_runs))
+        else:
+            amp[1:, j, :] = _flicker_series(rng, n_steps, dt, src.psd0,
+                                            (n_runs,))
+    b = np.stack([src.b[0] for src in injections], axis=0)
+    n = compiled.n
+    batch = (n_runs,)
+    x0 = (compiled.initial_padded(()) if compiled.circuit.ic
+          else compiled.pad(dc.x))
+    x_pad = np.broadcast_to(x0, batch + (n + 1,)).copy()
+    _, g_pad, f_pad = compiled.buffers(batch)
+    j_pad = np.empty_like(g_pad)
+    c_over_h = compiled.capacitance(state) * (1.0 / dt)
+    theta = np.append(compiled.theta_rows(state, method), 1.0)
+    one_minus = 1.0 - theta
+    work = _NewtonWork(compiled, state, batch)
+    newton = TransientOptions().newton
+    store = {name: np.empty((n_steps + 1, n_runs)) for name in record}
+    nk = np.zeros(batch + (n + 1,))
+    offset = np.empty(batch + (n,))
+    compiled.assemble(state, x_pad, 0.0, g_pad, f_pad, jacobian=False,
+                      scratch=work.scratch)
+    f_prev = f_pad.copy()
+    x_prev = x_pad.copy()
+    for k in range(n_steps + 1):
+        nk[..., :n] = np.einsum("mr,mn->rn", amp[k], b)
+        if k:
+            np.multiply(theta[:n], nk[..., :n], out=offset)
+            _frozen_newton_step(compiled, state, x_pad, x_prev, f_prev,
+                                k * dt, theta, one_minus, c_over_h, g_pad,
+                                f_pad, j_pad, newton, work, offset=offset)
+            compiled.assemble(state, x_pad, k * dt, g_pad, f_pad,
+                              jacobian=False, scratch=work.scratch)
+            np.copyto(f_prev, f_pad)
+            np.copyto(x_prev, x_pad)
+        f_prev += nk
+        for name in record:
+            store[name][k] = x_pad[..., compiled.node_index[name]]
+    return dt * np.arange(n_steps + 1), store
+
+
+def _frozen_advance_to_crossing(compiled, state, x_pad, t_cur, dt, level,
+                                a_idx, period, opts):
+    """The oscillator's crossing search as it stood before it stopped at
+    the crossing: record ~2.2 periods of states, then scan them.
+    Returns ``(x_pad, t, n_adv)``."""
+    n_adv = max(1, int(np.ceil(2.2 * period / dt - 1e-9)))
+    res = transient(compiled, t_stop=t_cur + n_adv * dt, dt=dt,
+                    state=state, x0_pad=x_pad, t_start=t_cur,
+                    options=TransientOptions(method=opts.method, record=[],
+                                             newton=opts.newton,
+                                             record_states=True))
+    v = res.states[:, a_idx]
+    for k in range(1, v.shape[0]):
+        if v[k - 1] < level <= v[k] and v[k] > v[k - 1]:
+            return compiled.pad(res.states[k]), float(res.t[k]), n_adv
+    raise AssertionError("no rising crossing")
+
+
+def _noise_case(tech, name):
+    """Circuit, ``t_stop``, ``dt`` and recorded node of a noise case."""
+    if name == "cs_amp":        # MOS thermal and flicker sources
+        return (compile_circuit(_cs_amp(tech), backend="dense"), 2e-9,
+                1e-11, "d")
+    ckt = Circuit("ktc")
+    ckt.add_vsource("V", "in", "0", dc=0.5)
+    ckt.add_resistor("R", "in", "out", 10e3)
+    ckt.add_capacitor("C", "out", "0", 1e-12)
+    if name == "ktc_ic":
+        ckt.set_ic({"out": 0.1})
+    return compile_circuit(ckt, backend="dense"), 10e-9, 0.25e-9, "out"
+
+
 def _outcome(run):
     """What *run* returned (arrays, scalars) or the error it raised."""
     try:
@@ -1477,7 +1572,10 @@ class TestFrozenLoops:
 
     @pytest.mark.parametrize("name, backend", [("rc", "cached"),
                                                ("rc", "dense"),
-                                               ("logic_path", "cached")])
+                                               ("logic_path", "cached"),
+                                               ("ota", "cached"),
+                                               ("logic_path", "dense"),
+                                               ("rc", "sparse")])
     def test_integrate_period(self, tech, name, backend):
         circuit, period = _lean_case(tech, name)
         compiled = compile_circuit(circuit, backend=backend)
@@ -1489,6 +1587,108 @@ class TestFrozenLoops:
         have, _ = integrate_period(compiled, state, x0, 0.0, period, 200,
                                    "trap", newton)
         assert np.array_equal(want, have)
+
+    @pytest.mark.parametrize("name, backend", [("rc", "cached"),
+                                               ("logic_path", "dense"),
+                                               ("ota", "sparse")])
+    def test_integrate_period_monodromy(self, tech, name, backend):
+        circuit, period = _lean_case(tech, name)
+        compiled = compile_circuit(circuit, backend=backend)
+        state = compiled.nominal
+        x0 = compiled.pad(dcop.dc_operating_point(compiled).x)
+        newton = NewtonOptions(max_step=1.0, max_iterations=50)
+        orbit = _frozen_integrate_period(compiled, state, x0, 0.0, period,
+                                         120, "trap", newton)
+        want = _pass_linearization(compiled, state, orbit, 0.0, period,
+                                   "trap", matrix_free=False).monodromy()
+        have_orbit, have = integrate_period(compiled, state, x0, 0.0,
+                                            period, 120, "trap", newton,
+                                            want_monodromy=True)
+        assert np.array_equal(orbit, have_orbit)
+        assert np.array_equal(want, have)
+
+    # one 200-step period costs what its own loop cost: one assembly at
+    # the start plus the Newton residuals and one refresh per step; one
+    # LU on a reuse backend for a constant Jacobian, one-shot solves
+    # else.  The one LU comes from the factorization cache, which builds
+    # its step matrix from one full assembly (the old loop: 601)
+    @pytest.mark.parametrize("name, backend, want", [
+        ("rc", "dense", {"assemble": 601, "factor": 0, "solve": 400}),
+        ("rc", "cached", {"assemble": 602, "factor": 1, "solve": 0}),
+        ("logic_path", "dense",
+         {"assemble": 767, "factor": 0, "solve": 566})])
+    def test_integrate_period_call_counts(self, tech, name, backend, want,
+                                          monkeypatch):
+        circuit, period = _lean_case(tech, name)
+        compiled = compile_circuit(circuit, backend=backend)
+        x0 = compiled.pad(dcop.dc_operating_point(compiled).x)
+        counts = dict.fromkeys(want, 0)
+
+        def counting(attr, fn):
+            def call(*a, **kw):
+                counts[attr] += 1
+                return fn(*a, **kw)
+            return call
+
+        for owner, attr in ((compiled, "assemble"),
+                            (compiled.backend, "factor"),
+                            (compiled.backend, "solve")):
+            monkeypatch.setattr(owner, attr,
+                                counting(attr, getattr(owner, attr)))
+        integrate_period(compiled, compiled.nominal, x0, 0.0, period, 200,
+                         "trap", NewtonOptions(max_step=1.0,
+                                               max_iterations=50))
+        assert counts == want
+
+    # the dense backend runs no predictor, so its noise keeps its bits;
+    # the reuse backends start each step from the predictor, as every
+    # other cached run does, and stay within roundoff (tested below)
+    @pytest.mark.parametrize("name", ["ktc", "ktc_ic", "cs_amp"])
+    @pytest.mark.parametrize("method", ["trap", "be"])
+    def test_transient_noise_on_the_fixed_loop(self, tech, method, name):
+        compiled, t_stop, dt, node = _noise_case(tech, name)
+        if name == "cs_amp":
+            shapes = {inj.shape for inj in compiled.noise_injections(
+                compiled.nominal,
+                dc_operating_point(compiled).x[None, :])}
+            assert PsdShape.FLICKER in shapes
+        t_want, want = _frozen_noise_dense(compiled, t_stop, dt, 8, [node],
+                                           seed=3, method=method)
+        have = transient_noise_analysis(compiled, t_stop, dt, 8, [node],
+                                        seed=3, method=method)
+        assert np.array_equal(t_want, have.t)
+        assert np.array_equal(want[node], have.signals[node])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_crossing_search_stops_at_the_crossing(self, tech, backend,
+                                                   monkeypatch):
+        compiled = compile_circuit(ring_oscillator(tech), backend=backend)
+        state = compiled.nominal
+        dt, period = 2e-12, 4e-10
+        settle = transient(compiled, 4e-9, dt, options=TransientOptions(
+            record=[]))
+        a_idx = compiled.node_index["osc1"]
+        level = 0.5 * tech.vdd
+        opts = PssOptions()
+        x_want, t_want, n_adv = _frozen_advance_to_crossing(
+            compiled, state, settle.x_final_pad.copy(), float(settle.t[-1]),
+            dt, level, a_idx, period, opts)
+        steps = []
+
+        def counting(*a, **kw):
+            res = transient(*a, **kw)
+            steps.append(res.n_accepted)
+            return res
+
+        # the package re-exports the function pss over its module
+        pss_module = sys.modules[integrate_period.__module__]
+        monkeypatch.setattr(pss_module, "transient", counting)
+        x_have, t_have = pss_module._advance_to_crossing(
+            compiled, state, settle.x_final_pad.copy(), float(settle.t[-1]),
+            dt, level, a_idx, period, opts, "osc1")
+        assert np.array_equal(x_want, x_have)
+        assert t_want == t_have
+        assert len(steps) == 1 and steps[0] < n_adv
 
     def test_transient_noise_within_roundoff_of_its_old_loop(self):
         ckt = Circuit("ktc")

@@ -94,3 +94,29 @@ def test_unconverged_step_raises():
     assert err.value.iterations == 50
     assert (err.value.theta_fingerprint
             == compiled.nominal.theta_fingerprint())
+
+
+class TestGrid:
+    """The noise grid is validated the way :func:`transient`'s is."""
+
+    @pytest.mark.parametrize("kw, arg", [
+        ({"dt": 0.0}, "dt"),
+        ({"dt": -1e-10}, "dt"),
+        ({"n_runs": 0}, "n_runs"),
+        ({"t_stop": 0.4e-10}, "t_stop")])
+    def test_refuses_a_grid_with_no_step(self, kw, arg):
+        args = {"t_stop": 1e-9, "dt": 1e-10, "n_runs": 4,
+                "record": ["out"], **kw}
+        with pytest.raises(ValueError, match=rf"^{arg}"):
+            transient_noise_analysis(ktc_circuit(), **args)
+
+    def test_rounded_span_warns_and_keeps_its_bits(self):
+        compiled = ktc_circuit()
+        with pytest.warns(UserWarning, match="ends at 9.000000e-10 s"):
+            res = transient_noise_analysis(compiled, 1e-9, 0.3e-9, 4,
+                                           ["out"], seed=1)
+        whole = transient_noise_analysis(compiled, 3 * 0.3e-9, 0.3e-9, 4,
+                                         ["out"], seed=1)
+        assert res.t[-1] == 3 * 0.3e-9
+        assert np.array_equal(res.t, whole.t)
+        assert np.array_equal(res.signals["out"], whole.signals["out"])
